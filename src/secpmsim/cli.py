@@ -18,6 +18,7 @@ from pathlib import Path
 
 from secpmsim import workloads
 from secpmsim.config import MODES, WORKLOADS, Config, apply_setting, parse_config
+from secpmsim.counters import AddressError
 from secpmsim.crash import (
     AtomicWriteScenario,
     CrashPlan,
@@ -220,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, ValueError, OSError) as exc:
+    except (UsageError, ValueError, AddressError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -82,6 +82,9 @@ class Config:
             raise ValueError("txn_size must be a positive multiple of 64")
         if self.queue_len < 2:
             raise ValueError("queue_len must be at least 2")
+        for name in ("cache_ways", "banks", "log_slots"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.cache_size < LINE * self.cache_ways:
             raise ValueError("cache_size too small for one set")
         if self.cores < 1 or self.txn_count < 0:

@@ -104,6 +104,14 @@ class Controller:
         cfg.validate()
         self.cfg = cfg
         self.mode = Mode(cfg.mode)
+        # Per-flush constants, fixed for the controller's lifetime.
+        self._encrypted = self.mode.encrypted
+        self._write_through = self.mode.write_through
+        self._use_register = cfg.use_register
+        self._flush_overhead_ns = cfg.flush_overhead_ns
+        self._cache_hit_ns = cfg.cache_hit_ns
+        self._aes_ns = cfg.timing.aes_ns
+        self._read_ns = cfg.timing.read_ns
         self.otp = OtpEngine(derive_key(cfg.seed))
 
         footprint = cfg.footprint or default_footprint(cfg.workload)
@@ -128,7 +136,9 @@ class Controller:
         self.reencryptions = 0
         self.flushes = 0
         self.otp_reuse = 0
-        self._enc_tuples: set[tuple[int, int]] = set()
+        # Highest counter each line has been encrypted under; a pad is
+        # fresh only if its counter strictly exceeds it.
+        self._last_ctr: dict[int, int] = {}
         self.boundary_hook: Optional[Callable[[str], None]] = None
 
     # ------------------------------------------------------------------
@@ -151,25 +161,34 @@ class Controller:
     def _read_line_raw(self, address: int, t: float) -> tuple[bytes, float]:
         forwarded = self._queue_forward(address)
         if forwarded is not None:
-            return forwarded, t + self.cfg.timing.read_ns
+            return forwarded, t + self._read_ns
         return self.nvm.nvm_read(address, t)
 
-    def _drain_step(self, t: float) -> float:
-        ready = self.queue.head_ready_at(self.nvm)
-        assert ready is not None
-        t = max(t, ready)
-        entry = self.queue.drain_one(self.nvm, t)
-        assert entry is not None
-        self._boundary("drain")
+    def _drain_step(self, t: float, limit: float | None = None) -> float | None:
+        """Issue the queue head once its bank is free (and no later than
+        ``limit``, if given); returns the issue time, or None past limit."""
+        nvm = self.nvm
+        bank = nvm.bank(self.queue.entries[0].address)
+        ready = nvm.busy_until[bank]
+        if ready > t:
+            t = ready
+        if limit is not None and t > limit:
+            return None
+        self.queue.drain_one(nvm, t, bank)
+        hook = self.boundary_hook
+        if hook is not None:
+            hook("drain")
         return t
 
     def _ensure_space(self, n: int, t: float) -> float:
         """Backpressure: when the queue cannot take n entries, drain down
         to the low watermark (half capacity), charging the wait time."""
-        if self.queue.free_slots >= n:
+        entries = self.queue.entries
+        capacity = self.queue.capacity
+        if len(entries) + n <= capacity:
             return t
-        target = min(self.cfg.queue_len - n, self.cfg.queue_len // 2)
-        while len(self.queue) > target:
+        target = min(capacity - n, capacity // 2)
+        while len(entries) > target:
             t = self._drain_step(t)
         return t
 
@@ -178,15 +197,11 @@ class Controller:
         CPU compute time (e.g. between transactions)."""
         end = self.clock + duration
         t = self.clock
-        while self.queue.entries:
-            ready = self.queue.head_ready_at(self.nvm)
-            assert ready is not None
-            issue = max(t, ready)
-            if issue > end:
+        entries = self.queue.entries
+        while entries:
+            t = self._drain_step(t, end)
+            if t is None:
                 break
-            self.queue.drain_one(self.nvm, issue)
-            self._boundary("drain")
-            t = issue
         self.clock = end
         return end
 
@@ -198,17 +213,17 @@ class Controller:
         return self.clock
 
     def _pad_for_encrypt(self, address: int, ctr: int) -> bytes:
-        key = (address, ctr)
-        if key in self._enc_tuples:
+        last = self._last_ctr.get(address)
+        if last is not None and ctr <= last:
             self.otp_reuse += 1
         else:
-            self._enc_tuples.add(key)
+            self._last_ctr[address] = ctr
         return self.otp.generate(address, ctr)
 
     def _get_counter_line(self, cline: int, t: float) -> tuple[CounterLine, float]:
         line = self.cache.lookup(cline)
         if line is not None:
-            return line, t + self.cfg.cache_hit_ns
+            return line, t + self._cache_hit_ns
         payload, t = self._read_line_raw(cline, t)
         line = CounterLine.deserialize(payload)
         t = self._insert_counter(cline, line, dirty=False, t=t)
@@ -235,13 +250,15 @@ class Controller:
         """Run the full flush sequence; returns the ack (retire) time."""
         if len(plaintext) != LINE:
             raise ValueError("line payload must be 64 bytes")
-        t = (self.clock if now is None else now) + self.cfg.flush_overhead_ns
+        t = (self.clock if now is None else now) + self._flush_overhead_ns
         self.flushes += 1
+        hook = self.boundary_hook
 
-        if not self.mode.encrypted:
+        if not self._encrypted:
             t = self._ensure_space(1, t)
             self.queue.append(WriteQueueEntry(address, plaintext, Origin.DATA, t))
-            self._boundary("append")
+            if hook is not None:
+                hook("append")
             self.clock = t
             return t
 
@@ -254,37 +271,43 @@ class Controller:
             line, t = self._get_counter_line(cline, t)
             new_line = increment_minor(line, minor_index)
 
-        ctr = new_line.counter_value(minor_index)
-        pad = self._pad_for_encrypt(address, ctr)
-        t += self.cfg.timing.aes_ns
+        pad = self._pad_for_encrypt(address, new_line.counter_value(minor_index))
+        t += self._aes_ns
         cipher = encrypt_line(plaintext, pad)
 
-        if not self.mode.write_through:
+        if not self._write_through:
             # Broken baseline: the counter stays dirty in the cache and
             # only the data entry becomes durable.
             t = self._insert_counter(cline, new_line, dirty=True, t=t)
             t = self._ensure_space(1, t)
             self.queue.append(WriteQueueEntry(address, cipher, Origin.DATA, t))
-            self._boundary("append")
+            if hook is not None:
+                hook("append")
         else:
             t = self._insert_counter(cline, new_line, dirty=False, t=t)
-            if self.cfg.use_register:
-                self.register.store_counter(cline, new_line.serialize())
-                self._boundary("reg_store")
-                self.register.store_data(address, cipher)
-                self._boundary("reg_store")
+            if self._use_register:
+                register = self.register
+                register.store_counter(cline, new_line.serialize())
+                if hook is not None:
+                    hook("reg_store")
+                register.store_data(address, cipher)
+                if hook is not None:
+                    hook("reg_store")
                 t = self._ensure_space(2, t)
-                self.queue.atomic_append_pair(self.register, t)
-                self._boundary("append_pair")
+                self.queue.atomic_append_pair(register, t)
+                if hook is not None:
+                    hook("append_pair")
             else:
                 t = self._ensure_space(1, t)
                 self.queue.append(
                     WriteQueueEntry(cline, new_line.serialize(), Origin.COUNTER, t)
                 )
-                self._boundary("append")
+                if hook is not None:
+                    hook("append")
                 t = self._ensure_space(1, t)
                 self.queue.append(WriteQueueEntry(address, cipher, Origin.DATA, t))
-                self._boundary("append")
+                if hook is not None:
+                    hook("append")
 
         self.clock = t
         return t
@@ -292,7 +315,7 @@ class Controller:
     def handle_read(self, address: int, now: float | None = None) -> bytes:
         """Decrypting read; pad generation overlaps the NVM access."""
         t0 = self.clock if now is None else now
-        if not self.mode.encrypted:
+        if not self._encrypted:
             payload, t = self._read_line_raw(address, t0)
             self.clock = t
             return payload
@@ -311,7 +334,7 @@ class Controller:
             ctr = line.counter_value(minor_index)
         pad = self.otp.generate(address, ctr)
         cipher, t_data = self._read_line_raw(address, t0)
-        t = max(t_data, t_ctr + self.cfg.timing.aes_ns)
+        t = max(t_data, t_ctr + self._aes_ns)
         self.clock = t
         return decrypt_line(cipher, pad)
 
@@ -383,7 +406,7 @@ class Controller:
             hybrid.minors[i] = 0
             new_ctr = new_major << 7
             recipher = encrypt_line(plain, self._pad_for_encrypt(address, new_ctr))
-            t += self.cfg.timing.aes_ns
+            t += self._aes_ns
             t = self._insert_counter(cline, hybrid.copy(), dirty=False, t=t)
             # The queue append and the done-bit update are one controller
             # action: no crash point separates them.

@@ -17,6 +17,33 @@ from secpmsim.config import LINE, LINES_PER_PAGE, PAGE
 MINOR_MAX = 127  # 7-bit minors
 
 
+def _pack_steps() -> tuple[tuple[int, int, int], ...]:
+    """(shift, keep, moved) masks that compact 64 byte-wide lanes of a
+    512-bit int into 64 seven-bit lanes of a 448-bit int.
+
+    Lane i (counted from the least significant end) must move down by i
+    bits.  Step k moves every lane whose index has bit k set down by 2**k,
+    so six steps cover every i < 64 and lanes never overlap on the way.
+    """
+    pos = [8 * i for i in range(LINES_PER_PAGE)]
+    steps = []
+    for k in range(6):
+        shift, keep, moved = 1 << k, 0, 0
+        for i in range(LINES_PER_PAGE):
+            if i >> k & 1:
+                pos[i] -= shift
+                moved |= MINOR_MAX << pos[i]
+            else:
+                keep |= MINOR_MAX << pos[i]
+        steps.append((shift, keep, moved))
+    return tuple(steps)
+
+
+_PACK_STEPS = _pack_steps()
+_UNPACK_STEPS = _PACK_STEPS[::-1]
+_LANE_TOP_BITS = int.from_bytes(b"\x80" * LINES_PER_PAGE, "big")
+
+
 class AddressError(Exception):
     """Address outside the mapped data region."""
 
@@ -29,7 +56,7 @@ class OverflowSignal(Exception):
         self.minor_index = minor_index
 
 
-@dataclass
+@dataclass(slots=True)
 class CounterLine:
     major: int = 0
     minors: list[int] = field(default_factory=lambda: [0] * LINES_PER_PAGE)
@@ -42,11 +69,14 @@ class CounterLine:
         return (self.major << 7) | self.minors[minor_index]
 
     def serialize(self) -> bytes:
-        packed = 0
-        for m in self.minors:
-            if m & ~MINOR_MAX:  # nonzero iff m < 0 or m > 127
-                raise ValueError("minor counter out of 7-bit range")
-            packed = (packed << 7) | m
+        try:
+            packed = int.from_bytes(bytes(self.minors), "big")
+        except ValueError:  # a minor outside 0..255
+            packed = _LANE_TOP_BITS
+        if packed & _LANE_TOP_BITS:
+            raise ValueError("minor counter out of 7-bit range")
+        for shift, keep, moved in _PACK_STEPS:
+            packed = (packed & keep) | ((packed >> shift) & moved)
         return self.major.to_bytes(8, "big") + packed.to_bytes(56, "big")
 
     @classmethod
@@ -54,12 +84,10 @@ class CounterLine:
         if len(raw) != LINE:
             raise ValueError("counter line must be 64 bytes")
         major = int.from_bytes(raw[:8], "big")
-        packed = int.from_bytes(raw[8:], "big")
-        minors = [0] * LINES_PER_PAGE
-        for i in range(LINES_PER_PAGE - 1, -1, -1):
-            minors[i] = packed & MINOR_MAX
-            packed >>= 7
-        return cls(major, minors)
+        lanes = int.from_bytes(raw[8:], "big")
+        for shift, keep, moved in _UNPACK_STEPS:
+            lanes = (lanes & keep) | ((lanes & moved) << shift)
+        return cls(major, list(lanes.to_bytes(LINES_PER_PAGE, "big")))
 
 
 def increment_minor(line: CounterLine, minor_index: int) -> CounterLine:
@@ -118,7 +146,7 @@ class CounterCache:
         return self._sets[(address // LINE) % self.nsets]
 
     def lookup(self, address: int) -> CounterLine | None:
-        s = self._set(address)
+        s = self._sets[(address // LINE) % self.nsets]
         hit = s.get(address)
         if hit is None:
             self.misses += 1
@@ -155,10 +183,6 @@ class CounterCache:
         if address in s:
             line, _ = s[address]
             s[address] = (line, False)
-
-    def clear(self) -> None:
-        for s in self._sets:
-            s.clear()
 
     @property
     def hit_rate(self) -> float:

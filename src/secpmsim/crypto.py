@@ -21,7 +21,12 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 LINE = 64
 COUNTER_BITS = 71
+_CTR_LIMIT = 1 << COUNTER_BITS
 _LOW64 = (1 << 64) - 1
+# base * _SPREAD copies a 128-bit value into all four 16-byte blocks of a
+# line; XOR with _BLOCK_INDEX then turns block i into base ^ i.
+_SPREAD = (1 << 384) | (1 << 256) | (1 << 128) | 1
+_BLOCK_INDEX = (1 << 256) | (2 << 128) | 3
 
 BlockFn = Callable[[bytes], bytes]
 
@@ -34,8 +39,7 @@ def aes_block_fn(key_bytes: bytes) -> BlockFn:
     """
     if len(key_bytes) != 16:
         raise ValueError("key must be 16 bytes")
-    enc = Cipher(algorithms.AES(key_bytes), modes.ECB()).encryptor()
-    return lambda block: enc.update(block)
+    return Cipher(algorithms.AES(key_bytes), modes.ECB()).encryptor().update
 
 
 class OtpEngine:
@@ -46,17 +50,14 @@ class OtpEngine:
 
     def generate(self, line_address: int, counter_value: int) -> bytes:
         """Deterministic 64-byte pad for (address, major||minor counter)."""
-        if counter_value < 0 or counter_value >= (1 << COUNTER_BITS):
+        if not 0 <= counter_value < _CTR_LIMIT:
             raise ValueError("counter out of 71-bit range")
         t = int.from_bytes(
             self._block(struct.pack(">QQ", line_address, counter_value & _LOW64)),
             "big",
         )
         base = t ^ ((counter_value >> 64) << 64)
-        msg = (
-            (base << 384) | ((base ^ 1) << 256) | ((base ^ 2) << 128) | (base ^ 3)
-        ).to_bytes(64, "big")
-        return self._block(msg)
+        return self._block((base * _SPREAD ^ _BLOCK_INDEX).to_bytes(64, "big"))
 
 
 def xor_lines(a: bytes, b: bytes) -> bytes:

@@ -38,9 +38,12 @@ class NvmDevice:
     def bank_free_at(self, address: int) -> float:
         return self.busy_until[self.bank(address)]
 
-    def nvm_write(self, address: int, payload: bytes, now: float) -> float:
-        """Issue a line write on a free bank; returns completion time."""
-        b = self.bank(address)
+    def nvm_write(self, address: int, payload: bytes, now: float,
+                  bank: int | None = None) -> float:
+        """Issue a line write on a free bank; returns completion time.
+
+        ``bank`` saves recomputing the bank when the caller has it."""
+        b = self.bank(address) if bank is None else bank
         if self.busy_until[b] > now:
             raise RuntimeError("write issued to a busy bank")
         done = now + self.timing.t_wr_ns

@@ -202,7 +202,17 @@ def import_trace(fh: TextIO, seed: int = 0, log_slots: int = 64
             continue
         if len(parts) != 5 or parts[0] != "TXN" or parts[2] != "WRITE":
             raise ValueError(f"trace line {lineno}: malformed record")
-        txn_id, addr, size = int(parts[1]), int(parts[3], 16), int(parts[4])
+        try:
+            txn_id, addr, size = int(parts[1]), int(parts[3], 16), int(parts[4])
+        except ValueError:
+            raise ValueError(f"trace line {lineno}: malformed record") from None
+        if addr < 0 or addr % LINE:
+            raise ValueError(
+                f"trace line {lineno}: address {parts[3]} is not line-aligned")
+        if size <= 0 or size % LINE:
+            raise ValueError(
+                f"trace line {lineno}: size {size} is not a positive multiple"
+                f" of {LINE}")
         if txn_id not in by_txn:
             by_txn[txn_id] = []
             order.append(txn_id)

@@ -16,7 +16,6 @@ from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
-    from secpmsim.counters import CounterLine
     from secpmsim.nvm import NvmDevice
 
 
@@ -25,7 +24,7 @@ class Origin(Enum):
     COUNTER = "counter"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class WriteQueueEntry:
     address: int
     payload: bytes
@@ -56,6 +55,9 @@ class WriteQueue:
         self.capacity = capacity
         self.cwr_enabled = cwr_enabled
         self.entries: deque[WriteQueueEntry] = deque()
+        # Resident counter entry per address; kept only when merging, where
+        # at most one counter entry per address is ever queued.
+        self._counters: dict[int, WriteQueueEntry] = {}
         self.appended_data = 0
         self.appended_counter = 0
         self.merged = 0
@@ -64,32 +66,31 @@ class WriteQueue:
     def __len__(self) -> int:
         return len(self.entries)
 
-    @property
-    def free_slots(self) -> int:
-        return self.capacity - len(self.entries)
-
     def cwr_merge(self, incoming: WriteQueueEntry) -> int:
         """Remove the resident counter entry matching the incoming address.
 
-        Only counter-flagged entries are scanned; the no-two-counters-per-
-        address invariant bounds removals to one.
+        The no-two-counters-per-address invariant bounds removals to one,
+        so the per-address index finds it without a scan.
         """
         if incoming.origin is not Origin.COUNTER:
             raise ValueError("merge applies to counter entries only")
-        for entry in self.entries:
-            if entry.origin is Origin.COUNTER and entry.address == incoming.address:
-                self.entries.remove(entry)
-                self.merged += 1
-                return 1
-        return 0
+        if not self.cwr_enabled:
+            raise ValueError("merging is disabled on this queue")
+        resident = self._counters.pop(incoming.address, None)
+        if resident is None:
+            return 0
+        self.entries.remove(resident)
+        self.merged += 1
+        return 1
 
     def append(self, entry: WriteQueueEntry) -> None:
-        if self.free_slots < 1:
+        if len(self.entries) >= self.capacity:
             raise RuntimeError("append on a full queue; caller must stall")
         if entry.origin is Origin.COUNTER:
             self.appended_counter += 1
             if self.cwr_enabled:
                 self.cwr_merge(entry)
+                self._counters[entry.address] = entry
         else:
             self.appended_data += 1
         self.entries.append(entry)
@@ -102,7 +103,7 @@ class WriteQueue:
         """
         if register.counter_slot is None or register.data_slot is None:
             raise ValueError("staging register must hold both lines")
-        if self.free_slots < 2:
+        if len(self.entries) + 2 > self.capacity:
             raise RuntimeError("need two free slots for an atomic pair")
         caddr, cpayload = register.counter_slot
         daddr, dpayload = register.data_slot
@@ -115,18 +116,22 @@ class WriteQueue:
             return None
         return nvm.bank_free_at(self.entries[0].address)
 
-    def drain_one(self, nvm: "NvmDevice", now: float) -> WriteQueueEntry | None:
-        """Issue the head entry if its bank is free at `now` (FIFO only)."""
+    def drain_one(self, nvm: "NvmDevice", now: float,
+                  bank: int | None = None) -> WriteQueueEntry | None:
+        """Issue the head entry if its bank is free at `now` (FIFO only).
+
+        A caller that already knows the head's bank passes it in.
+        """
         if not self.entries:
             return None
         head = self.entries[0]
-        if nvm.bank_free_at(head.address) > now:
+        if bank is None:
+            bank = nvm.bank(head.address)
+        if nvm.busy_until[bank] > now:
             return None
         self.entries.popleft()
-        nvm.nvm_write(head.address, head.payload, now)
+        if head.origin is Origin.COUNTER and self.cwr_enabled:
+            del self._counters[head.address]
+        nvm.nvm_write(head.address, head.payload, now, bank)
         self.drained += 1
         return head
-
-
-def counter_entry(address: int, line: "CounterLine", now: float = 0.0) -> WriteQueueEntry:
-    return WriteQueueEntry(address, line.serialize(), Origin.COUNTER, now)

@@ -87,6 +87,32 @@ def test_config_parse_errors():
         parse_config("no_such_key = 1")
 
 
+@pytest.mark.parametrize("key", ["cache_ways", "banks", "log_slots"])
+def test_zero_sized_config_is_usage_error(tmp_path, capsys, key):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{key} = 0\n")
+    assert run_cli("run", "--config", str(cfg_file), *FAST) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and key in err
+
+
+def test_bad_trace_record_is_usage_error(tmp_path, capsys):
+    trace = tmp_path / "trace.txt"
+    trace.write_text("TXN 0 WRITE 0x0 64\nTXN 1 WRITE 0x20 64\n")
+    assert run_cli("run", *FAST, "--trace-in", str(trace)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "trace line 2" in err
+
+
+def test_trace_address_outside_data_region_is_usage_error(tmp_path, capsys):
+    trace = tmp_path / "trace.txt"
+    trace.write_text(f"TXN 0 WRITE {1 << 39:#x} 64\n")
+    assert run_cli("run", *FAST, "--mode", "secpm",
+                   "--trace-in", str(trace)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "outside data region" in err
+
+
 def test_unknown_mode_is_usage_error(capsys):
     assert run_cli("run", "--mode", "hyperspace") == 2
     assert "error:" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import pytest
 
 from secpmsim.config import Config
 from secpmsim.controller import Controller, Mode, Rsr, derive_key
+from secpmsim.counters import CounterLine
 from secpmsim.write_queue import Origin
 
 
@@ -164,6 +165,26 @@ def test_overflow_triggers_page_reencryption():
     assert ctrl.handle_read(64) == sibling
     cline, _ = ctrl.map.locate(0)
     assert ctrl.cache.lookup(cline).major == 1
+
+
+def test_pad_reuse_counts_every_non_increasing_counter():
+    """Rewinding a cached counter line makes the next flush reuse a pad:
+    a repeated counter and a lower counter each count once."""
+    ctrl = make("secpm")
+    cline, _ = ctrl.map.locate(0)
+    ctrl.handle_flush(0, b"\1" * 64)  # counter 1
+    ctrl.handle_flush(0, b"\2" * 64)  # counter 2
+    assert ctrl.otp_reuse == 0
+    ctrl.cache.insert(cline, CounterLine(minors=[1] + [0] * 63))
+    ctrl.handle_flush(0, b"\3" * 64)  # counter 2 again
+    assert ctrl.otp_reuse == 1
+    ctrl.cache.insert(cline, CounterLine())
+    ctrl.handle_flush(0, b"\4" * 64)  # counter 1, below the highest used
+    assert ctrl.otp_reuse == 2
+    ctrl.handle_flush(0, b"\5" * 64)  # counter 2: above the last, still reused
+    assert ctrl.otp_reuse == 3
+    ctrl.handle_flush(64, b"\6" * 64)  # another line keeps its own history
+    assert ctrl.otp_reuse == 3
 
 
 def test_second_reencryption_rejected_while_active():

@@ -1,0 +1,67 @@
+"""Pinned output digests.
+
+secpmsim's product is the numbers it reports, so a refactor or speed-up
+must leave them byte-identical.  These tests hash the stats report of a
+small sweep and the outcome list of three crash scopes; a digest that
+changes means some reported number changed.  Update a pin only together
+with a note saying which number changed and why.
+"""
+
+import hashlib
+
+import pytest
+
+from secpmsim.config import MODES, Config
+from secpmsim.crash import (
+    AtomicWriteScenario,
+    CrashPlan,
+    ReencryptScenario,
+    TxnScenario,
+    inject,
+)
+from secpmsim.runner import run_experiment
+from secpmsim.stats import emit_report
+
+RUN_CELLS = (("btree", 4096), ("hashtable", 256))
+RUN_TXNS = 20
+RUN_PIN = "6a96b16ce783f8b148a7bd7b15917711bc5ef24d0e0719f19e32f34e8bf043c3"
+
+CRASH_SCOPES = {
+    "txn": (MODES, lambda cfg: TxnScenario(cfg, n_lines=4)),
+    "atomic": (MODES, AtomicWriteScenario),
+    # One consistent and one broken mode keep this scope at a few seconds.
+    "reencrypt": (("secpm-no-cwt", "secpm"), ReencryptScenario),
+}
+CRASH_PINS = {
+    "txn": "a9fdc5751eea1630fcd9e84e8f9ce44486a0f191259e9492e18ce97b82551e3b",
+    "atomic": "92a8556756d7f5bb50904998d6b23a39a80d670579ba7b7efd4e6c2c6b24d102",
+    "reencrypt": "c23a2c37f7e28e872d82fe3c0b54fad15197b14da43169a5105991506359ccf7",
+}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_run_report_digest():
+    """All four modes x {btree 4 KiB, hashtable 256 B} x cores {1, 4}."""
+    stats = [
+        run_experiment(Config(mode=mode, workload=kind, txn_size=size,
+                              txn_count=RUN_TXNS, cores=cores, seed=0))
+        for mode in MODES for kind, size in RUN_CELLS for cores in (1, 4)
+    ]
+    assert sha256(emit_report(stats)) == RUN_PIN
+
+
+@pytest.mark.parametrize("scope", sorted(CRASH_SCOPES))
+def test_crash_outcome_digest(scope):
+    modes, make = CRASH_SCOPES[scope]
+    rows = []
+    for mode in modes:
+        cfg = Config(mode=mode, txn_size=4096, seed=0)
+        rows += [
+            (mode, o.crash_point, o.label, o.stage, o.verdict.value,
+             o.failing_address)
+            for o in inject(CrashPlan("exhaustive"), lambda: make(cfg))
+        ]
+    assert sha256(repr(rows)) == CRASH_PINS[scope]

@@ -2,12 +2,13 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secpmsim.config import Config
 from secpmsim.controller import Controller
-from secpmsim.counters import CounterLine
+from secpmsim.counters import MINOR_MAX, CounterLine
 from secpmsim.crypto import OtpEngine, decrypt_line, encrypt_line
 
 KEY = bytes(range(16))
@@ -38,6 +39,54 @@ def test_counter_line_serde_identity(major, minors):
     line = CounterLine(major=major, minors=minors)
     back = CounterLine.deserialize(line.serialize())
     assert back == line
+
+
+def reference_serialize(line):
+    """One 7-bit field at a time, minors[0] most significant."""
+    packed = 0
+    for m in line.minors:
+        if m & ~MINOR_MAX:
+            raise ValueError("minor counter out of 7-bit range")
+        packed = (packed << 7) | m
+    return line.major.to_bytes(8, "big") + packed.to_bytes(56, "big")
+
+
+def reference_deserialize(raw):
+    packed = int.from_bytes(raw[8:], "big")
+    minors = [0] * 64
+    for i in range(63, -1, -1):
+        minors[i] = packed & MINOR_MAX
+        packed >>= 7
+    return int.from_bytes(raw[:8], "big"), minors
+
+
+majors = st.integers(min_value=0, max_value=(1 << 64) - 1)
+minor_lists = st.lists(st.integers(min_value=0, max_value=MINOR_MAX),
+                       min_size=64, max_size=64)
+
+
+@given(major=majors, minors=minor_lists)
+def test_serialize_matches_bit_loop(major, minors):
+    line = CounterLine(major=major, minors=minors)
+    assert line.serialize() == reference_serialize(line)
+
+
+@given(raw=lines)
+def test_deserialize_matches_bit_loop(raw):
+    line = CounterLine.deserialize(raw)
+    assert (line.major, line.minors) == reference_deserialize(raw)
+
+
+@given(minors=minor_lists, index=st.integers(min_value=0, max_value=63),
+       bad=st.sampled_from([-1, 128, 255]) | st.integers(max_value=-1)
+       | st.integers(min_value=MINOR_MAX + 1))
+def test_serialize_rejects_out_of_range_minor_like_bit_loop(minors, index, bad):
+    line = CounterLine(minors=minors)
+    line.minors[index] = bad
+    with pytest.raises(ValueError):
+        reference_serialize(line)
+    with pytest.raises(ValueError):
+        line.serialize()
 
 
 class ReferenceLru:

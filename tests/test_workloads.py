@@ -90,6 +90,19 @@ def test_import_trace_rejects_malformed_line():
         import_trace(io.StringIO("TXN 1 READ 0x0 64\n"))
 
 
+@pytest.mark.parametrize("record, problem", [
+    ("TXN 1 WRITE 0x20 64", "not line-aligned"),
+    ("TXN 1 WRITE 0x40 100", "not a positive multiple of 64"),
+    ("TXN 1 WRITE 0x40 0", "not a positive multiple of 64"),
+    ("TXN 1 WRITE 0x40 -64", "not a positive multiple of 64"),
+    ("TXN x WRITE 0x40 64", "malformed record"),
+])
+def test_import_trace_rejects_bad_record_with_line_number(record, problem):
+    text = f"TXN 0 WRITE 0x0 64\n\n{record}\n"
+    with pytest.raises(ValueError, match=f"trace line 3: .*{problem}"):
+        import_trace(io.StringIO(text))
+
+
 def test_import_trace_is_deterministic():
     text = "TXN 0 WRITE 0x0 128\nTXN 1 WRITE 0x1000 64\n"
     a = import_trace(io.StringIO(text), seed=1)

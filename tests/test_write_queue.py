@@ -1,13 +1,18 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secpmsim.config import Timing
-from secpmsim.nvm import NvmDevice
+from secpmsim.nvm import NvmDevice, take_crash_snapshot
 from secpmsim.write_queue import (
     Origin,
     StagingRegister,
     WriteQueue,
     WriteQueueEntry,
 )
+
+
+BASE = 1 << 40
 
 
 def entry(addr, origin=Origin.DATA, payload=None, t=0.0):
@@ -127,3 +132,94 @@ def test_conservation_identity():
             q.drain_one(nvm, t)
         appended = q.appended_data + q.appended_counter
         assert appended - q.merged == q.drained + len(q)
+
+
+class ScanQueue:
+    """Linear-scan oracle: merging finds the resident counter entry by
+    walking the queue, as the unindexed design did."""
+
+    def __init__(self, capacity, cwr_enabled):
+        self.capacity = capacity
+        self.cwr_enabled = cwr_enabled
+        self.entries = []
+        self.merged = 0
+        self.nvm = NvmDevice(Timing())
+
+    def cwr_merge(self, incoming):
+        for resident in self.entries:
+            if (resident.origin is Origin.COUNTER
+                    and resident.address == incoming.address):
+                self.entries.remove(resident)
+                self.merged += 1
+                return 1
+        return 0
+
+    def append(self, e):
+        if e.origin is Origin.COUNTER and self.cwr_enabled:
+            self.cwr_merge(e)
+        self.entries.append(e)
+
+    def drain_one(self, now):
+        if self.entries and self.nvm.bank_free_at(self.entries[0].address) <= now:
+            head = self.entries.pop(0)
+            self.nvm.nvm_write(head.address, head.payload, now)
+
+    def snapshot_store(self):
+        store = dict(self.nvm.store)
+        store.update((e.address, e.payload) for e in self.entries)
+        return store
+
+
+queue_ops = st.lists(
+    st.tuples(st.sampled_from(["data", "counter", "merge", "drain"]),
+              st.integers(min_value=0, max_value=5),
+              st.integers(min_value=0, max_value=400)),
+    max_size=120)
+
+
+@given(ops=queue_ops, cwr_enabled=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_indexed_queue_matches_scan_oracle(ops, cwr_enabled):
+    q = WriteQueue(capacity=8, cwr_enabled=cwr_enabled)
+    nvm = NvmDevice(Timing())
+    oracle = ScanQueue(8, cwr_enabled)
+    now = 0.0
+    for n, (op, k, arg) in enumerate(ops):
+        # Data lines 0..5 and counter lines 0..5 share banks pairwise.
+        if op == "drain":
+            now += arg
+            q.drain_one(nvm, now)
+            oracle.drain_one(now)
+        elif op == "merge":
+            if not cwr_enabled:
+                continue
+            e = entry(BASE + k * 64, Origin.COUNTER, bytes([n % 256]) * 64)
+            assert q.cwr_merge(e) == oracle.cwr_merge(e)
+        else:
+            origin = Origin.COUNTER if op == "counter" else Origin.DATA
+            e = entry((BASE if op == "counter" else 0) + k * 64, origin,
+                      bytes([n % 256]) * 64, now)
+            if len(q) >= q.capacity:
+                with pytest.raises(RuntimeError):
+                    q.append(e)
+                continue
+            q.append(e)
+            oracle.append(e)
+        assert list(q.entries) == oracle.entries  # same objects, same order
+        assert q.merged == oracle.merged
+        assert nvm.store == oracle.nvm.store
+        assert take_crash_snapshot(nvm, q).store == oracle.snapshot_store()
+    # Draining everything leaves no stale index entry behind.
+    while q.entries:
+        now += 1000.0
+        q.drain_one(nvm, now)
+    if cwr_enabled:
+        for k in range(6):
+            assert q.cwr_merge(entry(BASE + k * 64, Origin.COUNTER)) == 0
+
+
+def test_merge_on_non_merging_queue_is_rejected():
+    q = WriteQueue(capacity=8, cwr_enabled=False)
+    q.append(entry(BASE, Origin.COUNTER))
+    with pytest.raises(ValueError):
+        q.cwr_merge(entry(BASE, Origin.COUNTER))
