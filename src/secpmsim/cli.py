@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import io
 import sys
+from collections import Counter
 from pathlib import Path
 
 from secpmsim import workloads
@@ -22,6 +23,7 @@ from secpmsim.counters import AddressError
 from secpmsim.crash import (
     AtomicWriteScenario,
     CrashPlan,
+    Outcome,
     ReencryptScenario,
     TxnScenario,
     Verdict,
@@ -174,7 +176,17 @@ def cmd_crashcheck(args: argparse.Namespace) -> int:
         Path(args.out).write_text(report)
     else:
         sys.stdout.write(report)
+    sys.stderr.write(_crash_summary(outcomes))
     return 1 if bad else 0
+
+
+def _crash_summary(outcomes: list[Outcome]) -> str:
+    """One line per (stage, event, verdict), in order of first occurrence."""
+    counts = Counter((o.stage, o.label, o.verdict.value) for o in outcomes)
+    return "".join(
+        f"summary: stage={stage} event={event} verdict={verdict} count={n}\n"
+        for (stage, event, verdict), n in counts.items()
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,7 +4,9 @@ A counter line packs a 64-bit major counter and 64 seven-bit minor
 counters (64 + 64*7 = 512 bits).  Line i of a page is encrypted with
 ``major || minors[i]``.  The counter cache is set-associative with LRU
 replacement per set; under write-through operation every cached line is
-clean, so evictions drop silently.
+clean, so evictions drop silently.  A cache allocates only the sets it has
+been filled into and scans only the sets that have held a dirty line, so
+building one and flushing a write-through one cost next to nothing.
 """
 
 from __future__ import annotations
@@ -126,6 +128,11 @@ class CounterAddressMap:
         return address >= self.counter_region_base
 
 
+# Stands in for every set not yet filled: lookups miss on it like on any
+# empty set, and insert swaps in a real set before the first write.
+_UNFILLED: OrderedDict = OrderedDict()
+
+
 class CounterCache:
     """Set-associative LRU cache of counter lines, 64 B per entry."""
 
@@ -136,14 +143,13 @@ class CounterCache:
         self.ways = ways
         self.nsets = entries // ways
         # addr -> (CounterLine, dirty); insertion order is recency order
-        self._sets: list[OrderedDict[int, tuple[CounterLine, bool]]] = [
-            OrderedDict() for _ in range(self.nsets)
-        ]
+        self._sets: list[OrderedDict[int, tuple[CounterLine, bool]]] = (
+            [_UNFILLED] * self.nsets
+        )
+        # Indices of the sets that have ever held a dirty line.
+        self._dirty_sets: set[int] = set()
         self.hits = 0
         self.misses = 0
-
-    def _set(self, address: int) -> OrderedDict:
-        return self._sets[(address // LINE) % self.nsets]
 
     def lookup(self, address: int) -> CounterLine | None:
         s = self._sets[(address // LINE) % self.nsets]
@@ -159,7 +165,12 @@ class CounterCache:
         self, address: int, line: CounterLine, dirty: bool = False
     ) -> tuple[int, CounterLine] | None:
         """Install/replace an entry; returns an evicted dirty line, if any."""
-        s = self._set(address)
+        index = (address // LINE) % self.nsets
+        s = self._sets[index]
+        if s is _UNFILLED:
+            s = self._sets[index] = OrderedDict()
+        if dirty:
+            self._dirty_sets.add(index)
         if address in s:
             s[address] = (line, dirty)
             s.move_to_end(address)
@@ -173,13 +184,16 @@ class CounterCache:
         return victim
 
     def dirty_entries(self) -> list[tuple[int, CounterLine]]:
+        """Dirty lines in set order, least recently used first in a set."""
         out = []
-        for s in self._sets:
-            out.extend((a, line) for a, (line, d) in s.items() if d)
+        for index in sorted(self._dirty_sets):
+            out.extend(
+                (a, line) for a, (line, d) in self._sets[index].items() if d
+            )
         return out
 
     def mark_clean(self, address: int) -> None:
-        s = self._set(address)
+        s = self._sets[(address // LINE) % self.nsets]
         if address in s:
             line, _ = s[address]
             s[address] = (line, False)

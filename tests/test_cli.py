@@ -158,3 +158,29 @@ def test_crashcheck_single_point(tmp_path):
                    "--out", str(out)) == 0
     rows = read_rows(out)
     assert len(rows) == 1 and rows[0]["crash_point"] == "0"
+
+
+def test_crashcheck_summary_on_stderr(tmp_path, capsys):
+    argv = ["crashcheck", "--mode", "secpm-no-cwt", "--workload", "array",
+            "--txn-size", "128", "--scope", "txn"]
+    assert run_cli(*argv) == 0
+    captured = capsys.readouterr()
+    out = tmp_path / "verdicts.csv"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert out.read_text() == captured.out
+    assert capsys.readouterr().err == captured.err
+
+    rows = list(csv.DictReader(captured.out.splitlines()))
+    expected = {}
+    for r in rows:
+        key = (r["stage"], r["event"], r["verdict"])
+        expected[key] = expected.get(key, 0) + 1
+    summary = {}
+    for line in captured.err.splitlines():
+        prefix, *fields = line.split()
+        assert prefix == "summary:"
+        kv = dict(f.split("=", 1) for f in fields)
+        summary[(kv["stage"], kv["event"], kv["verdict"])] = int(kv["count"])
+    assert summary == expected
+    assert sum(summary.values()) == len(rows)
+    assert any(verdict == "inconsistent" for _, _, verdict in summary)

@@ -151,3 +151,39 @@ def test_cache_mark_clean():
 def test_cache_rejects_tiny_capacity():
     with pytest.raises(ValueError):
         CounterCache(capacity_bytes=64, ways=8)
+
+
+def test_new_cache_sees_nothing_of_a_used_one():
+    used = CounterCache(capacity_bytes=64 * 8, ways=2)  # 4 sets, 2 ways
+    for i in range(40):
+        victim = used.insert(i * 64, CounterLine(major=i), dirty=i % 3 == 0)
+        used.lookup(i * 64)
+        used.lookup((i + 7) * 64)
+        if victim is not None:
+            used.mark_clean(i * 64)
+    assert used.dirty_entries()
+    for capacity in (64 * 8, 64 * 32):
+        fresh = CounterCache(capacity_bytes=capacity, ways=2)
+        assert all(fresh.lookup(i * 64) is None for i in range(48))
+        assert (fresh.hits, fresh.misses) == (0, 48)
+        assert fresh.dirty_entries() == []
+        fresh.mark_clean(0)
+        assert all(len(s) == 0 for s in fresh._sets)
+
+
+def test_flush_counter_cache_is_free_under_write_through():
+    from secpmsim.config import Config
+    from secpmsim.controller import Controller
+
+    ctrl = Controller(Config(mode="secpm", workload="array", txn_size=256,
+                             txn_count=10))
+    for i in range(6):
+        ctrl.handle_flush(i * 64, bytes([i]) * 64)
+    queued = [(e.address, e.payload, e.origin) for e in ctrl.queue.entries]
+    clock = ctrl.clock
+    boundaries = []
+    ctrl.boundary_hook = boundaries.append
+    assert ctrl.flush_counter_cache() == clock
+    assert ctrl.clock == clock
+    assert [(e.address, e.payload, e.origin) for e in ctrl.queue.entries] == queued
+    assert boundaries == []

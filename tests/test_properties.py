@@ -1,6 +1,7 @@
 """Property-based checks for the core invariants."""
 
 import random
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings
@@ -122,6 +123,76 @@ def test_cache_matches_lru_oracle(seed):
         assert (got is not None) == expect_hit
         if got is None:
             cache.insert(addr, CounterLine())
+
+
+
+class EagerCounterCache:
+    """Reference cache: every set allocated up front, dirty lines found by
+    scanning all sets in index order."""
+
+    def __init__(self, nsets, ways):
+        self.nsets, self.ways = nsets, ways
+        self.sets = [OrderedDict() for _ in range(nsets)]
+        self.hits = self.misses = 0
+
+    def lookup(self, address):
+        s = self.sets[(address // 64) % self.nsets]
+        if address not in s:
+            self.misses += 1
+            return None
+        s.move_to_end(address)
+        self.hits += 1
+        return s[address][0]
+
+    def insert(self, address, line, dirty):
+        s = self.sets[(address // 64) % self.nsets]
+        if address in s:
+            s[address] = (line, dirty)
+            s.move_to_end(address)
+            return None
+        victim = None
+        if len(s) >= self.ways:
+            vaddr, (vline, vdirty) = s.popitem(last=False)
+            if vdirty:
+                victim = (vaddr, vline)
+        s[address] = (line, dirty)
+        return victim
+
+    def dirty_entries(self):
+        return [(a, line) for s in self.sets
+                for a, (line, d) in s.items() if d]
+
+    def mark_clean(self, address):
+        s = self.sets[(address // 64) % self.nsets]
+        if address in s:
+            s[address] = (s[address][0], False)
+
+
+@given(seed=st.integers(min_value=0, max_value=1 << 16),
+       nsets=st.integers(min_value=1, max_value=4),
+       ways=st.integers(min_value=1, max_value=3))
+@settings(max_examples=60, deadline=None)
+def test_cache_matches_eager_reference(seed, nsets, ways):
+    from secpmsim.counters import CounterCache
+
+    cache = CounterCache(capacity_bytes=64 * nsets * ways, ways=ways)
+    ref = EagerCounterCache(nsets, ways)
+    rng = random.Random(seed)
+    for step in range(300):
+        addr = rng.randrange(4 * nsets * ways) * 64
+        op = rng.choice(["insert", "insert", "lookup", "clean", "dirty"])
+        if op == "insert":
+            line, dirty = CounterLine(major=step), rng.random() < 0.5
+            assert cache.insert(addr, line, dirty=dirty) == ref.insert(addr, line, dirty)
+        elif op == "lookup":
+            assert cache.lookup(addr) == ref.lookup(addr)
+        elif op == "clean":
+            cache.mark_clean(addr)
+            ref.mark_clean(addr)
+        else:
+            assert cache.dirty_entries() == ref.dirty_entries()
+        assert (cache.hits, cache.misses) == (ref.hits, ref.misses)
+    assert cache.dirty_entries() == ref.dirty_entries()
 
 
 def _final_counter_region(cwr_enabled, trace):
