@@ -153,10 +153,8 @@ class Controller:
             self.boundary_hook(label)
 
     def _queue_forward(self, address: int) -> bytes | None:
-        for entry in reversed(self.queue.entries):
-            if entry.address == address:
-                return entry.payload
-        return None
+        entry = self.queue.latest.get(address)
+        return None if entry is None else entry.payload
 
     def _read_line_raw(self, address: int, t: float) -> tuple[bytes, float]:
         forwarded = self._queue_forward(address)
@@ -263,31 +261,32 @@ class Controller:
             return t
 
         cline, minor_index = self.map.locate(address)
+        # The cached line is bumped in place, which also keeps the cache
+        # current; the lookup has already made it most recently used.
         line, t = self._get_counter_line(cline, t)
         try:
-            new_line = increment_minor(line, minor_index)
+            increment_minor(line, minor_index)
         except OverflowSignal:
             t = self.reencrypt_page(self.map.page_of(address), t)
             line, t = self._get_counter_line(cline, t)
-            new_line = increment_minor(line, minor_index)
+            increment_minor(line, minor_index)
 
-        pad = self._pad_for_encrypt(address, new_line.counter_value(minor_index))
+        pad = self._pad_for_encrypt(address, line.counter_value(minor_index))
         t += self._aes_ns
         cipher = encrypt_line(plaintext, pad)
 
         if not self._write_through:
             # Broken baseline: the counter stays dirty in the cache and
             # only the data entry becomes durable.
-            t = self._insert_counter(cline, new_line, dirty=True, t=t)
+            t = self._insert_counter(cline, line, dirty=True, t=t)
             t = self._ensure_space(1, t)
             self.queue.append(WriteQueueEntry(address, cipher, Origin.DATA, t))
             if hook is not None:
                 hook("append")
         else:
-            t = self._insert_counter(cline, new_line, dirty=False, t=t)
             if self._use_register:
                 register = self.register
-                register.store_counter(cline, new_line.serialize())
+                register.store_counter(cline, line.serialize())
                 if hook is not None:
                     hook("reg_store")
                 register.store_data(address, cipher)
@@ -300,7 +299,7 @@ class Controller:
             else:
                 t = self._ensure_space(1, t)
                 self.queue.append(
-                    WriteQueueEntry(cline, new_line.serialize(), Origin.COUNTER, t)
+                    WriteQueueEntry(cline, line.serialize(), Origin.COUNTER, t)
                 )
                 if hook is not None:
                     hook("append")
@@ -329,7 +328,7 @@ class Controller:
         ):
             # Not yet re-encrypted: the durable line still carries the old
             # minor; the old major lives in the status register.
-            ctr = (self.rsr.old_major << 7) | line.minors[minor_index]
+            ctr = (self.rsr.old_major << 7) | line.minor(minor_index)
         else:
             ctr = line.counter_value(minor_index)
         pad = self.otp.generate(address, ctr)
@@ -368,10 +367,7 @@ class Controller:
         old_line, t = self._get_counter_line(cline, t)
         self.rsr = Rsr(page_number=page, old_major=old_line.major, active=True)
         self._boundary("rsr_arm")
-        hybrid = old_line.copy()
-        hybrid.major += 1
-        t = self._reencrypt_lines(page, old_line.major, list(old_line.minors),
-                                  hybrid, t)
+        t = self._reencrypt_lines(page, old_line, t)
         self.clock = t
         return t
 
@@ -385,29 +381,30 @@ class Controller:
         self.rsr = rsr
         cline = self.map.counter_line_address(rsr.page_number)
         durable, t = self._get_counter_line(cline, t)
-        hybrid = durable.copy()
-        hybrid.major = rsr.old_major + 1
-        t = self._reencrypt_lines(rsr.page_number, rsr.old_major,
-                                  list(durable.minors), hybrid, t)
+        old = CounterLine(rsr.old_major, lanes=durable.lanes)
+        t = self._reencrypt_lines(rsr.page_number, old, t)
         self.clock = t
         return t
 
-    def _reencrypt_lines(self, page: int, old_major: int, old_minors: list[int],
-                         hybrid: CounterLine, t: float) -> float:
+    def _reencrypt_lines(self, page: int, old: CounterLine, t: float) -> float:
+        """Move every line not yet done from ``old`` to major + 1, minor 0.
+
+        The cache holds the half-moved line itself from the first step on.
+        """
         cline = self.map.counter_line_address(page)
-        new_major = hybrid.major
+        hybrid = CounterLine(old.major + 1, lanes=old.lanes)
+        new_ctr = hybrid.major << 7
         for i in range(LINES_PER_PAGE):
             if self.rsr.done(i):
                 continue
             address = page * PAGE + i * LINE
             cipher, t = self._read_line_raw(address, t)
-            old_ctr = (old_major << 7) | old_minors[i]
-            plain = decrypt_line(cipher, self.otp.generate(address, old_ctr))
-            hybrid.minors[i] = 0
-            new_ctr = new_major << 7
+            plain = decrypt_line(cipher, self.otp.generate(address,
+                                                           old.counter_value(i)))
+            hybrid.set_minor(i, 0)
             recipher = encrypt_line(plain, self._pad_for_encrypt(address, new_ctr))
             t += self._aes_ns
-            t = self._insert_counter(cline, hybrid.copy(), dirty=False, t=t)
+            t = self._insert_counter(cline, hybrid, dirty=False, t=t)
             # The queue append and the done-bit update are one controller
             # action: no crash point separates them.
             self.register.store_counter(cline, hybrid.serialize())

@@ -2,7 +2,10 @@
 
 A counter line packs a 64-bit major counter and 64 seven-bit minor
 counters (64 + 64*7 = 512 bits).  Line i of a page is encrypted with
-``major || minors[i]``.  The counter cache is set-associative with LRU
+``major || minors[i]``.  In memory a line keeps its minors packed exactly
+as in the durable image, as one 448-bit int with minor 0 in the top seven
+bits, so serializing is one ``to_bytes`` call and a flush bumps a minor
+in place with one add.  The counter cache is set-associative with LRU
 replacement per set; under write-through operation every cached line is
 clean, so evictions drop silently.  A cache allocates only the sets it has
 been filled into and scans only the sets that have held a dirty line, so
@@ -12,11 +15,14 @@ building one and flushing a write-through one cost next to nothing.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 from secpmsim.config import LINE, LINES_PER_PAGE, PAGE
 
 MINOR_MAX = 127  # 7-bit minors
+LANE_BITS = 7 * LINES_PER_PAGE  # 448 bits of packed minors
+_LANES_LIMIT = 1 << LANE_BITS
 
 
 def _pack_steps() -> tuple[tuple[int, int, int], ...]:
@@ -44,6 +50,30 @@ def _pack_steps() -> tuple[tuple[int, int, int], ...]:
 _PACK_STEPS = _pack_steps()
 _UNPACK_STEPS = _PACK_STEPS[::-1]
 _LANE_TOP_BITS = int.from_bytes(b"\x80" * LINES_PER_PAGE, "big")
+# Bit offset of minor i inside the packed lanes.
+_SHIFT = tuple(7 * (LINES_PER_PAGE - 1 - i) for i in range(LINES_PER_PAGE))
+
+
+def _pack_minors(minors: Iterable[int]) -> int:
+    """64 minors, minor 0 first, as the 448-bit lanes of a counter line."""
+    try:
+        raw = bytes(minors)
+    except ValueError:  # a minor outside 0..255
+        raise ValueError("minor counter out of 7-bit range") from None
+    lanes = int.from_bytes(raw, "big")
+    if lanes & _LANE_TOP_BITS:
+        raise ValueError("minor counter out of 7-bit range")
+    if len(raw) != LINES_PER_PAGE:
+        raise ValueError("a counter line holds 64 minors")
+    for shift, keep, moved in _PACK_STEPS:
+        lanes = (lanes & keep) | ((lanes >> shift) & moved)
+    return lanes
+
+
+def _unpack_minors(lanes: int) -> list[int]:
+    for shift, keep, moved in _UNPACK_STEPS:
+        lanes = (lanes & keep) | ((lanes & moved) << shift)
+    return list(lanes.to_bytes(LINES_PER_PAGE, "big"))
 
 
 class AddressError(Exception):
@@ -58,49 +88,72 @@ class OverflowSignal(Exception):
         self.minor_index = minor_index
 
 
-@dataclass(slots=True)
 class CounterLine:
-    major: int = 0
-    minors: list[int] = field(default_factory=lambda: [0] * LINES_PER_PAGE)
+    """One page's major counter and its 64 minors, packed into ``lanes``."""
+
+    __slots__ = ("major", "lanes")
+
+    def __init__(self, major: int = 0, minors: Iterable[int] | None = None,
+                 *, lanes: int = 0):
+        if minors is not None:
+            lanes = _pack_minors(minors)
+        elif not 0 <= lanes < _LANES_LIMIT:
+            raise ValueError("packed minors out of 448-bit range")
+        self.major = major
+        self.lanes = lanes
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CounterLine):
+            return NotImplemented
+        return self.major == other.major and self.lanes == other.lanes
+
+    __hash__ = None  # mutable
+
+    def __repr__(self) -> str:
+        return f"CounterLine(major={self.major}, minors={self.minors})"
+
+    @property
+    def minors(self) -> list[int]:
+        """A fresh list of the 64 minors; writing to it changes nothing."""
+        return _unpack_minors(self.lanes)
 
     def copy(self) -> "CounterLine":
-        return CounterLine(self.major, list(self.minors))
+        return CounterLine(self.major, lanes=self.lanes)
+
+    def minor(self, minor_index: int) -> int:
+        return self.lanes >> _SHIFT[minor_index] & MINOR_MAX
+
+    def set_minor(self, minor_index: int, value: int) -> None:
+        if not 0 <= minor_index < LINES_PER_PAGE:
+            raise ValueError("minor index out of range")
+        if not 0 <= value <= MINOR_MAX:
+            raise ValueError("minor counter out of 7-bit range")
+        shift = _SHIFT[minor_index]
+        self.lanes = self.lanes & ~(MINOR_MAX << shift) | value << shift
 
     def counter_value(self, minor_index: int) -> int:
         """71-bit concatenation major || minor used for encryption."""
-        return (self.major << 7) | self.minors[minor_index]
+        return self.major << 7 | self.lanes >> _SHIFT[minor_index] & MINOR_MAX
 
     def serialize(self) -> bytes:
-        try:
-            packed = int.from_bytes(bytes(self.minors), "big")
-        except ValueError:  # a minor outside 0..255
-            packed = _LANE_TOP_BITS
-        if packed & _LANE_TOP_BITS:
-            raise ValueError("minor counter out of 7-bit range")
-        for shift, keep, moved in _PACK_STEPS:
-            packed = (packed & keep) | ((packed >> shift) & moved)
-        return self.major.to_bytes(8, "big") + packed.to_bytes(56, "big")
+        return (self.major << LANE_BITS | self.lanes).to_bytes(LINE, "big")
 
     @classmethod
     def deserialize(cls, raw: bytes) -> "CounterLine":
         if len(raw) != LINE:
             raise ValueError("counter line must be 64 bytes")
-        major = int.from_bytes(raw[:8], "big")
-        lanes = int.from_bytes(raw[8:], "big")
-        for shift, keep, moved in _UNPACK_STEPS:
-            lanes = (lanes & keep) | ((lanes & moved) << shift)
-        return cls(major, list(lanes.to_bytes(LINES_PER_PAGE, "big")))
+        image = int.from_bytes(raw, "big")
+        return cls(image >> LANE_BITS, lanes=image & (_LANES_LIMIT - 1))
 
 
-def increment_minor(line: CounterLine, minor_index: int) -> CounterLine:
-    """Return a copy with one minor bumped; raise OverflowSignal at 127."""
+def increment_minor(line: CounterLine, minor_index: int) -> None:
+    """Bump one minor in place; raise OverflowSignal at 127, untouched."""
     if not 0 <= minor_index < LINES_PER_PAGE:
         raise ValueError("minor index out of range")
-    if line.minors[minor_index] >= MINOR_MAX:
+    shift = _SHIFT[minor_index]
+    if line.lanes >> shift & MINOR_MAX == MINOR_MAX:
         raise OverflowSignal(minor_index)
-    out = line.copy()
-    out.minors[minor_index] += 1
-    return out
+    line.lanes += 1 << shift
 
 
 @dataclass(frozen=True)

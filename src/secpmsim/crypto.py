@@ -14,6 +14,7 @@ hardware contract.
 
 from __future__ import annotations
 
+import functools
 import struct
 from typing import Callable
 
@@ -31,11 +32,14 @@ _BLOCK_INDEX = (1 << 256) | (2 << 128) | 3
 BlockFn = Callable[[bytes], bytes]
 
 
+@functools.lru_cache(maxsize=8)
 def aes_block_fn(key_bytes: bytes) -> BlockFn:
     """Block permutation keyed by a 128-bit secret.
 
     Accepts any multiple of 16 bytes and permutes each 16-byte block
-    independently (ECB), so a 64-byte pad costs one call.
+    independently (ECB), so a 64-byte pad costs one call.  ECB on whole
+    blocks keeps no state between calls, so every engine with the same key
+    shares one key schedule.
     """
     if len(key_bytes) != 16:
         raise ValueError("key must be 16 bytes")

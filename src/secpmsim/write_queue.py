@@ -5,7 +5,9 @@ lines.  With merging enabled, an incoming counter entry removes the
 co-resident counter entry for the same address: write-through ordering
 guarantees the later counter line subsumes every earlier minor update, so
 nothing is lost.  Data entries are never merged.  Draining is strict FIFO;
-the head entry is only issued when its target bank is free.
+the head entry is only issued when its target bank is free.  The queue
+indexes the newest entry per address, which serves both merging and the
+forwarding of queued lines to reads.
 """
 
 from __future__ import annotations
@@ -55,9 +57,11 @@ class WriteQueue:
         self.capacity = capacity
         self.cwr_enabled = cwr_enabled
         self.entries: deque[WriteQueueEntry] = deque()
-        # Resident counter entry per address; kept only when merging, where
-        # at most one counter entry per address is ever queued.
-        self._counters: dict[int, WriteQueueEntry] = {}
+        # Newest queued entry per address.  Counter and data lines never
+        # share an address, and with merging on at most one counter entry
+        # per address is queued, so for a counter address this is the
+        # entry a merge removes.
+        self.latest: dict[int, WriteQueueEntry] = {}
         self.appended_data = 0
         self.appended_counter = 0
         self.merged = 0
@@ -76,7 +80,7 @@ class WriteQueue:
             raise ValueError("merge applies to counter entries only")
         if not self.cwr_enabled:
             raise ValueError("merging is disabled on this queue")
-        resident = self._counters.pop(incoming.address, None)
+        resident = self.latest.pop(incoming.address, None)
         if resident is None:
             return 0
         self.entries.remove(resident)
@@ -90,10 +94,10 @@ class WriteQueue:
             self.appended_counter += 1
             if self.cwr_enabled:
                 self.cwr_merge(entry)
-                self._counters[entry.address] = entry
         else:
             self.appended_data += 1
         self.entries.append(entry)
+        self.latest[entry.address] = entry
 
     def atomic_append_pair(self, register: StagingRegister, now: float = 0.0) -> None:
         """Move the staged counter+data pair into the queue indivisibly.
@@ -130,8 +134,8 @@ class WriteQueue:
         if nvm.busy_until[bank] > now:
             return None
         self.entries.popleft()
-        if head.origin is Origin.COUNTER and self.cwr_enabled:
-            del self._counters[head.address]
+        if self.latest.get(head.address) is head:
+            del self.latest[head.address]
         nvm.nvm_write(head.address, head.payload, now, bank)
         self.drained += 1
         return head

@@ -43,15 +43,21 @@ def test_deserialize_rejects_wrong_length():
 
 def test_counter_value_is_concatenation():
     line = CounterLine(major=3, minors=[0] * 64)
-    line.minors[10] = 5
+    line.set_minor(10, 5)
     assert line.counter_value(10) == (3 << 7) | 5
 
 
-def test_increment_minor_copies():
+def test_increment_minor_bumps_in_place():
     line = CounterLine()
-    bumped = increment_minor(line, 7)
-    assert line.minors[7] == 0 and bumped.minors[7] == 1
-    assert bumped.major == line.major
+    before = line.copy()
+    assert increment_minor(line, 7) is None
+    assert before.minors[7] == 0 and line.minors[7] == 1
+    assert line.major == before.major
+    line.set_minor(7, MINOR_MAX)
+    image = line.serialize()
+    with pytest.raises(OverflowSignal):
+        increment_minor(line, 7)
+    assert line.serialize() == image  # overflow leaves the line untouched
 
 
 def test_increment_overflow_signals_page():

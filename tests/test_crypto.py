@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from secpmsim.crypto import (
     OtpEngine,
@@ -51,6 +52,22 @@ def test_counter_range_enforced(otp):
 def test_key_must_be_128_bit():
     with pytest.raises(ValueError):
         aes_block_fn(b"short")
+
+
+def test_engines_sharing_a_key_schedule_stay_independent():
+    assert aes_block_fn(KEY) is aes_block_fn(bytes(KEY))  # one schedule
+    other_key = bytes(range(1, 17))
+    a, b, other = OtpEngine(KEY), OtpEngine(KEY), OtpEngine(other_key)
+    # An engine on a fresh, unshared cipher context is the reference.
+    fresh = OtpEngine(KEY, block_fn=Cipher(algorithms.AES(KEY),
+                                           modes.ECB()).encryptor().update)
+    rng = random.Random(7)
+    for _ in range(50):
+        addr, ctr = rng.randrange(1 << 40) * 64, rng.randrange(1 << 71)
+        pads = [a.generate(addr, ctr), other.generate(addr, ctr),
+                b.generate(addr, ctr)]
+        assert pads[0] == pads[2] == fresh.generate(addr, ctr)
+        assert pads[1] != pads[0]
 
 
 def test_xor_identity_and_involution(otp):

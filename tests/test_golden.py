@@ -2,7 +2,9 @@
 
 secpmsim's product is the numbers it reports, so a refactor or speed-up
 must leave them byte-identical.  These tests hash the stats report of a
-small sweep and the outcome list of three crash scopes; a digest that
+small sweep and the outcome list of three crash scopes, and the same for
+the flush branch that appends counter and data without the staging
+register (``use_register=False``); a digest that
 changes means some reported number changed.  Update a pin only together
 with a note saying which number changed and why.
 """
@@ -53,15 +55,49 @@ def test_run_report_digest():
     assert sha256(emit_report(stats)) == RUN_PIN
 
 
-@pytest.mark.parametrize("scope", sorted(CRASH_SCOPES))
-def test_crash_outcome_digest(scope):
-    modes, make = CRASH_SCOPES[scope]
+def crash_digest(modes, make, **overrides) -> str:
     rows = []
     for mode in modes:
-        cfg = Config(mode=mode, txn_size=4096, seed=0)
+        cfg = Config(mode=mode, txn_size=4096, seed=0, **overrides)
         rows += [
             (mode, o.crash_point, o.label, o.stage, o.verdict.value,
              o.failing_address)
             for o in inject(CrashPlan("exhaustive"), lambda: make(cfg))
         ]
-    assert sha256(repr(rows)) == CRASH_PINS[scope]
+    return sha256(repr(rows))
+
+
+@pytest.mark.parametrize("scope", sorted(CRASH_SCOPES))
+def test_crash_outcome_digest(scope):
+    modes, make = CRASH_SCOPES[scope]
+    assert crash_digest(modes, make) == CRASH_PINS[scope]
+
+
+# The write-through modes without the staging register: the counter and the
+# data line go to the queue as two separate appends.
+NO_REGISTER_MODES = ("secpm-no-cwr", "secpm")
+NO_REGISTER_RUN_PIN = (
+    "60993ac2f20ff8874d7518ffa3b6228887666d938acd3f4462460c24dbfa14ff"
+)
+NO_REGISTER_CRASH_PINS = {
+    "txn": "277438341579f4d8a324e83f996559cf9c680cd159e56e288a40936b79d41dec",
+    "atomic": "7fd1f15fce106d70398bf30ce90017f067d9bf0124e04ca7ae408102cccad1b2",
+}
+
+
+def test_run_report_digest_without_register():
+    stats = [
+        run_experiment(Config(mode=mode, workload=kind, txn_size=size,
+                              txn_count=RUN_TXNS, cores=cores, seed=0,
+                              use_register=False))
+        for mode in NO_REGISTER_MODES for kind, size in RUN_CELLS
+        for cores in (1, 4)
+    ]
+    assert sha256(emit_report(stats)) == NO_REGISTER_RUN_PIN
+
+
+@pytest.mark.parametrize("scope", sorted(NO_REGISTER_CRASH_PINS))
+def test_crash_outcome_digest_without_register(scope):
+    _, make = CRASH_SCOPES[scope]
+    digest = crash_digest(NO_REGISTER_MODES, make, use_register=False)
+    assert digest == NO_REGISTER_CRASH_PINS[scope]

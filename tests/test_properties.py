@@ -2,14 +2,20 @@
 
 import random
 from collections import OrderedDict
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secpmsim.config import Config
 from secpmsim.controller import Controller
-from secpmsim.counters import MINOR_MAX, CounterLine
+from secpmsim.counters import (
+    MINOR_MAX,
+    CounterLine,
+    OverflowSignal,
+    increment_minor,
+)
 from secpmsim.crypto import OtpEngine, decrypt_line, encrypt_line
 
 KEY = bytes(range(16))
@@ -81,13 +87,69 @@ def test_deserialize_matches_bit_loop(raw):
 @given(minors=minor_lists, index=st.integers(min_value=0, max_value=63),
        bad=st.sampled_from([-1, 128, 255]) | st.integers(max_value=-1)
        | st.integers(min_value=MINOR_MAX + 1))
+@example(minors=[0] * 64, index=0, bad=-1)
+@example(minors=[0] * 64, index=31, bad=128)
+@example(minors=[MINOR_MAX] * 64, index=63, bad=255)
 def test_serialize_rejects_out_of_range_minor_like_bit_loop(minors, index, bad):
+    """A minor the bit loop cannot serialize never gets into a line."""
+    bad_minors = list(minors)
+    bad_minors[index] = bad
+    with pytest.raises(ValueError):
+        reference_serialize(SimpleNamespace(major=0, minors=bad_minors))
+    with pytest.raises(ValueError):
+        CounterLine(minors=bad_minors)
     line = CounterLine(minors=minors)
-    line.minors[index] = bad
     with pytest.raises(ValueError):
-        reference_serialize(line)
-    with pytest.raises(ValueError):
-        line.serialize()
+        line.set_minor(index, bad)
+    assert line.serialize() == reference_serialize(SimpleNamespace(
+        major=0, minors=minors))
+
+
+line_steps = st.lists(
+    st.tuples(st.sampled_from(["increment", "set", "copy", "serialize",
+                               "deserialize"]),
+              st.integers(min_value=0, max_value=63),
+              st.sampled_from([0, MINOR_MAX - 1, MINOR_MAX])
+              | st.integers(min_value=0, max_value=MINOR_MAX)),
+    max_size=200)
+
+
+@given(major=st.integers(min_value=0, max_value=(1 << 63) - 1), steps=line_steps)
+@settings(max_examples=150, deadline=None)
+def test_packed_line_matches_list_reference(major, steps):
+    """Random edits of a packed line agree with a plain list of minors
+    serialized by the bit loop, and a copy shares nothing with its source."""
+    line = CounterLine(major=major)
+    ref = SimpleNamespace(major=major, minors=[0] * 64)
+    for op, i, value in steps:
+        if op == "increment":
+            if ref.minors[i] == MINOR_MAX:
+                with pytest.raises(OverflowSignal):
+                    increment_minor(line, i)
+            else:
+                increment_minor(line, i)
+                ref.minors[i] += 1
+        elif op == "set":
+            line.set_minor(i, value)
+            ref.minors[i] = value
+        elif op == "copy":
+            dup = line.copy()
+            assert dup == line
+            image = dup.serialize()
+            line.set_minor(i, value)
+            line.major += 1
+            ref.minors[i] = value
+            ref.major += 1
+            assert dup.serialize() == image  # the copy kept its state
+            dup.set_minor(i, (value + 1) % (MINOR_MAX + 1))
+            dup.major = 0  # and the source must not see these
+        elif op == "serialize":
+            assert line.serialize() == reference_serialize(ref)
+        else:
+            line = CounterLine.deserialize(reference_serialize(ref))
+        assert (line.major, line.minors) == (ref.major, ref.minors)
+        assert line.counter_value(i) == (ref.major << 7) | ref.minors[i]
+    assert reference_deserialize(line.serialize()) == (ref.major, ref.minors)
 
 
 class ReferenceLru:

@@ -218,6 +218,38 @@ def test_indexed_queue_matches_scan_oracle(ops, cwr_enabled):
             assert q.cwr_merge(entry(BASE + k * 64, Origin.COUNTER)) == 0
 
 
+@given(ops=queue_ops, cwr_enabled=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_latest_matches_reverse_scan(ops, cwr_enabled):
+    """The per-address index names the newest queued entry, the one a
+    read must be forwarded, after every append, merge and drain."""
+    q = WriteQueue(capacity=8, cwr_enabled=cwr_enabled)
+    nvm = NvmDevice(Timing())
+    addresses = [base + k * 64 for base in (0, BASE) for k in range(6)]
+    now = 0.0
+    for n, (op, k, arg) in enumerate(ops):
+        if op == "drain":
+            now += arg
+            q.drain_one(nvm, now)
+        elif op == "merge":
+            if not cwr_enabled:
+                continue
+            q.cwr_merge(entry(BASE + k * 64, Origin.COUNTER))
+        elif len(q) < q.capacity:
+            origin = Origin.COUNTER if op == "counter" else Origin.DATA
+            q.append(entry((BASE if op == "counter" else 0) + k * 64, origin,
+                           bytes([n % 256]) * 64, now))
+        for address in addresses:
+            newest = next((e for e in reversed(q.entries)
+                           if e.address == address), None)
+            assert q.latest.get(address) is newest
+        assert len(q.latest) == len({e.address for e in q.entries})
+    while q.entries:
+        now += 1000.0
+        q.drain_one(nvm, now)
+    assert q.latest == {}
+
+
 def test_merge_on_non_merging_queue_is_rejected():
     q = WriteQueue(capacity=8, cwr_enabled=False)
     q.append(entry(BASE, Origin.COUNTER))
