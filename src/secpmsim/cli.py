@@ -49,7 +49,7 @@ def _base_config(args: argparse.Namespace) -> Config:
     cfg = Config()
     if args.config:
         cfg = parse_config(Path(args.config).read_text(), base=cfg)
-    for key in ("txn_count", "cache_ways", "seed", "log_slots"):
+    for key in ("txn_count", "seed"):
         value = getattr(args, key, None)
         if value is not None:
             apply_setting(cfg, key, str(value))
@@ -129,13 +129,11 @@ def _parse_plan(text: str) -> CrashPlan:
 
 
 def cmd_crashcheck(args: argparse.Namespace) -> int:
-    base = _base_config(args)
-    if args.mode:
-        base.mode = args.mode
-    if args.workload:
-        base.workload = args.workload
-    if args.txn_size:
-        base.txn_size = int(args.txn_size)
+    cells = _sweep_cells(args, _base_config(args))
+    if len(cells) != 1:
+        raise UsageError(f"crashcheck checks one configuration; the comma "
+                         f"lists give {len(cells)}")
+    base = cells[0]
     base.validate()
     plan = _parse_plan(args.crash)
     plan.seed = base.seed

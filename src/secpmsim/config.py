@@ -1,15 +1,15 @@
 """Run configuration with file/flag round-tripping.
 
 Defaults follow the simulated machine: 4-core 2 GHz x86-64, 1 MB 8-way LRU
-counter cache (12 CPU cycles), 32-entry write queue, 16 GB PCM in 16 banks
-with tRCD/tCL/tCWD/tFAW/tWTR/tWR = 48/15/13/50/7.5/300 ns, and a 40 ns
-AES pipeline.
+counter cache (12 CPU cycles), 32-entry write queue, PCM in 16 banks with
+tRCD/tCL/tWR = 48/15/300 ns, and a 40 ns AES pipeline.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 
 LINE = 64
@@ -22,24 +22,6 @@ TXN_SIZES = (64, 256, 1024, 4096)
 
 GIB = 1 << 30
 MIB = 1 << 20
-KIB = 1 << 10
-
-
-@dataclass
-class Timing:
-    t_rcd_ns: float = 48.0
-    t_cl_ns: float = 15.0
-    t_cwd_ns: float = 13.0
-    t_faw_ns: float = 50.0
-    t_wtr_ns: float = 7.5
-    t_wr_ns: float = 300.0
-    aes_ns: float = 40.0
-
-    @property
-    def read_ns(self) -> float:
-        # Simplified read composition: row activate + CAS.  tCWD/tFAW/tWTR
-        # are carried for fidelity but do not gate the coarse model.
-        return self.t_rcd_ns + self.t_cl_ns
 
 
 @dataclass
@@ -63,15 +45,23 @@ class Config:
     txn_gap_ns: float = 300.0
     banks: int = 16
 
-    capacity: int = 16 * GIB
     footprint: int = 0          # 0 = workload default (1 GiB / 2 GiB)
     log_slots: int = 64
     use_register: bool = True
-    timing: Timing = field(default_factory=Timing)
+
+    t_rcd_ns: float = 48.0
+    t_cl_ns: float = 15.0
+    t_wr_ns: float = 300.0
+    aes_ns: float = 40.0
 
     @property
     def cache_hit_ns(self) -> float:
         return self.cache_hit_cycles / self.cpu_ghz
+
+    @property
+    def read_ns(self) -> float:
+        # Row activate + CAS.
+        return self.t_rcd_ns + self.t_cl_ns
 
     def validate(self) -> None:
         if self.mode not in MODES:
@@ -89,25 +79,28 @@ class Config:
             raise ValueError("cache_size too small for one set")
         if self.cores < 1 or self.txn_count < 0:
             raise ValueError("cores and txn_count must be positive")
+        if not 0 < self.cpu_ghz < math.inf:
+            raise ValueError("cpu_ghz must be positive and finite")
+        for name in ("cache_hit_cycles", "flush_overhead_ns", "txn_gap_ns",
+                     "t_rcd_ns", "t_cl_ns", "t_wr_ns", "aes_ns"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
+        if self.footprint < 0:
+            raise ValueError("footprint must be non-negative")
 
 
-_SCALAR_FIELDS = [f.name for f in dataclasses.fields(Config) if f.name != "timing"]
-_TIMING_FIELDS = [f.name for f in dataclasses.fields(Timing)]
+_FIELDS = [f.name for f in dataclasses.fields(Config)]
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 
 def render_config(cfg: Config) -> str:
     """Serialize to the flat ``key = value`` file format."""
-    lines = []
-    for name in _SCALAR_FIELDS:
-        lines.append(f"{name} = {getattr(cfg, name)}")
-    for name in _TIMING_FIELDS:
-        lines.append(f"{name} = {getattr(cfg.timing, name)}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{name} = {getattr(cfg, name)}\n" for name in _FIELDS)
 
 
 def parse_config(text: str, base: Config | None = None) -> Config:
     cfg = dataclasses.replace(base) if base else Config()
-    cfg.timing = dataclasses.replace(cfg.timing)
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -120,14 +113,15 @@ def parse_config(text: str, base: Config | None = None) -> Config:
 
 
 def apply_setting(cfg: Config, key: str, value: str) -> None:
-    if key in _TIMING_FIELDS:
-        setattr(cfg.timing, key, float(value))
-        return
-    if key not in _SCALAR_FIELDS:
+    if key not in _FIELDS:
         raise ValueError(f"unknown config key {key!r}")
     current = getattr(cfg, key)
     if isinstance(current, bool):
-        setattr(cfg, key, value.strip().lower() in ("1", "true", "yes", "on"))
+        flag = _BOOLEANS.get(value.strip().lower())
+        if flag is None:
+            raise ValueError(f"{key} must be 1/0, true/false, yes/no or on/off,"
+                             f" not {value!r}")
+        setattr(cfg, key, flag)
     elif isinstance(current, int):
         setattr(cfg, key, int(value))
     elif isinstance(current, float):

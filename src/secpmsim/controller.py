@@ -7,9 +7,9 @@ overlap pad generation with the NVM access.  Minor-counter overflow
 triggers a page re-encryption tracked by a 20-byte status register that is
 battery-persisted on crash so recovery can finish the page.
 
-Timing is coarse event-driven on a single global clock: each operation
-advances the clock by its configured latency, and appends stall (draining
-the queue against per-bank occupancy) when the queue is full.  Crash
+The timing model is coarse and event-driven on one global clock: each
+operation advances the clock by its configured latency, and appends stall
+(draining the queue against per-bank occupancy) when the queue is full.  Crash
 boundaries are announced through ``boundary_hook`` after every
 durability-relevant state change.
 """
@@ -110,8 +110,8 @@ class Controller:
         self._use_register = cfg.use_register
         self._flush_overhead_ns = cfg.flush_overhead_ns
         self._cache_hit_ns = cfg.cache_hit_ns
-        self._aes_ns = cfg.timing.aes_ns
-        self._read_ns = cfg.timing.read_ns
+        self._aes_ns = cfg.aes_ns
+        self._read_ns = cfg.read_ns
         self.otp = OtpEngine(derive_key(cfg.seed))
 
         footprint = cfg.footprint or default_footprint(cfg.workload)
@@ -127,7 +127,7 @@ class Controller:
         )
         self.log_slot_lines = slot_lines
 
-        self.nvm = NvmDevice(cfg.timing, banks=cfg.banks, capacity=cfg.capacity)
+        self.nvm = NvmDevice(cfg.banks, cfg.t_wr_ns, self._read_ns)
         self.cache = CounterCache(cfg.cache_size, cfg.cache_ways)
         self.queue = WriteQueue(cfg.queue_len, cwr_enabled=self.mode.cwr)
         self.register = StagingRegister()
@@ -235,8 +235,7 @@ class Controller:
             vaddr, vline = victim
             t = self._ensure_space(1, t)
             self.queue.append(
-                WriteQueueEntry(vaddr, vline.serialize(), Origin.COUNTER, t)
-            )
+                WriteQueueEntry(vaddr, vline.serialize(), Origin.COUNTER))
             self._boundary("append")
         return t
 
@@ -254,7 +253,7 @@ class Controller:
 
         if not self._encrypted:
             t = self._ensure_space(1, t)
-            self.queue.append(WriteQueueEntry(address, plaintext, Origin.DATA, t))
+            self.queue.append(WriteQueueEntry(address, plaintext, Origin.DATA))
             if hook is not None:
                 hook("append")
             self.clock = t
@@ -280,7 +279,7 @@ class Controller:
             # only the data entry becomes durable.
             t = self._insert_counter(cline, line, dirty=True, t=t)
             t = self._ensure_space(1, t)
-            self.queue.append(WriteQueueEntry(address, cipher, Origin.DATA, t))
+            self.queue.append(WriteQueueEntry(address, cipher, Origin.DATA))
             if hook is not None:
                 hook("append")
         else:
@@ -293,18 +292,17 @@ class Controller:
                 if hook is not None:
                     hook("reg_store")
                 t = self._ensure_space(2, t)
-                self.queue.atomic_append_pair(register, t)
+                self.queue.atomic_append_pair(register)
                 if hook is not None:
                     hook("append_pair")
             else:
                 t = self._ensure_space(1, t)
                 self.queue.append(
-                    WriteQueueEntry(cline, line.serialize(), Origin.COUNTER, t)
-                )
+                    WriteQueueEntry(cline, line.serialize(), Origin.COUNTER))
                 if hook is not None:
                     hook("append")
                 t = self._ensure_space(1, t)
-                self.queue.append(WriteQueueEntry(address, cipher, Origin.DATA, t))
+                self.queue.append(WriteQueueEntry(address, cipher, Origin.DATA))
                 if hook is not None:
                     hook("append")
 
@@ -349,8 +347,7 @@ class Controller:
         for addr, line in self.cache.dirty_entries():
             t = self._ensure_space(1, t)
             self.queue.append(
-                WriteQueueEntry(addr, line.serialize(), Origin.COUNTER, t)
-            )
+                WriteQueueEntry(addr, line.serialize(), Origin.COUNTER))
             self.cache.mark_clean(addr)
             self._boundary("append")
         self.clock = t
@@ -410,7 +407,7 @@ class Controller:
             self.register.store_counter(cline, hybrid.serialize())
             self.register.store_data(address, recipher)
             t = self._ensure_space(2, t)
-            self.queue.atomic_append_pair(self.register, t)
+            self.queue.atomic_append_pair(self.register)
             self.rsr.set_done(i)
             self._boundary("reencrypt_line")
         self.rsr.active = False
@@ -425,7 +422,6 @@ class Controller:
         return take_crash_snapshot(
             self.nvm, self.queue,
             rsr_image=self.rsr.serialize(), rsr_active=self.rsr.active,
-            now=self.clock,
         )
 
     @classmethod

@@ -1,19 +1,18 @@
 """Persistent storage array with per-bank occupancy timing.
 
-The store is sparse (touched lines only) over a 16 GiB logical space.
-Banks are line-interleaved: bank = (address / 64) mod nbanks.  A write
-occupies its bank for tWR; a read waits for the bank and then costs
-tRCD + tCL.  A crash snapshot is the store with all queued entries applied
-in FIFO order (the ADR guarantee) plus the 20-byte re-encryption status
-register image.
+The store is sparse (touched lines only).  Banks are line-interleaved:
+bank = (address / 64) mod nbanks.  A write occupies its bank for tWR; a
+read waits for the bank and then costs tRCD + tCL.  A crash snapshot is
+the store with all queued entries applied in FIFO order (the ADR
+guarantee) plus the 20-byte re-encryption status register image.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, BinaryIO
 
-from secpmsim.config import LINE, Timing
+from secpmsim.config import LINE
 
 if TYPE_CHECKING:
     from secpmsim.write_queue import WriteQueue
@@ -22,11 +21,10 @@ ZERO_LINE = bytes(LINE)
 
 
 class NvmDevice:
-    def __init__(self, timing: Timing | None = None, banks: int = 16,
-                 capacity: int = 16 << 30):
-        self.timing = timing if timing is not None else Timing()
+    def __init__(self, banks: int, t_wr_ns: float, read_ns: float):
         self.nbanks = banks
-        self.capacity = capacity
+        self.t_wr_ns = t_wr_ns
+        self.read_ns = read_ns
         self.busy_until = [0.0] * banks
         self.store: dict[int, bytes] = {}
         self.writes = 0
@@ -46,7 +44,7 @@ class NvmDevice:
         b = self.bank(address) if bank is None else bank
         if self.busy_until[b] > now:
             raise RuntimeError("write issued to a busy bank")
-        done = now + self.timing.t_wr_ns
+        done = now + self.t_wr_ns
         self.busy_until[b] = done
         self.store[address] = payload
         self.writes += 1
@@ -56,7 +54,7 @@ class NvmDevice:
         """Read a line, waiting out any in-flight write on the bank."""
         b = self.bank(address)
         start = max(now, self.busy_until[b])
-        done = start + self.timing.read_ns
+        done = start + self.read_ns
         self.busy_until[b] = done
         self.reads += 1
         return self.store.get(address, ZERO_LINE), done
@@ -94,7 +92,6 @@ class CrashSnapshot:
     store: dict[int, bytes]
     rsr_image: bytes = bytes(20)
     rsr_active: bool = False
-    timestamp: float = 0.0
     queue_depth: int = 0
 
     def line(self, address: int) -> bytes:
@@ -102,11 +99,11 @@ class CrashSnapshot:
 
 
 def take_crash_snapshot(device: NvmDevice, queue: "WriteQueue",
-                        rsr_image: bytes = bytes(20), rsr_active: bool = False,
-                        now: float = 0.0) -> CrashSnapshot:
+                        rsr_image: bytes = bytes(20),
+                        rsr_active: bool = False) -> CrashSnapshot:
     store = dict(device.store)
     for entry in queue.entries:  # FIFO order: later entries overwrite
         store[entry.address] = entry.payload
     if len(rsr_image) != 20:
         raise ValueError("RSR image must be 20 bytes")
-    return CrashSnapshot(store, rsr_image, rsr_active, now, len(queue.entries))
+    return CrashSnapshot(store, rsr_image, rsr_active, len(queue.entries))

@@ -31,7 +31,6 @@ class WriteQueueEntry:
     address: int
     payload: bytes
     origin: Origin
-    enqueue_time: float = 0.0
 
 
 @dataclass
@@ -99,7 +98,7 @@ class WriteQueue:
         self.entries.append(entry)
         self.latest[entry.address] = entry
 
-    def atomic_append_pair(self, register: StagingRegister, now: float = 0.0) -> None:
+    def atomic_append_pair(self, register: StagingRegister) -> None:
         """Move the staged counter+data pair into the queue indivisibly.
 
         The caller guarantees two free slots; no crash point may be
@@ -111,8 +110,8 @@ class WriteQueue:
             raise RuntimeError("need two free slots for an atomic pair")
         caddr, cpayload = register.counter_slot
         daddr, dpayload = register.data_slot
-        self.append(WriteQueueEntry(caddr, cpayload, Origin.COUNTER, now))
-        self.append(WriteQueueEntry(daddr, dpayload, Origin.DATA, now))
+        self.append(WriteQueueEntry(caddr, cpayload, Origin.COUNTER))
+        self.append(WriteQueueEntry(daddr, dpayload, Origin.DATA))
         register.clear()
 
     def head_ready_at(self, nvm: "NvmDevice") -> float | None:

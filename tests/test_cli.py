@@ -96,6 +96,24 @@ def test_zero_sized_config_is_usage_error(tmp_path, capsys, key):
     assert err.count("\n") == 1 and err.startswith("error:") and key in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("cpu_ghz", "0"), ("cpu_ghz", "nan"), ("cache_hit_cycles", "-1"),
+    ("flush_overhead_ns", "inf"), ("txn_gap_ns", "-1"), ("t_rcd_ns", "-48"),
+    ("t_cl_ns", "nan"), ("t_wr_ns", "nan"), ("t_wr_ns", "-300"),
+    ("aes_ns", "inf"), ("footprint", "-4096"),
+    ("use_register", "maybe"),
+    # Removed knobs that gated nothing.
+    ("capacity", "1"), ("t_cwd_ns", "13"), ("t_faw_ns", "9999"),
+    ("t_wtr_ns", "7.5"),
+])
+def test_bad_config_setting_is_usage_error(tmp_path, capsys, key, value):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{key} = {value}\n")
+    assert run_cli("run", "--config", str(cfg_file), *FAST) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and key in err
+
+
 def test_bad_trace_record_is_usage_error(tmp_path, capsys):
     trace = tmp_path / "trace.txt"
     trace.write_text("TXN 0 WRITE 0x0 64\nTXN 1 WRITE 0x20 64\n")
@@ -184,3 +202,36 @@ def test_crashcheck_summary_on_stderr(tmp_path, capsys):
     assert summary == expected
     assert sum(summary.values()) == len(rows)
     assert any(verdict == "inconsistent" for _, _, verdict in summary)
+
+
+CRASH = ["crashcheck", "--mode", "secpm", "--workload", "array",
+         "--txn-size", "128"]
+
+
+@pytest.mark.parametrize("flag, key, value", [
+    ("--queue-len", "queue_len", "2"),
+    ("--cache-size", "cache_size", "512"),
+    ("--cores", "cores", "2"),
+])
+def test_crashcheck_flag_matches_config_file(tmp_path, capsys, flag, key, value):
+    cfg_file = tmp_path / "crash.cfg"
+    cfg_file.write_text(f"{key} = {value}\n")
+    assert run_cli(*CRASH, "--config", str(cfg_file)) == 0
+    from_file = capsys.readouterr().out
+    assert run_cli(*CRASH, flag, value) == 0
+    assert capsys.readouterr().out == from_file
+
+
+def test_crashcheck_honours_queue_len(capsys):
+    outputs = []
+    for qlen in ("2", "32"):
+        assert run_cli(*CRASH, "--queue-len", qlen) == 0
+        outputs.append(capsys.readouterr().out)
+    # Backpressure drains in a 2-entry queue add crash points.
+    assert outputs[0].count("\n") > outputs[1].count("\n")
+
+
+def test_crashcheck_rejects_comma_list(capsys):
+    assert run_cli(*CRASH, "--queue-len", "2,32") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:")

@@ -1,0 +1,84 @@
+"""Every config field is a live knob, and boolean settings parse strictly."""
+
+import csv
+import dataclasses
+
+import pytest
+
+from secpmsim import runner
+from secpmsim.config import Config, apply_setting
+from secpmsim.stats import emit_report
+
+# Per field: overrides for the base run and a new value that must change
+# the run's reported numbers or its final NVM store.  The base run is ten
+# 256-byte hashtable transactions.
+LIVE_CHANGES = {
+    "mode": ({}, "secpm-no-cwr"),
+    "workload": ({}, "array"),
+    "txn_size": ({}, 512),
+    "txn_count": ({}, 11),
+    "queue_len": ({}, 4),
+    "cache_size": ({"cache_ways": 1}, 64),
+    "cache_ways": ({"cache_size": 256, "cache_ways": 4}, 1),
+    "cores": ({}, 2),
+    "seed": ({}, 1),
+    "cpu_ghz": ({}, 3.0),
+    "cache_hit_cycles": ({}, 20),
+    "flush_overhead_ns": ({}, 10.0),
+    "txn_gap_ns": ({}, 0.0),
+    "banks": ({}, 2),
+    "footprint": ({}, 1 << 20),
+    "log_slots": ({}, 2),
+    "use_register": ({"queue_len": 4}, False),
+    "t_rcd_ns": ({}, 100.0),
+    "t_cl_ns": ({}, 30.0),
+    "t_wr_ns": ({}, 500.0),
+    "aes_ns": ({}, 80.0),
+}
+
+
+def run_outputs(cfg, monkeypatch):
+    """The (metric, value) rows of a run's report and its final NVM store.
+
+    The config columns are left out: a field the report only echoes is not
+    live."""
+    made = []
+
+    class Recorded(runner.Controller):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(runner, "Controller", Recorded)
+    report = emit_report([runner.run_experiment(cfg)])
+    metrics = [(r["metric"], r["value"])
+               for r in csv.DictReader(report.splitlines())]
+    return metrics, made[0].nvm.store
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Config)])
+def test_every_field_is_live(name, monkeypatch):
+    assert name in LIVE_CHANGES, f"no liveness case for config field {name!r}"
+    overrides, value = LIVE_CHANGES[name]
+    base = Config(workload="hashtable", txn_size=256, txn_count=10, **overrides)
+    assert getattr(base, name) != value
+    changed = dataclasses.replace(base, **{name: value})
+    assert run_outputs(changed, monkeypatch) != run_outputs(base, monkeypatch)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("1", True), ("0", False), ("true", True), ("False", False),
+    ("YES", True), ("no", False), ("On", True), ("off", False),
+])
+def test_boolean_setting_spellings(text, expected):
+    cfg = Config(use_register=not expected)
+    apply_setting(cfg, "use_register", text)
+    assert cfg.use_register is expected
+
+
+@pytest.mark.parametrize("text", ["maybe", "", "2", "tru", "enabled"])
+def test_boolean_setting_rejects_other_values(text):
+    cfg = Config()
+    with pytest.raises(ValueError, match="use_register"):
+        apply_setting(cfg, "use_register", text)
+    assert cfg.use_register is True

@@ -2,13 +2,18 @@ import io
 
 import pytest
 
-from secpmsim.config import Timing
+from secpmsim.config import Config
 from secpmsim.nvm import NvmDevice, take_crash_snapshot
 from secpmsim.write_queue import Origin, WriteQueue, WriteQueueEntry
 
 
+def device(**overrides):
+    cfg = Config(**overrides)
+    return NvmDevice(cfg.banks, cfg.t_wr_ns, cfg.read_ns)
+
+
 def test_write_then_read_persists():
-    nvm = NvmDevice()
+    nvm = device()
     nvm.nvm_write(0, b"\7" * 64, 0.0)
     payload, _ = nvm.nvm_read(0, 1000.0)
     assert payload == b"\7" * 64
@@ -16,35 +21,35 @@ def test_write_then_read_persists():
 
 
 def test_untouched_lines_read_zero():
-    nvm = NvmDevice()
+    nvm = device()
     payload, _ = nvm.nvm_read(12345 * 64, 0.0)
     assert payload == bytes(64)
 
 
 def test_bank_interleaving():
-    nvm = NvmDevice(banks=16)
+    nvm = device(banks=16)
     assert nvm.bank(0) == 0
     assert nvm.bank(64) == 1
     assert nvm.bank(16 * 64) == 0
 
 
 def test_write_to_busy_bank_rejected():
-    nvm = NvmDevice()
+    nvm = device()
     nvm.nvm_write(0, bytes(64), 0.0)
     with pytest.raises(RuntimeError):
         nvm.nvm_write(16 * 64, bytes(64), 10.0)  # same bank, inside tWR
-    nvm.nvm_write(16 * 64, bytes(64), Timing().t_wr_ns)
+    nvm.nvm_write(16 * 64, bytes(64), Config().t_wr_ns)
 
 
 def test_read_waits_for_bank():
-    nvm = NvmDevice()
+    nvm = device()
     nvm.nvm_write(0, bytes(64), 0.0)
     _, done = nvm.nvm_read(0, 10.0)
-    assert done == Timing().t_wr_ns + Timing().read_ns
+    assert done == Config().t_wr_ns + Config().read_ns
 
 
 def test_banks_never_overlap():
-    nvm = NvmDevice(banks=4)
+    nvm = device(banks=4)
     t = 0.0
     times = []
     for i in range(10):
@@ -60,25 +65,25 @@ def test_banks_never_overlap():
 
 
 def test_dump_load_round_trip():
-    nvm = NvmDevice()
+    nvm = device()
     nvm.nvm_write(64, b"\1" * 64, 0.0)
     nvm.nvm_write(0, b"\2" * 64, 400.0)
     buf = io.BytesIO()
     nvm.dump(buf)
     buf.seek(0)
-    other = NvmDevice()
+    other = device()
     other.load(buf)
     assert other.store == nvm.store
 
 
 def test_load_rejects_truncation():
-    other = NvmDevice()
+    other = device()
     with pytest.raises(ValueError):
         other.load(io.BytesIO(b"\0" * 20))
 
 
 def test_snapshot_applies_queue_fifo():
-    nvm = NvmDevice()
+    nvm = device()
     nvm.nvm_write(0, b"\0" * 64, 0.0)
     q = WriteQueue(capacity=8)
     q.append(WriteQueueEntry(0, b"\1" * 64, Origin.DATA))
@@ -91,6 +96,6 @@ def test_snapshot_applies_queue_fifo():
 
 
 def test_snapshot_rejects_bad_rsr_image():
-    nvm = NvmDevice()
+    nvm = device()
     with pytest.raises(ValueError):
         take_crash_snapshot(nvm, WriteQueue(), rsr_image=b"short")

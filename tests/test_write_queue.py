@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secpmsim.config import Timing
+from secpmsim.config import Config
 from secpmsim.nvm import NvmDevice, take_crash_snapshot
 from secpmsim.write_queue import (
     Origin,
@@ -15,8 +15,13 @@ from secpmsim.write_queue import (
 BASE = 1 << 40
 
 
-def entry(addr, origin=Origin.DATA, payload=None, t=0.0):
-    return WriteQueueEntry(addr, payload or bytes(64), origin, t)
+def entry(addr, origin=Origin.DATA, payload=None):
+    return WriteQueueEntry(addr, payload or bytes(64), origin)
+
+
+def device():
+    cfg = Config()
+    return NvmDevice(cfg.banks, cfg.t_wr_ns, cfg.read_ns)
 
 
 def test_append_counts_by_origin():
@@ -92,14 +97,14 @@ def test_atomic_pair_appends_counter_then_data_and_clears():
     reg = StagingRegister()
     reg.store_counter(1 << 40, b"\1" * 64)
     reg.store_data(64, b"\2" * 64)
-    q.atomic_append_pair(reg, now=5.0)
+    q.atomic_append_pair(reg)
     assert [e.origin for e in q.entries] == [Origin.COUNTER, Origin.DATA]
     assert reg.counter_slot is None and reg.data_slot is None
 
 
 def test_drain_is_fifo():
     q = WriteQueue(capacity=8)
-    nvm = NvmDevice(Timing())
+    nvm = device()
     q.append(entry(0))
     q.append(entry(16 * 64))  # distinct banks, no blocking
     first = q.drain_one(nvm, 0.0)
@@ -110,22 +115,22 @@ def test_drain_is_fifo():
 
 def test_drain_blocks_on_busy_bank():
     q = WriteQueue(capacity=8)
-    nvm = NvmDevice(Timing())
+    nvm = device()
     q.append(entry(0))
     q.append(entry(16 * 64))  # same bank as address 0
     q.drain_one(nvm, 0.0)
     # Head bank busy until tWR; head-of-line blocking stalls the queue.
     assert q.drain_one(nvm, 100.0) is None
-    assert q.head_ready_at(nvm) == Timing().t_wr_ns
-    assert q.drain_one(nvm, Timing().t_wr_ns) is not None
+    assert q.head_ready_at(nvm) == Config().t_wr_ns
+    assert q.drain_one(nvm, Config().t_wr_ns) is not None
 
 
 def test_conservation_identity():
     q = WriteQueue(capacity=64, cwr_enabled=True)
-    nvm = NvmDevice(Timing())
+    nvm = device()
     t = 0.0
     for i in range(30):
-        q.append(entry((1 << 40) + (i % 3) * 64, Origin.COUNTER, t=t))
+        q.append(entry((1 << 40) + (i % 3) * 64, Origin.COUNTER))
         if i % 4 == 0:
             ready = q.head_ready_at(nvm)
             t = max(t, ready)
@@ -143,7 +148,7 @@ class ScanQueue:
         self.cwr_enabled = cwr_enabled
         self.entries = []
         self.merged = 0
-        self.nvm = NvmDevice(Timing())
+        self.nvm = device()
 
     def cwr_merge(self, incoming):
         for resident in self.entries:
@@ -181,7 +186,7 @@ queue_ops = st.lists(
 @settings(max_examples=150, deadline=None)
 def test_indexed_queue_matches_scan_oracle(ops, cwr_enabled):
     q = WriteQueue(capacity=8, cwr_enabled=cwr_enabled)
-    nvm = NvmDevice(Timing())
+    nvm = device()
     oracle = ScanQueue(8, cwr_enabled)
     now = 0.0
     for n, (op, k, arg) in enumerate(ops):
@@ -198,7 +203,7 @@ def test_indexed_queue_matches_scan_oracle(ops, cwr_enabled):
         else:
             origin = Origin.COUNTER if op == "counter" else Origin.DATA
             e = entry((BASE if op == "counter" else 0) + k * 64, origin,
-                      bytes([n % 256]) * 64, now)
+                      bytes([n % 256]) * 64)
             if len(q) >= q.capacity:
                 with pytest.raises(RuntimeError):
                     q.append(e)
@@ -224,7 +229,7 @@ def test_latest_matches_reverse_scan(ops, cwr_enabled):
     """The per-address index names the newest queued entry, the one a
     read must be forwarded, after every append, merge and drain."""
     q = WriteQueue(capacity=8, cwr_enabled=cwr_enabled)
-    nvm = NvmDevice(Timing())
+    nvm = device()
     addresses = [base + k * 64 for base in (0, BASE) for k in range(6)]
     now = 0.0
     for n, (op, k, arg) in enumerate(ops):
@@ -238,7 +243,7 @@ def test_latest_matches_reverse_scan(ops, cwr_enabled):
         elif len(q) < q.capacity:
             origin = Origin.COUNTER if op == "counter" else Origin.DATA
             q.append(entry((BASE if op == "counter" else 0) + k * 64, origin,
-                           bytes([n % 256]) * 64, now))
+                           bytes([n % 256]) * 64))
         for address in addresses:
             newest = next((e for e in reversed(q.entries)
                            if e.address == address), None)
