@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import io
+import itertools
 import sys
 from collections import Counter
 from pathlib import Path
@@ -41,10 +42,6 @@ class UsageError(Exception):
     pass
 
 
-def _parse_list(value: str, cast=int) -> list:
-    return [cast(part.strip()) for part in value.split(",") if part.strip()]
-
-
 def _base_config(args: argparse.Namespace) -> Config:
     cfg = Config()
     if args.config:
@@ -56,31 +53,39 @@ def _base_config(args: argparse.Namespace) -> Config:
     return cfg
 
 
+# Config fields that a comma list sweeps, in the sweep's nesting order.
+_SWEPT = (("mode", str), ("workload", str), ("txn_size", int),
+          ("queue_len", int), ("cache_size", int), ("cores", int))
+
+
+def _sweep_values(args: argparse.Namespace, base: Config, key: str,
+                  cast) -> list:
+    text = getattr(args, key)
+    if text is None:
+        return [getattr(base, key)]
+    flag = "--" + key.replace("_", "-")
+    try:
+        values = [cast(part.strip()) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise UsageError(f"{flag} takes a comma list of integers, "
+                         f"not {text!r}") from None
+    if not values:
+        raise UsageError(f"{flag} needs at least one value, not {text!r}")
+    return values
+
+
 def _sweep_cells(args: argparse.Namespace, base: Config) -> list[Config]:
-    modes = _parse_list(args.mode, str) if args.mode else [base.mode]
-    kinds = _parse_list(args.workload, str) if args.workload else [base.workload]
-    sizes = _parse_list(args.txn_size) if args.txn_size else [base.txn_size]
-    qlens = _parse_list(args.queue_len) if args.queue_len else [base.queue_len]
-    csizes = _parse_list(args.cache_size) if args.cache_size else [base.cache_size]
-    cores = _parse_list(args.cores) if args.cores else [base.cores]
+    lists = [_sweep_values(args, base, key, cast) for key, cast in _SWEPT]
+    modes, kinds, *_ = lists
     for mode in modes:
         if mode not in MODES:
             raise UsageError(f"unknown mode {mode!r}")
     for kind in kinds:
         if kind not in WORKLOADS:
             raise UsageError(f"unknown workload {kind!r}")
-    cells = []
-    for mode in modes:
-        for kind in kinds:
-            for size in sizes:
-                for qlen in qlens:
-                    for csize in csizes:
-                        for ncores in cores:
-                            cells.append(dataclasses.replace(
-                                base, mode=mode, workload=kind, txn_size=size,
-                                queue_len=qlen, cache_size=csize, cores=ncores,
-                            ))
-    return cells
+    keys = [key for key, _ in _SWEPT]
+    return [dataclasses.replace(base, **dict(zip(keys, cell)))
+            for cell in itertools.product(*lists)]
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -121,11 +126,17 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _parse_plan(text: str) -> CrashPlan:
     if text == "exhaustive":
         return CrashPlan("exhaustive")
-    if text.startswith("random:"):
-        return CrashPlan("random", count=int(text.split(":", 1)[1]))
-    if text.startswith("at:"):
-        return CrashPlan("at", at=int(text.split(":", 1)[1]))
-    raise UsageError(f"bad crash plan {text!r} (exhaustive|random:N|at:K)")
+    strategy, _, number = text.partition(":")
+    try:
+        value = int(number)
+    except ValueError:
+        value = None
+    if strategy == "random" and value is not None and value >= 1:
+        return CrashPlan("random", count=value)
+    if strategy == "at" and value is not None and value >= -1:
+        return CrashPlan("at", at=value)
+    raise UsageError(f"--crash must be exhaustive, random:N (N >= 1) or "
+                     f"at:K (K >= -1), not {text!r}")
 
 
 def cmd_crashcheck(args: argparse.Namespace) -> int:

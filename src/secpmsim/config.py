@@ -122,10 +122,13 @@ def apply_setting(cfg: Config, key: str, value: str) -> None:
             raise ValueError(f"{key} must be 1/0, true/false, yes/no or on/off,"
                              f" not {value!r}")
         setattr(cfg, key, flag)
-    elif isinstance(current, int):
-        setattr(cfg, key, int(value))
-    elif isinstance(current, float):
-        setattr(cfg, key, float(value))
+    elif isinstance(current, (int, float)):
+        cast = int if isinstance(current, int) else float
+        try:
+            setattr(cfg, key, cast(value))
+        except ValueError:
+            kind = "an integer" if cast is int else "a number"
+            raise ValueError(f"{key} must be {kind}, not {value!r}") from None
     else:
         setattr(cfg, key, value)
 

@@ -23,7 +23,6 @@ from typing import Callable, Optional
 
 from secpmsim.config import LINE, LINES_PER_PAGE, PAGE, Config, default_footprint
 from secpmsim.counters import (
-    AddressError,
     CounterAddressMap,
     CounterCache,
     CounterLine,
@@ -309,9 +308,9 @@ class Controller:
         self.clock = t
         return t
 
-    def handle_read(self, address: int, now: float | None = None) -> bytes:
+    def handle_read(self, address: int) -> bytes:
         """Decrypting read; pad generation overlaps the NVM access."""
-        t0 = self.clock if now is None else now
+        t0 = self.clock
         if not self._encrypted:
             payload, t = self._read_line_raw(address, t0)
             self.clock = t
@@ -368,13 +367,13 @@ class Controller:
         self.clock = t
         return t
 
-    def resume_reencryption(self, rsr: Rsr, now: float | None = None) -> float:
+    def resume_reencryption(self, rsr: Rsr) -> float:
         """Finish an interrupted re-encryption from the persisted register.
 
         Old minors for not-yet-done lines come from the durable counter
         line, which keeps them until each line's own counter write lands.
         """
-        t = self.clock if now is None else now
+        t = self.clock
         self.rsr = rsr
         cline = self.map.counter_line_address(rsr.page_number)
         durable, t = self._get_counter_line(cline, t)

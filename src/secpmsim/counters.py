@@ -2,10 +2,11 @@
 
 A counter line packs a 64-bit major counter and 64 seven-bit minor
 counters (64 + 64*7 = 512 bits).  Line i of a page is encrypted with
-``major || minors[i]``.  In memory a line keeps its minors packed exactly
-as in the durable image, as one 448-bit int with minor 0 in the top seven
-bits, so serializing is one ``to_bytes`` call and a flush bumps a minor
-in place with one add.  The counter cache is set-associative with LRU
+``major || minor i``.  A line holds its minors only packed, exactly as in
+the durable image: one 448-bit int (``lanes``) with minor 0 in the top
+seven bits.  It is built from a major and those lanes or from a 64-byte
+image, and read or written one minor at a time, so serializing is one
+``to_bytes`` call and a flush bumps a minor in place with one add.  The counter cache is set-associative with LRU
 replacement per set; under write-through operation every cached line is
 clean, so evictions drop silently.  A cache allocates only the sets it has
 been filled into and scans only the sets that have held a dirty line, so
@@ -15,7 +16,6 @@ building one and flushing a write-through one cost next to nothing.
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from secpmsim.config import LINE, LINES_PER_PAGE, PAGE
@@ -23,57 +23,8 @@ from secpmsim.config import LINE, LINES_PER_PAGE, PAGE
 MINOR_MAX = 127  # 7-bit minors
 LANE_BITS = 7 * LINES_PER_PAGE  # 448 bits of packed minors
 _LANES_LIMIT = 1 << LANE_BITS
-
-
-def _pack_steps() -> tuple[tuple[int, int, int], ...]:
-    """(shift, keep, moved) masks that compact 64 byte-wide lanes of a
-    512-bit int into 64 seven-bit lanes of a 448-bit int.
-
-    Lane i (counted from the least significant end) must move down by i
-    bits.  Step k moves every lane whose index has bit k set down by 2**k,
-    so six steps cover every i < 64 and lanes never overlap on the way.
-    """
-    pos = [8 * i for i in range(LINES_PER_PAGE)]
-    steps = []
-    for k in range(6):
-        shift, keep, moved = 1 << k, 0, 0
-        for i in range(LINES_PER_PAGE):
-            if i >> k & 1:
-                pos[i] -= shift
-                moved |= MINOR_MAX << pos[i]
-            else:
-                keep |= MINOR_MAX << pos[i]
-        steps.append((shift, keep, moved))
-    return tuple(steps)
-
-
-_PACK_STEPS = _pack_steps()
-_UNPACK_STEPS = _PACK_STEPS[::-1]
-_LANE_TOP_BITS = int.from_bytes(b"\x80" * LINES_PER_PAGE, "big")
 # Bit offset of minor i inside the packed lanes.
 _SHIFT = tuple(7 * (LINES_PER_PAGE - 1 - i) for i in range(LINES_PER_PAGE))
-
-
-def _pack_minors(minors: Iterable[int]) -> int:
-    """64 minors, minor 0 first, as the 448-bit lanes of a counter line."""
-    try:
-        raw = bytes(minors)
-    except ValueError:  # a minor outside 0..255
-        raise ValueError("minor counter out of 7-bit range") from None
-    lanes = int.from_bytes(raw, "big")
-    if lanes & _LANE_TOP_BITS:
-        raise ValueError("minor counter out of 7-bit range")
-    if len(raw) != LINES_PER_PAGE:
-        raise ValueError("a counter line holds 64 minors")
-    for shift, keep, moved in _PACK_STEPS:
-        lanes = (lanes & keep) | ((lanes >> shift) & moved)
-    return lanes
-
-
-def _unpack_minors(lanes: int) -> list[int]:
-    for shift, keep, moved in _UNPACK_STEPS:
-        lanes = (lanes & keep) | ((lanes & moved) << shift)
-    return list(lanes.to_bytes(LINES_PER_PAGE, "big"))
 
 
 class AddressError(Exception):
@@ -93,11 +44,8 @@ class CounterLine:
 
     __slots__ = ("major", "lanes")
 
-    def __init__(self, major: int = 0, minors: Iterable[int] | None = None,
-                 *, lanes: int = 0):
-        if minors is not None:
-            lanes = _pack_minors(minors)
-        elif not 0 <= lanes < _LANES_LIMIT:
+    def __init__(self, major: int = 0, *, lanes: int = 0):
+        if not 0 <= lanes < _LANES_LIMIT:
             raise ValueError("packed minors out of 448-bit range")
         self.major = major
         self.lanes = lanes
@@ -110,15 +58,7 @@ class CounterLine:
     __hash__ = None  # mutable
 
     def __repr__(self) -> str:
-        return f"CounterLine(major={self.major}, minors={self.minors})"
-
-    @property
-    def minors(self) -> list[int]:
-        """A fresh list of the 64 minors; writing to it changes nothing."""
-        return _unpack_minors(self.lanes)
-
-    def copy(self) -> "CounterLine":
-        return CounterLine(self.major, lanes=self.lanes)
+        return f"CounterLine(major={self.major}, lanes={self.lanes:#x})"
 
     def minor(self, minor_index: int) -> int:
         return self.lanes >> _SHIFT[minor_index] & MINOR_MAX
@@ -176,9 +116,6 @@ class CounterAddressMap:
 
     def counter_line_address(self, page: int) -> int:
         return self.counter_region_base + LINE * page
-
-    def is_counter_address(self, address: int) -> bool:
-        return address >= self.counter_region_base
 
 
 # Stands in for every set not yet filled: lookups miss on it like on any
@@ -250,8 +187,3 @@ class CounterCache:
         if address in s:
             line, _ = s[address]
             s[address] = (line, False)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

@@ -16,7 +16,7 @@ from typing import Callable, Protocol
 
 from secpmsim.config import Config
 from secpmsim.controller import Controller
-from secpmsim.txn import Stage, TxnDescriptor, execute, recover, run_transaction
+from secpmsim.txn import TxnDescriptor, execute, recover, run_transaction
 
 
 class CrashNow(Exception):

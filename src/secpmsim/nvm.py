@@ -10,7 +10,7 @@ guarantee) plus the 20-byte re-encryption status register image.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, BinaryIO
+from typing import TYPE_CHECKING
 
 from secpmsim.config import LINE
 
@@ -32,9 +32,6 @@ class NvmDevice:
 
     def bank(self, address: int) -> int:
         return (address // LINE) % self.nbanks
-
-    def bank_free_at(self, address: int) -> float:
-        return self.busy_until[self.bank(address)]
 
     def nvm_write(self, address: int, payload: bytes, now: float,
                   bank: int | None = None) -> float:
@@ -59,27 +56,6 @@ class NvmDevice:
         self.reads += 1
         return self.store.get(address, ZERO_LINE), done
 
-    def peek(self, address: int) -> bytes:
-        """Zero-cost inspection for reporting and verification."""
-        return self.store.get(address, ZERO_LINE)
-
-    def dump(self, fh: BinaryIO) -> None:
-        """Flat binary of (little-endian u64 address, 64-byte payload)."""
-        for address in sorted(self.store):
-            fh.write(address.to_bytes(8, "little"))
-            fh.write(self.store[address])
-
-    def load(self, fh: BinaryIO) -> None:
-        self.store.clear()
-        while True:
-            head = fh.read(8)
-            if not head:
-                break
-            payload = fh.read(LINE)
-            if len(head) != 8 or len(payload) != LINE:
-                raise ValueError("truncated snapshot record")
-            self.store[int.from_bytes(head, "little")] = payload
-
 
 @dataclass
 class CrashSnapshot:
@@ -92,10 +68,6 @@ class CrashSnapshot:
     store: dict[int, bytes]
     rsr_image: bytes = bytes(20)
     rsr_active: bool = False
-    queue_depth: int = 0
-
-    def line(self, address: int) -> bytes:
-        return self.store.get(address, ZERO_LINE)
 
 
 def take_crash_snapshot(device: NvmDevice, queue: "WriteQueue",
@@ -106,4 +78,4 @@ def take_crash_snapshot(device: NvmDevice, queue: "WriteQueue",
         store[entry.address] = entry.payload
     if len(rsr_image) != 20:
         raise ValueError("RSR image must be 20 bytes")
-    return CrashSnapshot(store, rsr_image, rsr_active, len(queue.entries))
+    return CrashSnapshot(store, rsr_image, rsr_active)

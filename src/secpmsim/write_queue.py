@@ -114,11 +114,6 @@ class WriteQueue:
         self.append(WriteQueueEntry(daddr, dpayload, Origin.DATA))
         register.clear()
 
-    def head_ready_at(self, nvm: "NvmDevice") -> float | None:
-        if not self.entries:
-            return None
-        return nvm.bank_free_at(self.entries[0].address)
-
     def drain_one(self, nvm: "NvmDevice", now: float,
                   bank: int | None = None) -> WriteQueueEntry | None:
         """Issue the head entry if its bank is free at `now` (FIFO only).

@@ -1,0 +1,39 @@
+"""Reference counter-line codec: one 7-bit minor at a time.
+
+Tests build a line from a plain list of minors through this loop, so the
+packed ``CounterLine`` is checked against a layout it does not share code
+with.
+"""
+
+from types import SimpleNamespace
+
+from secpmsim.counters import MINOR_MAX, CounterLine
+
+
+def reference_serialize(line):
+    """One 7-bit field at a time, minors[0] most significant."""
+    packed = 0
+    for m in line.minors:
+        if m & ~MINOR_MAX:
+            raise ValueError("minor counter out of 7-bit range")
+        packed = (packed << 7) | m
+    return line.major.to_bytes(8, "big") + packed.to_bytes(56, "big")
+
+
+def reference_deserialize(raw):
+    packed = int.from_bytes(raw[8:], "big")
+    minors = [0] * 64
+    for i in range(63, -1, -1):
+        minors[i] = packed & MINOR_MAX
+        packed >>= 7
+    return int.from_bytes(raw[:8], "big"), minors
+
+
+def line_from(major, minors):
+    """A packed line holding ``major`` and the 64 ``minors``."""
+    return CounterLine.deserialize(reference_serialize(
+        SimpleNamespace(major=major, minors=minors)))
+
+
+def minors_of(line):
+    return [line.minor(i) for i in range(64)]

@@ -102,6 +102,8 @@ def test_zero_sized_config_is_usage_error(tmp_path, capsys, key):
     ("t_cl_ns", "nan"), ("t_wr_ns", "nan"), ("t_wr_ns", "-300"),
     ("aes_ns", "inf"), ("footprint", "-4096"),
     ("use_register", "maybe"),
+    # Values that int() or float() cannot parse.
+    ("banks", "x"), ("cpu_ghz", "abc"), ("txn_size", "1.5"),
     # Removed knobs that gated nothing.
     ("capacity", "1"), ("t_cwd_ns", "13"), ("t_faw_ns", "9999"),
     ("t_wtr_ns", "7.5"),
@@ -136,8 +138,36 @@ def test_unknown_mode_is_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_bad_crash_plan_is_usage_error():
-    assert run_cli("crashcheck", "--crash", "sometimes") == 2
+def test_bad_crash_plan_is_usage_error(capsys):
+    for plan in ("sometimes", "at:x", "at:-2", "random:", "random:-1",
+                 "random:0", "random:x"):
+        assert run_cli("crashcheck", "--crash", plan, "--txn-size", "128") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: --crash ")
+        assert "random:N" in captured.err and "at:K" in captured.err
+
+
+@pytest.mark.parametrize("trace_out", [False, True])
+@pytest.mark.parametrize("flag, value", [
+    ("--mode", ","), ("--workload", ","), ("--txn-size", ","),
+    ("--queue-len", ","), ("--cache-size", ","), ("--cores", ",,"),
+    ("--txn-size", "abc"), ("--queue-len", "1.5"), ("--cores", "1,x"),
+])
+def test_bad_sweep_list_is_usage_error(tmp_path, capsys, flag, value,
+                                       trace_out):
+    """A comma list with no values, or a value that is not an integer,
+    names its flag; no CSV and no trace file are written."""
+    trace = tmp_path / "trace.txt"
+    extra = ["--trace-out", str(trace)] if trace_out else []
+    for command in (["run", *extra], ["crashcheck"]):
+        assert run_cli(*command, *FAST, flag, value) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {flag} ")
+    assert not trace.exists()
 
 
 def test_crashcheck_consistent_mode_passes(tmp_path):

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from _bit_loop import line_from
 from secpmsim.config import Config
 from secpmsim.controller import Controller, Mode, Rsr, derive_key
 from secpmsim.counters import CounterLine
+from secpmsim.nvm import ZERO_LINE
 from secpmsim.write_queue import Origin
 
 
@@ -90,7 +92,7 @@ def test_ciphertext_differs_from_plaintext():
     ctrl = make("secpm")
     ctrl.handle_flush(0, b"\0" * 64)
     ctrl.drain_all()
-    assert ctrl.nvm.peek(0) != b"\0" * 64
+    assert ctrl.nvm.store.get(0, ZERO_LINE) != b"\0" * 64
     assert ctrl.handle_read(0) == b"\0" * 64
 
 
@@ -175,7 +177,7 @@ def test_pad_reuse_counts_every_non_increasing_counter():
     ctrl.handle_flush(0, b"\1" * 64)  # counter 1
     ctrl.handle_flush(0, b"\2" * 64)  # counter 2
     assert ctrl.otp_reuse == 0
-    ctrl.cache.insert(cline, CounterLine(minors=[1] + [0] * 63))
+    ctrl.cache.insert(cline, line_from(0, [1] + [0] * 63))
     ctrl.handle_flush(0, b"\3" * 64)  # counter 2 again
     assert ctrl.otp_reuse == 1
     ctrl.cache.insert(cline, CounterLine())

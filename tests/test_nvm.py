@@ -1,9 +1,7 @@
-import io
-
 import pytest
 
 from secpmsim.config import Config
-from secpmsim.nvm import NvmDevice, take_crash_snapshot
+from secpmsim.nvm import ZERO_LINE, NvmDevice, take_crash_snapshot
 from secpmsim.write_queue import Origin, WriteQueue, WriteQueueEntry
 
 
@@ -17,7 +15,7 @@ def test_write_then_read_persists():
     nvm.nvm_write(0, b"\7" * 64, 0.0)
     payload, _ = nvm.nvm_read(0, 1000.0)
     assert payload == b"\7" * 64
-    assert nvm.peek(0) == b"\7" * 64
+    assert nvm.store.get(0, ZERO_LINE) == b"\7" * 64
 
 
 def test_untouched_lines_read_zero():
@@ -54,7 +52,7 @@ def test_banks_never_overlap():
     times = []
     for i in range(10):
         addr = (i % 4) * 64  # cycle banks
-        t = max(t, nvm.bank_free_at(addr))
+        t = max(t, nvm.busy_until[nvm.bank(addr)])
         done = nvm.nvm_write(addr, bytes(64), t)
         times.append((nvm.bank(addr), t, done))
     by_bank = {}
@@ -64,24 +62,6 @@ def test_banks_never_overlap():
         by_bank[bank] = end
 
 
-def test_dump_load_round_trip():
-    nvm = device()
-    nvm.nvm_write(64, b"\1" * 64, 0.0)
-    nvm.nvm_write(0, b"\2" * 64, 400.0)
-    buf = io.BytesIO()
-    nvm.dump(buf)
-    buf.seek(0)
-    other = device()
-    other.load(buf)
-    assert other.store == nvm.store
-
-
-def test_load_rejects_truncation():
-    other = device()
-    with pytest.raises(ValueError):
-        other.load(io.BytesIO(b"\0" * 20))
-
-
 def test_snapshot_applies_queue_fifo():
     nvm = device()
     nvm.nvm_write(0, b"\0" * 64, 0.0)
@@ -89,10 +69,9 @@ def test_snapshot_applies_queue_fifo():
     q.append(WriteQueueEntry(0, b"\1" * 64, Origin.DATA))
     q.append(WriteQueueEntry(0, b"\2" * 64, Origin.DATA))
     snap = take_crash_snapshot(nvm, q)
-    assert snap.line(0) == b"\2" * 64  # later entry wins
-    assert snap.queue_depth == 2
+    assert snap.store.get(0, ZERO_LINE) == b"\2" * 64  # later entry wins
     # The snapshot is a copy; the device is untouched.
-    assert nvm.peek(0) == b"\0" * 64
+    assert nvm.store.get(0, ZERO_LINE) == b"\0" * 64
 
 
 def test_snapshot_rejects_bad_rsr_image():

@@ -121,7 +121,7 @@ def test_drain_blocks_on_busy_bank():
     q.drain_one(nvm, 0.0)
     # Head bank busy until tWR; head-of-line blocking stalls the queue.
     assert q.drain_one(nvm, 100.0) is None
-    assert q.head_ready_at(nvm) == Config().t_wr_ns
+    assert nvm.busy_until[nvm.bank(q.entries[0].address)] == Config().t_wr_ns
     assert q.drain_one(nvm, Config().t_wr_ns) is not None
 
 
@@ -132,8 +132,7 @@ def test_conservation_identity():
     for i in range(30):
         q.append(entry((1 << 40) + (i % 3) * 64, Origin.COUNTER))
         if i % 4 == 0:
-            ready = q.head_ready_at(nvm)
-            t = max(t, ready)
+            t = max(t, nvm.busy_until[nvm.bank(q.entries[0].address)])
             q.drain_one(nvm, t)
         appended = q.appended_data + q.appended_counter
         assert appended - q.merged == q.drained + len(q)
@@ -165,7 +164,8 @@ class ScanQueue:
         self.entries.append(e)
 
     def drain_one(self, now):
-        if self.entries and self.nvm.bank_free_at(self.entries[0].address) <= now:
+        if (self.entries and self.nvm.busy_until[
+                self.nvm.bank(self.entries[0].address)] <= now):
             head = self.entries.pop(0)
             self.nvm.nvm_write(head.address, head.payload, now)
 
