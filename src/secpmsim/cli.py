@@ -19,12 +19,14 @@ from collections import Counter
 from pathlib import Path
 
 from secpmsim import workloads
-from secpmsim.config import MODES, WORKLOADS, Config, apply_setting, parse_config
+from secpmsim.config import MODES, WORKLOADS, Config, parse_config
+from secpmsim.controller import Mode
 from secpmsim.counters import AddressError
 from secpmsim.crash import (
     AtomicWriteScenario,
     CrashPlan,
     Outcome,
+    PointOutOfRange,
     ReencryptScenario,
     TxnScenario,
     Verdict,
@@ -33,13 +35,16 @@ from secpmsim.crash import (
 from secpmsim.runner import run_experiment
 from secpmsim.stats import emit_normalized_report, emit_report
 
-# Modes that promise crash consistency; inconsistencies elsewhere are the
-# expected behavior of the broken baseline.
-CONSISTENT_MODES = {"unsec-pm", "secpm-no-cwr", "secpm"}
-
-
 class UsageError(Exception):
     pass
+
+
+def _flag_value(key: str, cast, part: str, text: str, kind: str):
+    try:
+        return cast(part)
+    except ValueError:
+        flag = "--" + key.replace("_", "-")
+        raise UsageError(f"{flag} takes {kind}, not {text!r}") from None
 
 
 def _base_config(args: argparse.Namespace) -> Config:
@@ -47,9 +52,9 @@ def _base_config(args: argparse.Namespace) -> Config:
     if args.config:
         cfg = parse_config(Path(args.config).read_text(), base=cfg)
     for key in ("txn_count", "seed"):
-        value = getattr(args, key, None)
-        if value is not None:
-            apply_setting(cfg, key, str(value))
+        text = getattr(args, key)
+        if text is not None:
+            setattr(cfg, key, _flag_value(key, int, text, text, "an integer"))
     return cfg
 
 
@@ -63,13 +68,10 @@ def _sweep_values(args: argparse.Namespace, base: Config, key: str,
     text = getattr(args, key)
     if text is None:
         return [getattr(base, key)]
-    flag = "--" + key.replace("_", "-")
-    try:
-        values = [cast(part.strip()) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise UsageError(f"{flag} takes a comma list of integers, "
-                         f"not {text!r}") from None
+    values = [_flag_value(key, cast, part.strip(), text, "a comma list of integers")
+              for part in text.split(",") if part.strip()]
     if not values:
+        flag = "--" + key.replace("_", "-")
         raise UsageError(f"{flag} needs at least one value, not {text!r}")
     return values
 
@@ -159,13 +161,18 @@ def cmd_crashcheck(args: argparse.Namespace) -> int:
     else:
         raise UsageError(f"unknown crash scope {args.scope!r}")
 
-    outcomes = inject(plan, factory)
+    try:
+        outcomes = inject(plan, factory)
+    except PointOutOfRange as exc:
+        raise UsageError(f"--crash must be exhaustive, random:N (N >= 1) or "
+                         f"at:K (-1 <= K <= {exc.n_boundaries - 1} for the "
+                         f"{args.scope} scope), not {args.crash!r}") from None
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["crash_point", "event", "stage", "verdict",
                      "failing_address", "flag"])
-    promised = base.mode in CONSISTENT_MODES
+    promised = Mode(base.mode).crash_consistent
     bad = 0
     for o in outcomes:
         flag = ""
@@ -212,13 +219,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"one of {', '.join(WORKLOADS)} (comma list)")
         p.add_argument("--txn-size", dest="txn_size",
                        help="transaction size in bytes (comma list)")
-        p.add_argument("--txn-count", dest="txn_count", type=int)
+        p.add_argument("--txn-count", dest="txn_count")
         p.add_argument("--queue-len", dest="queue_len",
                        help="write queue entries (comma list)")
         p.add_argument("--cache-size", dest="cache_size",
                        help="counter cache bytes (comma list)")
         p.add_argument("--cores", help="requester count (comma list)")
-        p.add_argument("--seed", type=int)
+        p.add_argument("--seed")
         p.add_argument("--out", help="CSV output path (default stdout)")
 
     run_p = sub.add_parser("run", help="run workloads and emit stats CSV")

@@ -59,6 +59,10 @@ class Mode(Enum):
     def cwr(self) -> bool:
         return self is Mode.SECPM
 
+    @property
+    def crash_consistent(self) -> bool:  # never recovers to a torn state
+        return not self.encrypted or self.write_through
+
 
 @dataclass
 class Rsr:
@@ -83,14 +87,14 @@ class Rsr:
         )
 
     @classmethod
-    def deserialize(cls, raw: bytes, active: bool = True) -> "Rsr":
+    def deserialize(cls, raw: bytes) -> "Rsr":
         if len(raw) != 20:
             raise ValueError("RSR image must be 20 bytes")
         return cls(
             page_number=int.from_bytes(raw[:4], "big"),
             old_major=int.from_bytes(raw[4:12], "big"),
             done_bits=int.from_bytes(raw[12:20], "big"),
-            active=active,
+            active=True,
         )
 
 
@@ -99,7 +103,7 @@ def derive_key(seed: int) -> bytes:
 
 
 class Controller:
-    def __init__(self, cfg: Config, log_lines: int = 0):
+    def __init__(self, cfg: Config):
         cfg.validate()
         self.cfg = cfg
         self.mode = Mode(cfg.mode)
@@ -151,14 +155,10 @@ class Controller:
         if self.boundary_hook is not None:
             self.boundary_hook(label)
 
-    def _queue_forward(self, address: int) -> bytes | None:
-        entry = self.queue.latest.get(address)
-        return None if entry is None else entry.payload
-
     def _read_line_raw(self, address: int, t: float) -> tuple[bytes, float]:
-        forwarded = self._queue_forward(address)
-        if forwarded is not None:
-            return forwarded, t + self._read_ns
+        queued = self.queue.latest.get(address)
+        if queued is not None:
+            return queued.payload, t + self._read_ns
         return self.nvm.nvm_read(address, t)
 
     def _drain_step(self, t: float, limit: float | None = None) -> float | None:
@@ -187,6 +187,18 @@ class Controller:
         target = min(capacity - n, capacity // 2)
         while len(entries) > target:
             t = self._drain_step(t)
+        return t
+
+    def _enqueue(self, address: int, payload: bytes, origin: Origin,
+                 t: float) -> float:
+        """Wait for a free slot, queue one line and announce it as durable."""
+        queue = self.queue
+        if len(queue.entries) >= queue.capacity:  # else a no-op; skip the call
+            t = self._ensure_space(1, t)
+        queue.append(WriteQueueEntry(address, payload, origin))
+        hook = self.boundary_hook
+        if hook is not None:
+            hook("append")
         return t
 
     def idle_drain(self, duration: float) -> float:
@@ -232,10 +244,7 @@ class Controller:
         if victim is not None:
             # Write-back eviction (only reachable without write-through).
             vaddr, vline = victim
-            t = self._ensure_space(1, t)
-            self.queue.append(
-                WriteQueueEntry(vaddr, vline.serialize(), Origin.COUNTER))
-            self._boundary("append")
+            t = self._enqueue(vaddr, vline.serialize(), Origin.COUNTER, t)
         return t
 
     # ------------------------------------------------------------------
@@ -248,13 +257,9 @@ class Controller:
             raise ValueError("line payload must be 64 bytes")
         t = (self.clock if now is None else now) + self._flush_overhead_ns
         self.flushes += 1
-        hook = self.boundary_hook
 
         if not self._encrypted:
-            t = self._ensure_space(1, t)
-            self.queue.append(WriteQueueEntry(address, plaintext, Origin.DATA))
-            if hook is not None:
-                hook("append")
+            t = self._enqueue(address, plaintext, Origin.DATA, t)
             self.clock = t
             return t
 
@@ -277,33 +282,23 @@ class Controller:
             # Broken baseline: the counter stays dirty in the cache and
             # only the data entry becomes durable.
             t = self._insert_counter(cline, line, dirty=True, t=t)
-            t = self._ensure_space(1, t)
-            self.queue.append(WriteQueueEntry(address, cipher, Origin.DATA))
+            t = self._enqueue(address, cipher, Origin.DATA, t)
+        elif self._use_register:
+            register = self.register
+            hook = self.boundary_hook
+            register.store_counter(cline, line.serialize())
             if hook is not None:
-                hook("append")
+                hook("reg_store")
+            register.store_data(address, cipher)
+            if hook is not None:
+                hook("reg_store")
+            t = self._ensure_space(2, t)
+            self.queue.atomic_append_pair(register)
+            if hook is not None:
+                hook("append_pair")
         else:
-            if self._use_register:
-                register = self.register
-                register.store_counter(cline, line.serialize())
-                if hook is not None:
-                    hook("reg_store")
-                register.store_data(address, cipher)
-                if hook is not None:
-                    hook("reg_store")
-                t = self._ensure_space(2, t)
-                self.queue.atomic_append_pair(register)
-                if hook is not None:
-                    hook("append_pair")
-            else:
-                t = self._ensure_space(1, t)
-                self.queue.append(
-                    WriteQueueEntry(cline, line.serialize(), Origin.COUNTER))
-                if hook is not None:
-                    hook("append")
-                t = self._ensure_space(1, t)
-                self.queue.append(WriteQueueEntry(address, cipher, Origin.DATA))
-                if hook is not None:
-                    hook("append")
+            t = self._enqueue(cline, line.serialize(), Origin.COUNTER, t)
+            t = self._enqueue(address, cipher, Origin.DATA, t)
 
         self.clock = t
         return t
@@ -344,28 +339,22 @@ class Controller:
         only; a clean-shutdown aid so runs start from a consistent NVM)."""
         t = self.clock
         for addr, line in self.cache.dirty_entries():
-            t = self._ensure_space(1, t)
-            self.queue.append(
-                WriteQueueEntry(addr, line.serialize(), Origin.COUNTER))
             self.cache.mark_clean(addr)
-            self._boundary("append")
+            t = self._enqueue(addr, line.serialize(), Origin.COUNTER, t)
         self.clock = t
         return t
 
     # ------------------------------------------------------------------
     # page re-encryption
 
-    def reencrypt_page(self, page: int, now: float | None = None) -> float:
+    def reencrypt_page(self, page: int, t: float) -> float:
         if self.rsr.active:
             raise RuntimeError("a page re-encryption is already in flight")
-        t = self.clock if now is None else now
         cline = self.map.counter_line_address(page)
         old_line, t = self._get_counter_line(cline, t)
         self.rsr = Rsr(page_number=page, old_major=old_line.major, active=True)
         self._boundary("rsr_arm")
-        t = self._reencrypt_lines(page, old_line, t)
-        self.clock = t
-        return t
+        return self._reencrypt_lines(page, old_line, t)
 
     def resume_reencryption(self, rsr: Rsr) -> float:
         """Finish an interrupted re-encryption from the persisted register.
@@ -378,9 +367,7 @@ class Controller:
         cline = self.map.counter_line_address(rsr.page_number)
         durable, t = self._get_counter_line(cline, t)
         old = CounterLine(rsr.old_major, lanes=durable.lanes)
-        t = self._reencrypt_lines(rsr.page_number, old, t)
-        self.clock = t
-        return t
+        return self._reencrypt_lines(rsr.page_number, old, t)
 
     def _reencrypt_lines(self, page: int, old: CounterLine, t: float) -> float:
         """Move every line not yet done from ``old`` to major + 1, minor 0.
@@ -412,6 +399,7 @@ class Controller:
         self.rsr.active = False
         self._boundary("rsr_done")
         self.reencryptions += 1
+        self.clock = t
         return t
 
     # ------------------------------------------------------------------

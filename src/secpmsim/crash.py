@@ -2,9 +2,9 @@
 durability boundaries, snapshot the durable state, recover, and classify.
 
 Boundaries are announced by the controller after every queue append, drain,
-register store, fence, and re-encryption line completion; these are exactly
-the durability-relevant state changes, so enumerating them is exhaustive.
-Crash point -1 denotes a failure before the scenario's first event.
+register store and fence, and at each step of a page re-encryption (rsr_arm,
+reencrypt_line, rsr_done); enumerating them is exhaustive.  Crash point -1
+(label ``pre``) denotes a failure before the scenario's first event.
 """
 
 from __future__ import annotations
@@ -23,6 +23,12 @@ class CrashNow(Exception):
     def __init__(self, label: str):
         super().__init__(label)
         self.label = label
+
+
+class PointOutOfRange(ValueError):
+    def __init__(self, at: int, n_boundaries: int):
+        super().__init__(f"crash point {at} is outside -1..{n_boundaries - 1}")
+        self.n_boundaries = n_boundaries
 
 
 class Verdict(Enum):
@@ -48,7 +54,7 @@ class CrashPlan:
             return list(range(-1, n_boundaries))
         if self.strategy == "at":
             if not -1 <= self.at < n_boundaries:
-                raise ValueError(f"crash point {self.at} out of range")
+                raise PointOutOfRange(self.at, n_boundaries)
             return [self.at]
         if self.strategy == "random":
             rng = random.Random(self.seed)

@@ -28,7 +28,6 @@ class NvmDevice:
         self.busy_until = [0.0] * banks
         self.store: dict[int, bytes] = {}
         self.writes = 0
-        self.reads = 0
 
     def bank(self, address: int) -> int:
         return (address // LINE) % self.nbanks
@@ -53,7 +52,6 @@ class NvmDevice:
         start = max(now, self.busy_until[b])
         done = start + self.read_ns
         self.busy_until[b] = done
-        self.reads += 1
         return self.store.get(address, ZERO_LINE), done
 
 

@@ -139,14 +139,17 @@ def test_unknown_mode_is_usage_error(capsys):
 
 
 def test_bad_crash_plan_is_usage_error(capsys):
-    for plan in ("sometimes", "at:x", "at:-2", "random:", "random:-1",
-                 "random:0", "random:x"):
+    for plan in ("sometimes", "at:x", "at:-2", "at:9999", "random:",
+                 "random:-1", "random:0", "random:x"):
         assert run_cli("crashcheck", "--crash", plan, "--txn-size", "128") == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("error: --crash ")
         assert "random:N" in captured.err and "at:K" in captured.err
+    # The re-encrypt scope has 115 crash points, -1 to 113.
+    assert run_cli("crashcheck", "--crash", "at:9999", "--scope", "reencrypt") == 2
+    assert "(-1 <= K <= 113 for the reencrypt scope)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("trace_out", [False, True])
@@ -154,6 +157,8 @@ def test_bad_crash_plan_is_usage_error(capsys):
     ("--mode", ","), ("--workload", ","), ("--txn-size", ","),
     ("--queue-len", ","), ("--cache-size", ","), ("--cores", ",,"),
     ("--txn-size", "abc"), ("--queue-len", "1.5"), ("--cores", "1,x"),
+    ("--txn-count", "abc"), ("--txn-count", "1.5"), ("--seed", "abc"),
+    ("--seed", "1.5"),
 ])
 def test_bad_sweep_list_is_usage_error(tmp_path, capsys, flag, value,
                                        trace_out):

@@ -1,12 +1,14 @@
 import random
+from collections import Counter
 
 import pytest
 
 from _bit_loop import line_from
-from secpmsim.config import Config
+from secpmsim.config import PAGE, Config
 from secpmsim.controller import Controller, Mode, Rsr, derive_key
 from secpmsim.counters import CounterLine
 from secpmsim.nvm import ZERO_LINE
+from secpmsim.txn import TxnDescriptor, execute
 from secpmsim.write_queue import Origin
 
 
@@ -26,6 +28,38 @@ def test_mode_flags():
     assert Mode.SECPM_NO_CWT.encrypted and not Mode.SECPM_NO_CWT.write_through
     assert Mode.SECPM_NO_CWR.write_through and not Mode.SECPM_NO_CWR.cwr
     assert Mode.SECPM.write_through and Mode.SECPM.cwr
+
+
+def test_crash_consistent_modes():
+    assert {m.value for m in Mode if m.crash_consistent} == {
+        "unsec-pm", "secpm-no-cwr", "secpm"}
+
+
+@pytest.mark.parametrize("use_register", [True, False])
+@pytest.mark.parametrize("mode", [m.value for m in Mode])
+def test_every_queued_line_is_announced(mode, use_register):
+    """Every line that enters the queue and every drain is announced as a
+    crash boundary, write-back evictions and the final counter flush too."""
+    ctrl = make(mode, cache_size=512, cache_ways=1, queue_len=4,
+                use_register=use_register)
+    events = Counter()
+    ctrl.boundary_hook = lambda label: events.update((label,))
+    for k in range(40):
+        base = 3 * k * PAGE  # three pages, so the 8-set cache evicts
+        lines = [base, base + 64, base + PAGE, base + 2 * PAGE]
+        execute(ctrl, TxnDescriptor(k, [(a, bytes([k]) * 64) for a in lines],
+                                    log_slot=k))
+    for i in range(130):  # line 0 overflows its minor once
+        ctrl.handle_flush(0, bytes([i]) * 64)
+    ctrl.flush_counter_cache()
+    queue = ctrl.queue
+    assert queue.appended_data + queue.appended_counter == (
+        events["append"] + 2 * events["append_pair"]
+        + 2 * events["reencrypt_line"])
+    assert events["drain"] == queue.drained
+    assert ctrl.reencryptions == (mode != "unsec-pm")
+    if mode == "secpm-no-cwt":  # evictions and the final flush queue lines
+        assert queue.appended_counter > events["reencrypt_line"]
 
 
 def test_derive_key_is_stable_and_seed_dependent():
@@ -193,7 +227,7 @@ def test_second_reencryption_rejected_while_active():
     ctrl = make("secpm")
     ctrl.rsr.active = True
     with pytest.raises(RuntimeError):
-        ctrl.reencrypt_page(1)
+        ctrl.reencrypt_page(1, 0.0)
 
 
 def test_rsr_serde_round_trip():
