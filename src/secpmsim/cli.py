@@ -125,6 +125,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _bad_plan(text: str, k_range: str) -> UsageError:
+    return UsageError(f"--crash must be exhaustive, random:N (N >= 1) or "
+                      f"at:K ({k_range}), not {text!r}")
+
+
 def _parse_plan(text: str) -> CrashPlan:
     if text == "exhaustive":
         return CrashPlan("exhaustive")
@@ -137,8 +142,7 @@ def _parse_plan(text: str) -> CrashPlan:
         return CrashPlan("random", count=value)
     if strategy == "at" and value is not None and value >= -1:
         return CrashPlan("at", at=value)
-    raise UsageError(f"--crash must be exhaustive, random:N (N >= 1) or "
-                     f"at:K (K >= -1), not {text!r}")
+    raise _bad_plan(text, "K >= -1")
 
 
 def cmd_crashcheck(args: argparse.Namespace) -> int:
@@ -164,9 +168,8 @@ def cmd_crashcheck(args: argparse.Namespace) -> int:
     try:
         outcomes = inject(plan, factory)
     except PointOutOfRange as exc:
-        raise UsageError(f"--crash must be exhaustive, random:N (N >= 1) or "
-                         f"at:K (-1 <= K <= {exc.n_boundaries - 1} for the "
-                         f"{args.scope} scope), not {args.crash!r}") from None
+        raise _bad_plan(args.crash, f"-1 <= K <= {exc.n_boundaries - 1} "
+                        f"for the {args.scope} scope") from None
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -192,13 +192,9 @@ class Controller:
     def _enqueue(self, address: int, payload: bytes, origin: Origin,
                  t: float) -> float:
         """Wait for a free slot, queue one line and announce it as durable."""
-        queue = self.queue
-        if len(queue.entries) >= queue.capacity:  # else a no-op; skip the call
-            t = self._ensure_space(1, t)
-        queue.append(WriteQueueEntry(address, payload, origin))
-        hook = self.boundary_hook
-        if hook is not None:
-            hook("append")
+        t = self._ensure_space(1, t)
+        self.queue.append(WriteQueueEntry(address, payload, origin))
+        self._boundary("append")
         return t
 
     def idle_drain(self, duration: float) -> float:
