@@ -77,8 +77,10 @@ class Config:
                 raise ValueError(f"{name} must be at least 1")
         if self.cache_size < LINE * self.cache_ways:
             raise ValueError("cache_size too small for one set")
-        if self.cores < 1 or self.txn_count < 0:
-            raise ValueError("cores and txn_count must be positive")
+        if self.cores < 1:
+            raise ValueError(f"cores must be at least 1, not {self.cores}")
+        if self.txn_count < 0:
+            raise ValueError(f"txn_count must be non-negative, not {self.txn_count}")
         if not 0 < self.cpu_ghz < math.inf:
             raise ValueError("cpu_ghz must be positive and finite")
         for name in ("cache_hit_cycles", "flush_overhead_ns", "txn_gap_ns",

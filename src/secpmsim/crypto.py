@@ -10,13 +10,19 @@ the default is AES-128-ECB in a two-stage cascade:
 
 The address/counter packing is a convention of this simulator, not a
 hardware contract.
+
+A pad is a pure function of (key, address, counter), so inside
+``shared_pads()`` every engine on one key computes each pad once.  Crash
+checks use it: they rebuild the same scenario for every crash point.  A
+workload run (``secpmsim run``) does not, as its pads seldom repeat.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import struct
-from typing import Callable
+from typing import Callable, Iterator
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
@@ -28,8 +34,29 @@ _LOW64 = (1 << 64) - 1
 # line; XOR with _BLOCK_INDEX then turns block i into base ^ i.
 _SPREAD = (1 << 384) | (1 << 256) | (1 << 128) | 1
 _BLOCK_INDEX = (1 << 256) | (2 << 128) | 3
+_PACK_ADDR_CTR = struct.Struct(">QQ").pack
 
 BlockFn = Callable[[bytes], bytes]
+
+# Key bytes -> {(line address, counter): pad}, set only inside shared_pads().
+_shared: dict[bytes, dict[tuple[int, int], bytes]] | None = None
+
+
+@contextlib.contextmanager
+def shared_pads() -> Iterator[None]:
+    """Every AES engine built inside the block shares one pad memo per key.
+
+    A nested use keeps the outer memo; the previous state comes back on
+    exit, also when the block raises.
+    """
+    global _shared
+    outer = _shared
+    if outer is None:
+        _shared = {}
+    try:
+        yield
+    finally:
+        _shared = outer
 
 
 @functools.lru_cache(maxsize=8)
@@ -51,17 +78,30 @@ class OtpEngine:
 
     def __init__(self, key_bytes: bytes, block_fn: BlockFn | None = None):
         self._block = block_fn if block_fn is not None else aes_block_fn(key_bytes)
+        # A custom block function is not determined by the key, so its pads
+        # are not shared.
+        self._pads: dict[tuple[int, int], bytes] | None = (
+            _shared.setdefault(key_bytes, {})
+            if _shared is not None and block_fn is None else None)
 
     def generate(self, line_address: int, counter_value: int) -> bytes:
         """Deterministic 64-byte pad for (address, major||minor counter)."""
+        pads = self._pads
+        if pads is not None:
+            pad = pads.get((line_address, counter_value))
+            if pad is not None:
+                return pad
         if not 0 <= counter_value < _CTR_LIMIT:
             raise ValueError("counter out of 71-bit range")
         t = int.from_bytes(
-            self._block(struct.pack(">QQ", line_address, counter_value & _LOW64)),
+            self._block(_PACK_ADDR_CTR(line_address, counter_value & _LOW64)),
             "big",
         )
         base = t ^ ((counter_value >> 64) << 64)
-        return self._block((base * _SPREAD ^ _BLOCK_INDEX).to_bytes(64, "big"))
+        pad = self._block((base * _SPREAD ^ _BLOCK_INDEX).to_bytes(64, "big"))
+        if pads is not None:
+            pads[line_address, counter_value] = pad
+        return pad
 
 
 def xor_lines(a: bytes, b: bytes) -> bytes:

@@ -116,6 +116,32 @@ def test_bad_config_setting_is_usage_error(tmp_path, capsys, key, value):
     assert err.count("\n") == 1 and err.startswith("error:") and key in err
 
 
+@pytest.mark.parametrize("via_flag", [True, False])
+@pytest.mark.parametrize("key, value, message", [
+    ("cores", "0", "cores must be at least 1, not 0"),
+    ("txn_count", "-1", "txn_count must be non-negative, not -1"),
+])
+def test_cores_and_txn_count_bounds_are_usage_errors(tmp_path, capsys, key,
+                                                     value, message, via_flag):
+    if via_flag:
+        source = ["--" + key.replace("_", "-"), value]
+    else:
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{key} = {value}\n")
+        source = ["--config", str(cfg_file)]
+    for command in ("run", "crashcheck"):
+        assert run_cli(command, "--workload", "array", "--txn-size", "256",
+                       *source) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
+def test_zero_txn_count_is_accepted(capsys):
+    assert run_cli("run", "--workload", "array", "--txn-count", "0") == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_bad_trace_record_is_usage_error(tmp_path, capsys):
     trace = tmp_path / "trace.txt"
     trace.write_text("TXN 0 WRITE 0x0 64\nTXN 1 WRITE 0x20 64\n")

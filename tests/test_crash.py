@@ -1,8 +1,11 @@
 import collections
+import contextlib
 
 import pytest
 
+from secpmsim import crypto
 from secpmsim.config import Config
+from secpmsim.controller import Controller
 from secpmsim.crash import (
     AtomicWriteScenario,
     CrashPlan,
@@ -145,3 +148,42 @@ def test_outcome_csv_fields_are_complete():
     for o in outcomes:
         assert o.stage in ("prepare", "mutate", "commit", "done")
         assert isinstance(o.label, str)
+
+
+SCOPES = {
+    "txn": lambda cfg: TxnScenario(cfg, n_lines=4),
+    "atomic-write": AtomicWriteScenario,
+    "reencrypt": ReencryptScenario,
+}
+
+
+@pytest.mark.parametrize("overrides", [
+    {"queue_len": 2}, {"queue_len": 32}, {"queue_len": 32, "use_register": False},
+], ids=["q2", "q32", "q32-no-register"])
+@pytest.mark.parametrize("mode", ["secpm", "secpm-no-cwr", "secpm-no-cwt"])
+@pytest.mark.parametrize("scope", SCOPES)
+def test_shared_pads_leave_outcomes_unchanged(monkeypatch, scope, mode, overrides):
+    """inject with one pad memo per check against inject without it: the
+    same outcomes and the same pad-reuse total over every controller built."""
+    cfg = cfg_for(mode, txn_size=64 if scope == "reencrypt" else 256, **overrides)
+    factory = lambda: SCOPES[scope](cfg)
+    built = []
+    init = Controller.__init__
+
+    def tracking_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(Controller, "__init__", tracking_init)
+    n = count_boundaries(factory)
+    plans = [CrashPlan("exhaustive"), CrashPlan("at", at=n // 2),
+             CrashPlan("random", count=5, seed=3)]
+
+    def check():
+        built.clear()
+        outcomes = [inject(plan, factory) for plan in plans]
+        return outcomes, sum(ctrl.otp_reuse for ctrl in built)
+
+    shared = check()
+    monkeypatch.setattr(crypto, "shared_pads", contextlib.nullcontext)
+    assert check() == shared
