@@ -22,21 +22,21 @@ from secpmsim import workloads
 from secpmsim.config import MODES, WORKLOADS, Config, parse_config
 from secpmsim.controller import Mode
 from secpmsim.counters import AddressError
-from secpmsim.crash import (
-    AtomicWriteScenario,
-    CrashPlan,
-    Outcome,
-    PointOutOfRange,
-    ReencryptScenario,
-    TxnScenario,
-    Verdict,
-    inject,
-)
+from secpmsim.crash import (SCOPES, CrashPlan, Outcome, PointOutOfRange,
+                            Verdict, inject)
 from secpmsim.runner import run_experiment
 from secpmsim.stats import emit_normalized_report, emit_report
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Turns a bad command line into one ``error:`` line, like any other
+    usage error; ``--help`` still prints and exits."""
+
+    def error(self, message: str):
+        raise UsageError(message)
 
 
 def _flag_value(key: str, cast, part: str, text: str, kind: str):
@@ -94,18 +94,21 @@ def cmd_run(args: argparse.Namespace) -> int:
     base = _base_config(args)
     cells = _sweep_cells(args, base)
 
+    for cfg in cells:
+        cfg.validate()
+
     streams = None
     if args.trace_in:
+        footprint = min(workloads.WorkloadSpec.from_config(cfg).footprint
+                        for cfg in cells)
         with open(args.trace_in) as fh:
             streams = [workloads.import_trace(fh, seed=base.seed,
-                                              log_slots=base.log_slots)]
+                                              log_slots=base.log_slots,
+                                              footprint=footprint)]
         if any(cfg.cores != 1 for cfg in cells):
             raise UsageError("--trace-in supports single-core runs only")
 
-    all_stats = []
-    for cfg in cells:
-        cfg.validate()
-        all_stats.append(run_experiment(cfg, streams))
+    all_stats = [run_experiment(cfg, streams) for cfg in cells]
 
     if args.trace_out:
         spec = workloads.WorkloadSpec.from_config(cells[0])
@@ -155,18 +158,9 @@ def cmd_crashcheck(args: argparse.Namespace) -> int:
     plan = _parse_plan(args.crash)
     plan.seed = base.seed
 
-    if args.scope == "txn":
-        n_lines = min(base.txn_size // 64, 64)
-        factory = lambda: TxnScenario(base, n_lines=n_lines)
-    elif args.scope == "atomic-write":
-        factory = lambda: AtomicWriteScenario(base)
-    elif args.scope == "reencrypt":
-        factory = lambda: ReencryptScenario(base)
-    else:
-        raise UsageError(f"unknown crash scope {args.scope!r}")
-
+    make = SCOPES[args.scope]
     try:
-        outcomes = inject(plan, factory)
+        outcomes = inject(plan, lambda: make(base))
     except PointOutOfRange as exc:
         raise _bad_plan(args.crash, f"-1 <= K <= {exc.n_boundaries - 1} "
                         f"for the {args.scope} scope") from None
@@ -209,7 +203,7 @@ def _crash_summary(outcomes: list[Outcome]) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="secpmsim",
         description="encrypted persistent memory simulator",
     )
@@ -242,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     crash_p.add_argument("--crash", default="exhaustive",
                          help="exhaustive | random:N | at:K")
     crash_p.add_argument("--scope", default="txn",
-                         choices=["txn", "atomic-write", "reencrypt"])
+                         choices=list(SCOPES))
     crash_p.set_defaults(func=cmd_crashcheck)
     return parser
 

@@ -5,6 +5,8 @@ Boundaries are announced by the controller after every queue append, drain,
 register store and fence, and at each step of a page re-encryption (rsr_arm,
 reencrypt_line, rsr_done); enumerating them is exhaustive.  Crash point -1
 (label ``pre``) denotes a failure before the scenario's first event.
+``SCOPES`` names the scenarios ``crashcheck`` runs; each judges its lines
+by one rule, ``_classify``, against its pre- and post-image.
 
 Every controller one ``inject`` builds runs under the same key, so the
 whole check runs inside ``crypto.shared_pads()`` and computes each pad
@@ -19,7 +21,7 @@ from enum import Enum
 from typing import Callable, Protocol
 
 from secpmsim import crypto
-from secpmsim.config import Config
+from secpmsim.config import LINE, LINES_PER_PAGE, Config
 from secpmsim.controller import Controller
 from secpmsim.txn import TxnDescriptor, execute, recover, run_transaction
 
@@ -138,6 +140,21 @@ def _payload(rng: random.Random) -> bytes:
     return rng.randbytes(64)
 
 
+def _classify(recovered: Controller, addrs: list[int], pre: list[bytes],
+              post: list[bytes]) -> tuple[Verdict, int | None]:
+    """ROLLED_BACK if every line reads its pre-image, COMMITTED if every
+    line reads its post-image; otherwise INCONSISTENT, with the first
+    address that reads neither image (None for a mix of the two)."""
+    values = [recovered.handle_read(a) for a in addrs]
+    if values == pre:
+        return Verdict.ROLLED_BACK, None
+    if values == post:
+        return Verdict.COMMITTED, None
+    failing = next((a for a, value, old, new in zip(addrs, values, pre, post)
+                    if value != old and value != new), None)
+    return Verdict.INCONSISTENT, failing
+
+
 @dataclass
 class TxnScenario:
     """One durable transaction over pre-initialized lines."""
@@ -151,7 +168,7 @@ class TxnScenario:
 
     def __post_init__(self) -> None:
         rng = random.Random(self.seed)
-        addrs = [i * 64 for i in range(self.n_lines)]
+        addrs = [i * LINE for i in range(self.n_lines)]
         self.pre = [_payload(rng) for _ in addrs]
         self.post = [_payload(rng) for _ in addrs]
         self._addrs = addrs
@@ -173,19 +190,7 @@ class TxnScenario:
         return self.txn.stage.value
 
     def verify(self, recovered: Controller) -> tuple[Verdict, int | None]:
-        values = [recovered.handle_read(a) for a in self._addrs]
-        if values == self.pre:
-            return Verdict.ROLLED_BACK, None
-        if values == self.post:
-            return Verdict.COMMITTED, None
-        # Torn: either a line decrypted to garbage, or the write set is a
-        # mix of pre and post images.
-        failing = None
-        for addr, value, pre, post in zip(self._addrs, values, self.pre, self.post):
-            if value != pre and value != post:
-                failing = addr
-                break
-        return Verdict.INCONSISTENT, failing
+        return _classify(recovered, self._addrs, self.pre, self.post)
 
 
 @dataclass
@@ -200,11 +205,11 @@ class AtomicWriteScenario:
         rng = random.Random(self.seed)
         self.old = _payload(rng)
         self.new = _payload(rng)
-        self._stage = "atomic-write"
 
     def fresh(self) -> Controller:
         ctrl = Controller(self.cfg)
         ctrl.handle_flush(self.address, self.old)
+        ctrl.flush_counter_cache()
         ctrl.drain_all()
         return ctrl
 
@@ -212,23 +217,21 @@ class AtomicWriteScenario:
         ctrl.handle_flush(self.address, self.new)
 
     def stage(self) -> str:
-        return self._stage
+        return "atomic-write"
 
     def verify(self, recovered: Controller) -> tuple[Verdict, int | None]:
-        value = recovered.handle_read(self.address)
-        if value == self.old:
-            return Verdict.ROLLED_BACK, None
-        if value == self.new:
-            return Verdict.COMMITTED, None
-        return Verdict.INCONSISTENT, self.address
+        return _classify(recovered, [self.address], [self.old], [self.new])
+
+
+_PAGE0 = [i * LINE for i in range(LINES_PER_PAGE)]
 
 
 @dataclass
 class ReencryptScenario:
     """Drive line 0 of page 0 to minor-counter overflow; the triggering
-    flush re-encrypts the whole page.  After any crash, every line of the
-    page must decrypt to what a crash-free run would hold (line 0 may be
-    either the pre- or post-overflow value)."""
+    flush re-encrypts the whole page.  After any crash, the page must read
+    as it did before that flush (line 0 = ``values[126]``) or after it
+    (line 0 = ``values[127]``); lines 1-63 keep what they held."""
 
     cfg: Config
     seed: int = 13
@@ -236,35 +239,33 @@ class ReencryptScenario:
     def __post_init__(self) -> None:
         rng = random.Random(self.seed)
         self.values = [_payload(rng) for _ in range(128)]
-        self._stage = "reencrypt"
-        self._expected: list[bytes] | None = None
 
     def fresh(self) -> Controller:
         ctrl = Controller(self.cfg)
         for value in self.values[:127]:
             ctrl.handle_flush(0, value)
+        ctrl.flush_counter_cache()
         ctrl.drain_all()
-        if self._expected is None:
-            probe = Controller(self.cfg)
-            for value in self.values[:127]:
-                probe.handle_flush(0, value)
-            probe.handle_flush(0, self.values[127])
-            probe.drain_all()
-            self._expected = [probe.handle_read(i * 64) for i in range(64)]
+        rest = [ctrl.handle_read(a) for a in _PAGE0[1:]]
+        self.pre = [self.values[126]] + rest
+        self.post = [self.values[127]] + rest
         return ctrl
 
     def run(self, ctrl: Controller) -> None:
         ctrl.handle_flush(0, self.values[127])  # overflow -> re-encryption
 
     def stage(self) -> str:
-        return self._stage
+        return "reencrypt"
 
     def verify(self, recovered: Controller) -> tuple[Verdict, int | None]:
-        assert self._expected is not None
-        line0 = recovered.handle_read(0)
-        if line0 not in (self.values[126], self.values[127]):
-            return Verdict.INCONSISTENT, 0
-        for i in range(1, 64):
-            if recovered.handle_read(i * 64) != self._expected[i]:
-                return Verdict.INCONSISTENT, i * 64
-        return Verdict.CONSISTENT, None
+        verdict, failing = _classify(recovered, _PAGE0, self.pre, self.post)
+        return (verdict if verdict is Verdict.INCONSISTENT
+                else Verdict.CONSISTENT), failing
+
+
+# Scope name (``crashcheck --scope``) -> scenario for a configuration.
+SCOPES: dict[str, Callable[[Config], Scenario]] = {
+    "txn": lambda cfg: TxnScenario(cfg, n_lines=min(cfg.txn_size // LINE, 64)),
+    "atomic-write": AtomicWriteScenario,
+    "reencrypt": ReencryptScenario,
+}

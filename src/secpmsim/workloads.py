@@ -191,8 +191,9 @@ def export_trace(stream: list[TxnDescriptor], fh: TextIO) -> None:
             fh.write(f"TXN {txn.txn_id} WRITE {base:#x} {nlines * LINE}\n")
 
 
-def import_trace(fh: TextIO, seed: int = 0, log_slots: int = 64
-                 ) -> list[TxnDescriptor]:
+def import_trace(fh: TextIO, seed: int = 0, log_slots: int = 64,
+                 footprint: int | None = None) -> list[TxnDescriptor]:
+    """Read a trace; with ``footprint``, every record must end inside it."""
     rng = random.Random(_seed_int("trace", seed))
     by_txn: dict[int, list[tuple[int, int]]] = {}
     order: list[int] = []
@@ -213,6 +214,10 @@ def import_trace(fh: TextIO, seed: int = 0, log_slots: int = 64
             raise ValueError(
                 f"trace line {lineno}: size {size} is not a positive multiple"
                 f" of {LINE}")
+        if footprint is not None and addr + size > footprint:
+            raise ValueError(
+                f"trace line {lineno}: write {parts[3]} + {size} ends outside"
+                f" data region [0x0, {footprint:#x})")
         if txn_id not in by_txn:
             by_txn[txn_id] = []
             order.append(txn_id)

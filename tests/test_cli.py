@@ -159,6 +159,46 @@ def test_trace_address_outside_data_region_is_usage_error(tmp_path, capsys):
     assert err.count("\n") == 1 and "outside data region" in err
 
 
+@pytest.mark.parametrize("mode, address", [
+    # The unencrypted mode maps no counters, so nothing else checks it.
+    ("unsec-pm", 1 << 60),
+    # btree's 2 GiB footprint ends where its undo log begins.
+    ("unsec-pm", 2 << 30),
+    ("secpm", 2 << 30),
+])
+def test_trace_record_past_footprint_is_usage_error(tmp_path, capsys, mode,
+                                                    address):
+    trace = tmp_path / "trace.txt"
+    trace.write_text(f"TXN 0 WRITE 0x0 64\nTXN 1 WRITE {address:#x} 64\n")
+    out = tmp_path / "report.csv"
+    assert run_cli("run", "--mode", mode, "--workload", "btree",
+                   "--trace-in", str(trace), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: trace line 2")
+    assert "outside data region" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+    (["crashcheck", "--scope", "page"], "argument --scope: invalid choice"),
+    ([], "the following arguments are required: command"),
+], ids=["unknown-flag", "bad-scope", "no-subcommand"])
+def test_argparse_errors_take_one_line(capsys, argv, message):
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {message}")
+
+
+def test_help_still_prints_and_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("crashcheck", "--help")
+    assert exc.value.code == 0
+    assert "--scope" in capsys.readouterr().out
+
+
 def test_unknown_mode_is_usage_error(capsys):
     assert run_cli("run", "--mode", "hyperspace") == 2
     assert "error:" in capsys.readouterr().err

@@ -7,6 +7,7 @@ from secpmsim import crypto
 from secpmsim.config import Config
 from secpmsim.controller import Controller
 from secpmsim.crash import (
+    SCOPES,
     AtomicWriteScenario,
     CrashPlan,
     ReencryptScenario,
@@ -150,11 +151,54 @@ def test_outcome_csv_fields_are_complete():
         assert isinstance(o.label, str)
 
 
-SCOPES = {
-    "txn": lambda cfg: TxnScenario(cfg, n_lines=4),
-    "atomic-write": AtomicWriteScenario,
-    "reencrypt": ReencryptScenario,
-}
+def test_reencrypt_oracle_catches_a_line_left_under_its_old_ciphertext(
+        monkeypatch):
+    """A re-encryption that leaves line 5 under its old ciphertext while its
+    counter moves on garbles that line in a crash-free run too.  The oracle
+    is the page as it read before the overflowing flush, so every crash
+    point from the re-encryption on names that line."""
+    target = 5 * 64
+    pad_for_encrypt = Controller._pad_for_encrypt
+
+    def keep_old_cipher(self, address, ctr):
+        if address == target:
+            ctr -= 1 << 7  # the counter before the major moved: the old pad
+        return pad_for_encrypt(self, address, ctr)
+
+    monkeypatch.setattr(Controller, "_pad_for_encrypt", keep_old_cipher)
+    outcomes = inject(CrashPlan("exhaustive"),
+                      lambda: ReencryptScenario(cfg_for("secpm", txn_size=64)))
+    assert outcomes[0].verdict is Verdict.CONSISTENT
+    assert {(o.verdict, o.failing_address) for o in outcomes[1:]} == {
+        (Verdict.INCONSISTENT, target)}
+
+
+def test_reencrypt_scope_builds_two_controllers_per_point(monkeypatch):
+    """One to run the scenario and one to recover it; none to find the
+    expected page."""
+    built = []
+    init = Controller.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(Controller, "__init__", counting_init)
+    outcomes = inject(CrashPlan("exhaustive"),
+                      lambda: ReencryptScenario(cfg_for("secpm", txn_size=64)))
+    assert len(built) == 1 + 2 * len(outcomes)
+
+
+@pytest.mark.parametrize("scope", ["atomic-write", "reencrypt"])
+def test_write_back_baseline_starts_from_a_durable_counter(scope):
+    """secpm-no-cwt recovers from a crash before the scope's own write; its
+    failure is the last append, which leaves the new counter in the cache."""
+    outcomes = inject(CrashPlan("exhaustive"),
+                      lambda: SCOPES[scope](cfg_for("secpm-no-cwt")))
+    assert outcomes[0].verdict.ok
+    assert [(o.label, o.verdict) for o in outcomes if not o.verdict.ok] == [
+        ("append", Verdict.INCONSISTENT)]
+    assert outcomes[-1].failing_address == 0
 
 
 @pytest.mark.parametrize("overrides", [

@@ -103,6 +103,14 @@ def test_import_trace_rejects_bad_record_with_line_number(record, problem):
         import_trace(io.StringIO(text))
 
 
+def test_import_trace_checks_record_end_against_footprint():
+    text = "TXN 0 WRITE 0x0 64\nTXN 1 WRITE 0xfc0 128\n"
+    with pytest.raises(ValueError,
+                       match="trace line 2: .*outside data region"):
+        import_trace(io.StringIO(text), footprint=0x103f)
+    assert len(import_trace(io.StringIO(text), footprint=0x1040)) == 2
+
+
 def test_import_trace_is_deterministic():
     text = "TXN 0 WRITE 0x0 128\nTXN 1 WRITE 0x1000 64\n"
     a = import_trace(io.StringIO(text), seed=1)
