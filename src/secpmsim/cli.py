@@ -19,7 +19,7 @@ from collections import Counter
 from pathlib import Path
 
 from secpmsim import workloads
-from secpmsim.config import MODES, WORKLOADS, Config, parse_config
+from secpmsim.config import LINE, MODES, WORKLOADS, Config, parse_config
 from secpmsim.controller import Mode
 from secpmsim.counters import AddressError
 from secpmsim.crash import (SCOPES, CrashPlan, Outcome, PointOutOfRange,
@@ -77,34 +77,30 @@ def _sweep_values(args: argparse.Namespace, base: Config, key: str,
 
 
 def _sweep_cells(args: argparse.Namespace, base: Config) -> list[Config]:
+    """Every cell of the sweep, each validated."""
     lists = [_sweep_values(args, base, key, cast) for key, cast in _SWEPT]
-    modes, kinds, *_ = lists
-    for mode in modes:
-        if mode not in MODES:
-            raise UsageError(f"unknown mode {mode!r}")
-    for kind in kinds:
-        if kind not in WORKLOADS:
-            raise UsageError(f"unknown workload {kind!r}")
     keys = [key for key, _ in _SWEPT]
-    return [dataclasses.replace(base, **dict(zip(keys, cell)))
-            for cell in itertools.product(*lists)]
+    cells = [dataclasses.replace(base, **dict(zip(keys, cell)))
+             for cell in itertools.product(*lists)]
+    for cfg in cells:
+        cfg.validate()
+    return cells
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     base = _base_config(args)
     cells = _sweep_cells(args, base)
 
-    for cfg in cells:
-        cfg.validate()
-
     streams = None
     if args.trace_in:
         footprint = min(workloads.WorkloadSpec.from_config(cfg).footprint
                         for cfg in cells)
+        max_lines = min(cfg.txn_size for cfg in cells) // LINE
         with open(args.trace_in) as fh:
             streams = [workloads.import_trace(fh, seed=base.seed,
                                               log_slots=base.log_slots,
-                                              footprint=footprint)]
+                                              footprint=footprint,
+                                              max_lines=max_lines)]
         if any(cfg.cores != 1 for cfg in cells):
             raise UsageError("--trace-in supports single-core runs only")
 
@@ -154,7 +150,6 @@ def cmd_crashcheck(args: argparse.Namespace) -> int:
         raise UsageError(f"crashcheck checks one configuration; the comma "
                          f"lists give {len(cells)}")
     base = cells[0]
-    base.validate()
     plan = _parse_plan(args.crash)
     plan.seed = base.seed
 

@@ -1,4 +1,4 @@
-"""Run configuration with file/flag round-tripping.
+"""Run configuration, read from a flat ``key = value`` file and flags.
 
 Defaults follow the simulated machine: 4-core 2 GHz x86-64, 1 MB 8-way LRU
 counter cache (12 CPU cycles), 32-entry write queue, PCM in 16 banks with
@@ -87,18 +87,17 @@ class Config:
                      "t_rcd_ns", "t_cl_ns", "t_wr_ns", "aes_ns"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be non-negative and finite")
-        if self.footprint < 0:
-            raise ValueError("footprint must be non-negative")
+        # A hashtable bucket holds four transactions and a B-tree node is
+        # one page, so a smaller or unaligned footprint cannot hold them.
+        least = 4 * self.txn_size
+        if self.footprint and (self.footprint % PAGE or self.footprint < least):
+            raise ValueError(f"footprint must be 0 or a multiple of {PAGE} of at"
+                             f" least 4 * txn_size = {least}, not {self.footprint}")
 
 
 _FIELDS = [f.name for f in dataclasses.fields(Config)]
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
-
-
-def render_config(cfg: Config) -> str:
-    """Serialize to the flat ``key = value`` file format."""
-    return "".join(f"{name} = {getattr(cfg, name)}\n" for name in _FIELDS)
 
 
 def parse_config(text: str, base: Config | None = None) -> Config:

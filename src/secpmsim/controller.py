@@ -171,7 +171,7 @@ class Controller:
             t = ready
         if limit is not None and t > limit:
             return None
-        self.queue.drain_one(nvm, t, bank)
+        self.queue.drain_one(nvm, t)
         hook = self.boundary_hook
         if hook is not None:
             hook("drain")
@@ -300,7 +300,12 @@ class Controller:
         return t
 
     def handle_read(self, address: int) -> bytes:
-        """Decrypting read; pad generation overlaps the NVM access."""
+        """Decrypting read; pad generation overlaps the NVM access.
+
+        A page re-encryption runs to completion inside the flush that
+        overflows, or inside ``from_snapshot``, so no read sees an active
+        status register or a half-moved page.
+        """
         t0 = self.clock
         if not self._encrypted:
             payload, t = self._read_line_raw(address, t0)
@@ -309,17 +314,7 @@ class Controller:
 
         cline, minor_index = self.map.locate(address)
         line, t_ctr = self._get_counter_line(cline, t0)
-        if (
-            self.rsr.active
-            and self.map.page_of(address) == self.rsr.page_number
-            and not self.rsr.done(minor_index)
-        ):
-            # Not yet re-encrypted: the durable line still carries the old
-            # minor; the old major lives in the status register.
-            ctr = (self.rsr.old_major << 7) | line.minor(minor_index)
-        else:
-            ctr = line.counter_value(minor_index)
-        pad = self.otp.generate(address, ctr)
+        pad = self.otp.generate(address, line.counter_value(minor_index))
         cipher, t_data = self._read_line_raw(address, t0)
         t = max(t_data, t_ctr + self._aes_ns)
         self.clock = t

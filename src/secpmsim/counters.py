@@ -60,9 +60,6 @@ class CounterLine:
     def __repr__(self) -> str:
         return f"CounterLine(major={self.major}, lanes={self.lanes:#x})"
 
-    def minor(self, minor_index: int) -> int:
-        return self.lanes >> _SHIFT[minor_index] & MINOR_MAX
-
     def set_minor(self, minor_index: int, value: int) -> None:
         if not 0 <= minor_index < LINES_PER_PAGE:
             raise ValueError("minor index out of range")

@@ -3,7 +3,7 @@
 A 64-byte pad is derived from (key, line address, 71-bit counter) and XORed
 with the line content.  The block function is an opaque fixed-latency
 pseudorandom primitive; only determinism and pad non-reuse matter here, so
-the default is AES-128-ECB in a two-stage cascade:
+it is AES-128-ECB in a two-stage cascade:
 
     t      = E_K(addr64 || ctr_low64)
     pad_i  = E_K(t XOR (ctr_high64 || i)),   i = 0..3
@@ -76,13 +76,10 @@ def aes_block_fn(key_bytes: bytes) -> BlockFn:
 class OtpEngine:
     """Pad generator for one encryption key, fixed for a simulation run."""
 
-    def __init__(self, key_bytes: bytes, block_fn: BlockFn | None = None):
-        self._block = block_fn if block_fn is not None else aes_block_fn(key_bytes)
-        # A custom block function is not determined by the key, so its pads
-        # are not shared.
+    def __init__(self, key_bytes: bytes):
+        self._block = aes_block_fn(key_bytes)
         self._pads: dict[tuple[int, int], bytes] | None = (
-            _shared.setdefault(key_bytes, {})
-            if _shared is not None and block_fn is None else None)
+            None if _shared is None else _shared.setdefault(key_bytes, {}))
 
     def generate(self, line_address: int, counter_value: int) -> bytes:
         """Deterministic 64-byte pad for (address, major||minor counter)."""

@@ -32,12 +32,9 @@ class NvmDevice:
     def bank(self, address: int) -> int:
         return (address // LINE) % self.nbanks
 
-    def nvm_write(self, address: int, payload: bytes, now: float,
-                  bank: int | None = None) -> float:
-        """Issue a line write on a free bank; returns completion time.
-
-        ``bank`` saves recomputing the bank when the caller has it."""
-        b = self.bank(address) if bank is None else bank
+    def nvm_write(self, address: int, payload: bytes, now: float) -> float:
+        """Issue a line write on a free bank; returns completion time."""
+        b = (address // LINE) % self.nbanks
         if self.busy_until[b] > now:
             raise RuntimeError("write issued to a busy bank")
         done = now + self.t_wr_ns

@@ -192,11 +192,13 @@ def export_trace(stream: list[TxnDescriptor], fh: TextIO) -> None:
 
 
 def import_trace(fh: TextIO, seed: int = 0, log_slots: int = 64,
-                 footprint: int | None = None) -> list[TxnDescriptor]:
-    """Read a trace; with ``footprint``, every record must end inside it."""
-    rng = random.Random(_seed_int("trace", seed))
-    by_txn: dict[int, list[tuple[int, int]]] = {}
-    order: list[int] = []
+                 footprint: int | None = None,
+                 max_lines: int | None = None) -> list[TxnDescriptor]:
+    """Read a trace; with ``footprint``, every record must end inside it,
+    and with ``max_lines``, no transaction may write more lines.  A
+    transaction's records may span at most the regions one log header holds.
+    """
+    by_txn: dict[int, TxnDescriptor] = {}
     for lineno, raw in enumerate(fh, 1):
         parts = raw.split()
         if not parts:
@@ -218,15 +220,24 @@ def import_trace(fh: TextIO, seed: int = 0, log_slots: int = 64,
             raise ValueError(
                 f"trace line {lineno}: write {parts[3]} + {size} ends outside"
                 f" data region [0x0, {footprint:#x})")
-        if txn_id not in by_txn:
-            by_txn[txn_id] = []
-            order.append(txn_id)
-        by_txn[txn_id].append((addr, size // LINE))
-    return [
-        TxnDescriptor(
-            txn_id=tid,
-            write_set=_lines(rng, by_txn[tid]),
-            log_slot=i % log_slots,
-        )
-        for i, tid in enumerate(order)
-    ]
+        txn = by_txn.get(txn_id)
+        if txn is None:
+            txn = by_txn[txn_id] = TxnDescriptor(
+                txn_id, [], log_slot=len(by_txn) % log_slots)
+        nlines = len(txn.write_set) + size // LINE
+        if max_lines is not None and nlines > max_lines:
+            raise ValueError(
+                f"trace line {lineno}: transaction {txn_id} writes {nlines}"
+                f" lines, more than the {max_lines} a log slot holds at"
+                f" --txn-size {max_lines * LINE}")
+        # Payloads are drawn once the whole trace is read.
+        txn.write_set.extend((a, b"") for a in range(addr, addr + size, LINE))
+        try:
+            txn.regions()
+        except ValueError as exc:
+            raise ValueError(
+                f"trace line {lineno}: transaction {txn_id}: {exc}") from None
+    rng = random.Random(_seed_int("trace", seed))
+    for txn in by_txn.values():
+        txn.write_set = [(a, rng.randbytes(LINE)) for a, _ in txn.write_set]
+    return list(by_txn.values())

@@ -114,22 +114,12 @@ class WriteQueue:
         self.append(WriteQueueEntry(daddr, dpayload, Origin.DATA))
         register.clear()
 
-    def drain_one(self, nvm: "NvmDevice", now: float,
-                  bank: int | None = None) -> WriteQueueEntry | None:
-        """Issue the head entry if its bank is free at `now` (FIFO only).
-
-        A caller that already knows the head's bank passes it in.
-        """
-        if not self.entries:
-            return None
+    def drain_one(self, nvm: "NvmDevice", now: float) -> WriteQueueEntry:
+        """Issue the head entry at ``now`` (FIFO only); its bank must be free."""
         head = self.entries[0]
-        if bank is None:
-            bank = nvm.bank(head.address)
-        if nvm.busy_until[bank] > now:
-            return None
+        nvm.nvm_write(head.address, head.payload, now)
         self.entries.popleft()
         if self.latest.get(head.address) is head:
             del self.latest[head.address]
-        nvm.nvm_write(head.address, head.payload, now, bank)
         self.drained += 1
         return head

@@ -36,4 +36,10 @@ def line_from(major, minors):
 
 
 def minors_of(line):
-    return [line.minor(i) for i in range(64)]
+    """The 64 minors of a packed line, minor 0 from the top seven bits."""
+    packed = line.lanes
+    minors = [0] * 64
+    for i in range(63, -1, -1):
+        minors[i] = packed & MINOR_MAX
+        packed >>= 7
+    return minors

@@ -1,9 +1,10 @@
 import csv
+import dataclasses
 
 import pytest
 
 from secpmsim.cli import main
-from secpmsim.config import Config, parse_config, render_config
+from secpmsim.config import Config, parse_config
 
 
 def run_cli(*argv):
@@ -76,8 +77,10 @@ def test_config_file_and_flag_precedence(tmp_path):
 
 def test_config_round_trip():
     cfg = Config(mode="secpm-no-cwr", workload="rbtree", txn_size=512,
-                 queue_len=64, seed=17)
-    assert parse_config(render_config(cfg)) == cfg
+                 queue_len=64, seed=17, use_register=False, t_wr_ns=250.5)
+    text = "".join(f"{f.name} = {getattr(cfg, f.name)}\n"
+                   for f in dataclasses.fields(cfg))
+    assert parse_config(text) == cfg
 
 
 def test_config_parse_errors():
@@ -101,6 +104,10 @@ def test_zero_sized_config_is_usage_error(tmp_path, capsys, key):
     ("flush_overhead_ns", "inf"), ("txn_gap_ns", "-1"), ("t_rcd_ns", "-48"),
     ("t_cl_ns", "nan"), ("t_wr_ns", "nan"), ("t_wr_ns", "-300"),
     ("aes_ns", "inf"), ("footprint", "-4096"),
+    # Below one page or four transactions, or not page-aligned: array spun
+    # forever at 128, 64 drew from an empty range, 4160 misaligned queue.
+    ("footprint", "64"), ("footprint", "128"), ("footprint", "4160"),
+    ("footprint", "2048"),
     ("use_register", "maybe"),
     # Values that int() or float() cannot parse.
     ("banks", "x"), ("cpu_ghz", "abc"), ("txn_size", "1.5"),
@@ -135,6 +142,26 @@ def test_cores_and_txn_count_bounds_are_usage_errors(tmp_path, capsys, key,
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+
+def test_footprint_holds_four_transactions_of_every_cell(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("footprint = 8192\n")
+    argv = ["run", "--config", str(cfg_file), "--workload", "hashtable",
+            "--txn-count", "5"]
+    assert run_cli(*argv, "--txn-size", "1024,4096") == 2
+    assert capsys.readouterr().err == (
+        "error: footprint must be 0 or a multiple of 4096 of at least"
+        " 4 * txn_size = 16384, not 8192\n")
+    assert run_cli(*argv, "--txn-size", "1024,2048") == 0
+
+
+def test_smallest_footprint_runs_every_workload(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("footprint = 4096\n")
+    assert run_cli("run", "--config", str(cfg_file), *FAST, "--workload",
+                   "array,queue,btree,hashtable,rbtree") == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_zero_txn_count_is_accepted(capsys):
@@ -176,6 +203,27 @@ def test_trace_record_past_footprint_is_usage_error(tmp_path, capsys, mode,
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: trace line 2")
     assert "outside data region" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("records, message", [
+    (["0x0 64", "0x1000 64", "0x2000 64", "0x3000 64"],
+     "trace line 5: transaction 0: write set spans 4 regions (max 3)"),
+    (["0x0 128", "0x1000 64", "0x2000 128"],
+     "trace line 4: transaction 0 writes 5 lines, more than the 4 a log slot"
+     " holds at --txn-size 256"),
+], ids=["regions", "lines"])
+def test_trace_transaction_that_cannot_run_is_usage_error(tmp_path, capsys,
+                                                          records, message):
+    """Rejected before any cell runs, by the smallest swept --txn-size."""
+    trace = tmp_path / "trace.txt"
+    trace.write_text("TXN 1 WRITE 0x8000 64\n"
+                     + "".join(f"TXN 0 WRITE {r}\n" for r in records))
+    out = tmp_path / "report.csv"
+    assert run_cli("run", *FAST, "--txn-size", "1024,256", "--trace-in",
+                   str(trace), "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -1,10 +1,11 @@
 import collections
 import contextlib
+import itertools
 
 import pytest
 
 from secpmsim import crypto
-from secpmsim.config import Config
+from secpmsim.config import MODES, Config
 from secpmsim.controller import Controller
 from secpmsim.crash import (
     SCOPES,
@@ -79,12 +80,45 @@ def test_replay_to_same_point_is_deterministic():
     assert a.store == b.store and a.rsr_image == b.rsr_image
 
 
+# Boundaries after which the durable image (store, RSR image, RSR active)
+# is the one before them, and those after which it differs.
+KEEP_IMAGE = {"reg_store", "drain", "fence"}
+CHANGE_IMAGE = {"append", "append_pair", "reencrypt_line", "rsr_arm", "rsr_done"}
+
+
 def test_snapshots_change_monotonically():
-    """Consecutive crash points differ only by newly-durable lines."""
-    factory = lambda: TxnScenario(cfg_for(), n_lines=2)
-    outcomes = inject(CrashPlan("exhaustive"), factory)
-    assert outcomes[0].crash_point == -1
-    assert outcomes[0].verdict is Verdict.ROLLED_BACK
+    """Consecutive crash points differ only by newly-durable lines: a
+    boundary that makes nothing durable leaves the image as it was, every
+    other boundary changes it, and no line ever leaves the store.  Checked
+    at every boundary of every scope x mode x queue_len {2, 32} x
+    use_register {1, 0}."""
+    labels = collections.Counter()
+    for scope, mode, queue_len, use_register in itertools.product(
+            SCOPES, MODES, [2, 32], [True, False]):
+        cfg = cfg_for(mode, txn_size=64 if scope == "reencrypt" else 256,
+                      queue_len=queue_len, use_register=use_register)
+        scenario = SCOPES[scope](cfg)
+        ctrl = scenario.fresh()
+
+        def image():
+            snap = ctrl.snapshot()
+            return snap.store, snap.rsr_image, snap.rsr_active
+
+        previous = image()
+
+        def hook(label):
+            nonlocal previous
+            current = image()
+            labels[label] += 1
+            case = (scope, mode, queue_len, use_register, label)
+            assert label in KEEP_IMAGE | CHANGE_IMAGE, case
+            assert (current == previous) == (label in KEEP_IMAGE), case
+            assert previous[0].keys() <= current[0].keys(), case
+            previous = current
+
+        ctrl.boundary_hook = hook
+        scenario.run(ctrl)
+    assert labels.keys() == KEEP_IMAGE | CHANGE_IMAGE
 
 
 def test_txn_scenario_secpm_never_inconsistent():

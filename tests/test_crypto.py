@@ -72,16 +72,22 @@ def test_engines_sharing_a_key_schedule_stay_independent():
     assert aes_block_fn(KEY) is aes_block_fn(bytes(KEY))  # one schedule
     other_key = bytes(range(1, 17))
     a, b, other = OtpEngine(KEY), OtpEngine(KEY), OtpEngine(other_key)
-    # An engine on a fresh, unshared cipher context is the reference.
-    fresh = OtpEngine(KEY, block_fn=Cipher(algorithms.AES(KEY),
-                                           modes.ECB()).encryptor().update)
     rng = random.Random(7)
     for _ in range(50):
         addr, ctr = rng.randrange(1 << 40) * 64, rng.randrange(1 << 71)
         pads = [a.generate(addr, ctr), other.generate(addr, ctr),
                 b.generate(addr, ctr)]
-        assert pads[0] == pads[2] == fresh.generate(addr, ctr)
+        assert pads[0] == pads[2] == cascade_on_a_fresh_cipher(addr, ctr)
         assert pads[1] != pads[0]
+
+
+def cascade_on_a_fresh_cipher(addr, ctr):
+    """The two-stage pad cascade, written out on an unshared AES context."""
+    block = Cipher(algorithms.AES(KEY), modes.ECB()).encryptor().update
+    low, high = ctr & ((1 << 64) - 1), ctr >> 64
+    t = block(addr.to_bytes(8, "big") + low.to_bytes(8, "big"))
+    base = int.from_bytes(t, "big") ^ (high << 64)
+    return b"".join(block((base ^ i).to_bytes(16, "big")) for i in range(4))
 
 
 def test_xor_identity_and_involution(otp):
@@ -120,24 +126,6 @@ def test_round_trip_random_lines(otp):
         ctr = rng.randrange(1 << 71)
         pad = otp.generate(addr, ctr)
         assert decrypt_line(encrypt_line(plain, pad), pad) == plain
-
-
-def test_custom_block_function_plugs_in():
-    calls = []
-
-    def fake(block: bytes) -> bytes:
-        calls.append(len(block))
-        return bytes(len(block))
-
-    engine = OtpEngine(KEY, block_fn=fake)
-    assert engine.generate(0, 0) == bytes(64)
-    assert calls == [16, 64]
-    # Inside shared_pads() it shares nothing: every request calls it.
-    with shared_pads():
-        OtpEngine(KEY).generate(0, 0)
-        engine = OtpEngine(KEY, block_fn=fake)
-        assert engine.generate(0, 0) == engine.generate(0, 0) == bytes(64)
-    assert calls == [16, 64] * 3
 
 
 # A small pool of (address, counter) pairs, so that requests repeat.

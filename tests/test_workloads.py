@@ -2,7 +2,7 @@ import io
 
 import pytest
 
-from secpmsim.config import LINE, WORKLOADS, Config
+from secpmsim.config import LINE, PAGE, TXN_SIZES, WORKLOADS, Config
 from secpmsim.workloads import (
     WorkloadSpec,
     export_trace,
@@ -34,6 +34,15 @@ def test_write_sets_fit_three_regions(kind, txn_size):
     spec = spec_for(kind, txn_size=txn_size, txn_count=100, footprint=1 << 30)
     for txn in generate(spec):
         assert len(txn.regions()) <= 3
+
+
+@pytest.mark.parametrize("kind", WORKLOADS)
+@pytest.mark.parametrize("txn_size", TXN_SIZES)
+def test_smallest_accepted_footprint_holds_every_write(kind, txn_size):
+    footprint = max(PAGE, 4 * txn_size)
+    Config(workload=kind, txn_size=txn_size, footprint=footprint).validate()
+    for txn in generate(spec_for(kind, txn_size=txn_size, footprint=footprint)):
+        assert all(0 <= addr < footprint for addr, _ in txn.write_set)
 
 
 @pytest.mark.parametrize("kind", WORKLOADS)
@@ -109,6 +118,21 @@ def test_import_trace_checks_record_end_against_footprint():
                        match="trace line 2: .*outside data region"):
         import_trace(io.StringIO(text), footprint=0x103f)
     assert len(import_trace(io.StringIO(text), footprint=0x1040)) == 2
+
+
+def test_import_trace_counts_regions_and_lines_per_transaction():
+    # Records 1-4 of transaction 0 are contiguous: one region of 4 lines.
+    text = ("".join(f"TXN 0 WRITE {a:#x} 64\n" for a in range(0, 256, 64))
+            + "TXN 1 WRITE 0x2000 64\nTXN 0 WRITE 0x1000 64\n"
+            "TXN 0 WRITE 0x3000 64\n")
+    txns = import_trace(io.StringIO(text), max_lines=6)
+    assert [len(t.regions()) for t in txns] == [3, 1]
+    with pytest.raises(ValueError, match="trace line 7: transaction 0 writes"
+                       " 6 lines, more than the 5"):
+        import_trace(io.StringIO(text), max_lines=5)
+    with pytest.raises(ValueError, match="trace line 6: transaction 0: write"
+                       " set spans 4 regions"):
+        import_trace(io.StringIO(text.replace("0x80", "0x4000")))
 
 
 def test_import_trace_is_deterministic():

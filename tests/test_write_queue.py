@@ -119,10 +119,13 @@ def test_drain_blocks_on_busy_bank():
     q.append(entry(0))
     q.append(entry(16 * 64))  # same bank as address 0
     q.drain_one(nvm, 0.0)
-    # Head bank busy until tWR; head-of-line blocking stalls the queue.
-    assert q.drain_one(nvm, 100.0) is None
+    # Head bank busy until tWR: issuing the head earlier is a caller bug,
+    # and the write refuses it without touching the queue.
     assert nvm.busy_until[nvm.bank(q.entries[0].address)] == Config().t_wr_ns
-    assert q.drain_one(nvm, Config().t_wr_ns) is not None
+    with pytest.raises(RuntimeError, match="busy bank"):
+        q.drain_one(nvm, 100.0)
+    assert [e.address for e in q.entries] == [16 * 64] and q.drained == 1
+    assert q.drain_one(nvm, Config().t_wr_ns).address == 16 * 64
 
 
 def test_conservation_identity():
@@ -164,15 +167,18 @@ class ScanQueue:
         self.entries.append(e)
 
     def drain_one(self, now):
-        if (self.entries and self.nvm.busy_until[
-                self.nvm.bank(self.entries[0].address)] <= now):
-            head = self.entries.pop(0)
-            self.nvm.nvm_write(head.address, head.payload, now)
+        head = self.entries.pop(0)
+        self.nvm.nvm_write(head.address, head.payload, now)
 
     def snapshot_store(self):
         store = dict(self.nvm.store)
         store.update((e.address, e.payload) for e in self.entries)
         return store
+
+
+def head_ready(q, nvm, now):
+    """Drain only a head whose bank is free, as the controller does."""
+    return bool(q.entries) and nvm.busy_until[nvm.bank(q.entries[0].address)] <= now
 
 
 queue_ops = st.lists(
@@ -193,8 +199,9 @@ def test_indexed_queue_matches_scan_oracle(ops, cwr_enabled):
         # Data lines 0..5 and counter lines 0..5 share banks pairwise.
         if op == "drain":
             now += arg
-            q.drain_one(nvm, now)
-            oracle.drain_one(now)
+            if head_ready(q, nvm, now):
+                q.drain_one(nvm, now)
+                oracle.drain_one(now)
         elif op == "merge":
             if not cwr_enabled:
                 continue
@@ -235,7 +242,8 @@ def test_latest_matches_reverse_scan(ops, cwr_enabled):
     for n, (op, k, arg) in enumerate(ops):
         if op == "drain":
             now += arg
-            q.drain_one(nvm, now)
+            if head_ready(q, nvm, now):
+                q.drain_one(nvm, now)
         elif op == "merge":
             if not cwr_enabled:
                 continue
