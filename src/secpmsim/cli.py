@@ -93,6 +93,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     streams = None
     if args.trace_in:
+        if any(cfg.cores != 1 for cfg in cells):
+            raise UsageError("--trace-in supports single-core runs only")
         footprint = min(workloads.WorkloadSpec.from_config(cfg).footprint
                         for cfg in cells)
         max_lines = min(cfg.txn_size for cfg in cells) // LINE
@@ -101,8 +103,6 @@ def cmd_run(args: argparse.Namespace) -> int:
                                               log_slots=base.log_slots,
                                               footprint=footprint,
                                               max_lines=max_lines)]
-        if any(cfg.cores != 1 for cfg in cells):
-            raise UsageError("--trace-in supports single-core runs only")
 
     all_stats = [run_experiment(cfg, streams) for cfg in cells]
 

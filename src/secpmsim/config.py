@@ -88,7 +88,8 @@ class Config:
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be non-negative and finite")
         # A hashtable bucket holds four transactions and a B-tree node is
-        # one page, so a smaller or unaligned footprint cannot hold them.
+        # one page or one transaction, whichever is larger, so a smaller or
+        # unaligned footprint cannot hold them.
         least = 4 * self.txn_size
         if self.footprint and (self.footprint % PAGE or self.footprint < least):
             raise ValueError(f"footprint must be 0 or a multiple of {PAGE} of at"

@@ -17,6 +17,7 @@ durability-relevant state change.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -26,7 +27,6 @@ from secpmsim.counters import (
     CounterAddressMap,
     CounterCache,
     CounterLine,
-    OverflowSignal,
     increment_minor,
 )
 from secpmsim.crypto import OtpEngine, decrypt_line, encrypt_line
@@ -161,33 +161,31 @@ class Controller:
             return queued.payload, t + self._read_ns
         return self.nvm.nvm_read(address, t)
 
-    def _drain_step(self, t: float, limit: float | None = None) -> float | None:
-        """Issue the queue head once its bank is free (and no later than
-        ``limit``, if given); returns the issue time, or None past limit."""
+    def _drain(self, t: float, keep: int = 0, until: float = math.inf) -> float:
+        """Issue queue heads in FIFO order, each once its bank is free, until
+        ``keep`` entries remain or the next issue would come after ``until``;
+        returns the time of the last issue."""
         nvm = self.nvm
-        bank = nvm.bank(self.queue.entries[0].address)
-        ready = nvm.busy_until[bank]
-        if ready > t:
-            t = ready
-        if limit is not None and t > limit:
-            return None
-        self.queue.drain_one(nvm, t)
-        hook = self.boundary_hook
-        if hook is not None:
-            hook("drain")
+        entries = self.queue.entries
+        while len(entries) > keep:
+            ready = nvm.busy_until[nvm.bank(entries[0].address)]
+            if ready > t:
+                t = ready
+            if t > until:
+                break
+            self.queue.drain_one(nvm, t)
+            hook = self.boundary_hook
+            if hook is not None:
+                hook("drain")
         return t
 
     def _ensure_space(self, n: int, t: float) -> float:
         """Backpressure: when the queue cannot take n entries, drain down
         to the low watermark (half capacity), charging the wait time."""
-        entries = self.queue.entries
         capacity = self.queue.capacity
-        if len(entries) + n <= capacity:
+        if len(self.queue.entries) + n <= capacity:
             return t
-        target = min(capacity - n, capacity // 2)
-        while len(entries) > target:
-            t = self._drain_step(t)
-        return t
+        return self._drain(t, keep=min(capacity - n, capacity // 2))
 
     def _enqueue(self, address: int, payload: bytes, origin: Origin,
                  t: float) -> float:
@@ -201,20 +199,12 @@ class Controller:
         """Let the queue drain in the background for ``duration`` ns of
         CPU compute time (e.g. between transactions)."""
         end = self.clock + duration
-        t = self.clock
-        entries = self.queue.entries
-        while entries:
-            t = self._drain_step(t, end)
-            if t is None:
-                break
+        self._drain(self.clock, until=end)
         self.clock = end
         return end
 
     def drain_all(self) -> float:
-        t = self.clock
-        while self.queue.entries:
-            t = self._drain_step(t)
-        self.clock = max(self.clock, t)
+        self.clock = self._drain(self.clock)
         return self.clock
 
     def _pad_for_encrypt(self, address: int, ctr: int) -> bytes:
@@ -231,12 +221,11 @@ class Controller:
             return line, t + self._cache_hit_ns
         payload, t = self._read_line_raw(cline, t)
         line = CounterLine.deserialize(payload)
-        t = self._insert_counter(cline, line, dirty=False, t=t)
+        t = self._insert_counter(cline, line, t)
         return line, t
 
-    def _insert_counter(self, cline: int, line: CounterLine, dirty: bool,
-                        t: float) -> float:
-        victim = self.cache.insert(cline, line, dirty=dirty)
+    def _insert_counter(self, cline: int, line: CounterLine, t: float) -> float:
+        victim = self.cache.insert(cline, line)
         if victim is not None:
             # Write-back eviction (only reachable without write-through).
             vaddr, vline = victim
@@ -263,9 +252,7 @@ class Controller:
         # The cached line is bumped in place, which also keeps the cache
         # current; the lookup has already made it most recently used.
         line, t = self._get_counter_line(cline, t)
-        try:
-            increment_minor(line, minor_index)
-        except OverflowSignal:
+        if not increment_minor(line, minor_index):
             t = self.reencrypt_page(self.map.page_of(address), t)
             line, t = self._get_counter_line(cline, t)
             increment_minor(line, minor_index)
@@ -277,7 +264,7 @@ class Controller:
         if not self._write_through:
             # Broken baseline: the counter stays dirty in the cache and
             # only the data entry becomes durable.
-            t = self._insert_counter(cline, line, dirty=True, t=t)
+            self.cache.mark_dirty(cline)
             t = self._enqueue(address, cipher, Origin.DATA, t)
         elif self._use_register:
             register = self.register
@@ -378,7 +365,7 @@ class Controller:
             hybrid.set_minor(i, 0)
             recipher = encrypt_line(plain, self._pad_for_encrypt(address, new_ctr))
             t += self._aes_ns
-            t = self._insert_counter(cline, hybrid, dirty=False, t=t)
+            t = self._insert_counter(cline, hybrid, t)
             # The queue append and the done-bit update are one controller
             # action: no crash point separates them.
             self.register.store_counter(cline, hybrid.serialize())

@@ -6,11 +6,14 @@ counters (64 + 64*7 = 512 bits).  Line i of a page is encrypted with
 the durable image: one 448-bit int (``lanes``) with minor 0 in the top
 seven bits.  It is built from a major and those lanes or from a 64-byte
 image, and read or written one minor at a time, so serializing is one
-``to_bytes`` call and a flush bumps a minor in place with one add.  The counter cache is set-associative with LRU
-replacement per set; under write-through operation every cached line is
-clean, so evictions drop silently.  A cache allocates only the sets it has
-been filled into and scans only the sets that have held a dirty line, so
-building one and flushing a write-through one cost next to nothing.
+``to_bytes`` call and a flush bumps a minor in place with one add; a minor
+at 127 is left as it is, and the caller re-encrypts the page.
+
+The counter cache is set-associative with LRU replacement per set.  Lines
+enter clean and only a write-back controller marks one dirty, so under
+write-through operation the set of dirty addresses stays empty and
+evictions drop silently.  A cache allocates only the sets it has been
+filled into, so building one costs next to nothing.
 """
 
 from __future__ import annotations
@@ -29,14 +32,6 @@ _SHIFT = tuple(7 * (LINES_PER_PAGE - 1 - i) for i in range(LINES_PER_PAGE))
 
 class AddressError(Exception):
     """Address outside the mapped data region."""
-
-
-class OverflowSignal(Exception):
-    """A minor counter hit 127; the page must be re-encrypted."""
-
-    def __init__(self, minor_index: int):
-        super().__init__(f"minor counter {minor_index} overflow")
-        self.minor_index = minor_index
 
 
 class CounterLine:
@@ -83,14 +78,16 @@ class CounterLine:
         return cls(image >> LANE_BITS, lanes=image & (_LANES_LIMIT - 1))
 
 
-def increment_minor(line: CounterLine, minor_index: int) -> None:
-    """Bump one minor in place; raise OverflowSignal at 127, untouched."""
+def increment_minor(line: CounterLine, minor_index: int) -> bool:
+    """Bump one minor in place and return True; at 127, return False and
+    leave the line untouched (the page must be re-encrypted)."""
     if not 0 <= minor_index < LINES_PER_PAGE:
         raise ValueError("minor index out of range")
     shift = _SHIFT[minor_index]
     if line.lanes >> shift & MINOR_MAX == MINOR_MAX:
-        raise OverflowSignal(minor_index)
+        return False
     line.lanes += 1 << shift
+    return True
 
 
 @dataclass(frozen=True)
@@ -129,58 +126,57 @@ class CounterCache:
             raise ValueError("cache smaller than one set")
         self.ways = ways
         self.nsets = entries // ways
-        # addr -> (CounterLine, dirty); insertion order is recency order
-        self._sets: list[OrderedDict[int, tuple[CounterLine, bool]]] = (
-            [_UNFILLED] * self.nsets
-        )
-        # Indices of the sets that have ever held a dirty line.
-        self._dirty_sets: set[int] = set()
+        # addr -> CounterLine; insertion order is recency order
+        self._sets: list[OrderedDict[int, CounterLine]] = [_UNFILLED] * self.nsets
+        # Addresses of the resident lines that differ from their durable image.
+        self._dirty: set[int] = set()
         self.hits = 0
         self.misses = 0
 
     def lookup(self, address: int) -> CounterLine | None:
         s = self._sets[(address // LINE) % self.nsets]
-        hit = s.get(address)
-        if hit is None:
+        line = s.get(address)
+        if line is None:
             self.misses += 1
             return None
         s.move_to_end(address)
         self.hits += 1
-        return hit[0]
+        return line
 
-    def insert(
-        self, address: int, line: CounterLine, dirty: bool = False
-    ) -> tuple[int, CounterLine] | None:
-        """Install/replace an entry; returns an evicted dirty line, if any."""
+    def insert(self, address: int, line: CounterLine
+               ) -> tuple[int, CounterLine] | None:
+        """Install or replace a clean entry; returns an evicted dirty line,
+        if any."""
         index = (address // LINE) % self.nsets
         s = self._sets[index]
         if s is _UNFILLED:
             s = self._sets[index] = OrderedDict()
-        if dirty:
-            self._dirty_sets.add(index)
         if address in s:
-            s[address] = (line, dirty)
+            self._dirty.discard(address)
+            s[address] = line
             s.move_to_end(address)
             return None
         victim = None
         if len(s) >= self.ways:
-            vaddr, (vline, vdirty) = s.popitem(last=False)
-            if vdirty:
+            vaddr, vline = s.popitem(last=False)
+            if vaddr in self._dirty:
+                self._dirty.remove(vaddr)
                 victim = (vaddr, vline)
-        s[address] = (line, dirty)
+        s[address] = line
         return victim
+
+    def mark_dirty(self, address: int) -> None:
+        """Mark a resident line as newer than its durable image."""
+        self._dirty.add(address)
 
     def dirty_entries(self) -> list[tuple[int, CounterLine]]:
         """Dirty lines in set order, least recently used first in a set."""
+        dirty = self._dirty
         out = []
-        for index in sorted(self._dirty_sets):
-            out.extend(
-                (a, line) for a, (line, d) in self._sets[index].items() if d
-            )
+        for index in sorted({(a // LINE) % self.nsets for a in dirty}):
+            out.extend((a, line) for a, line in self._sets[index].items()
+                       if a in dirty)
         return out
 
     def mark_clean(self, address: int) -> None:
-        s = self._sets[(address // LINE) % self.nsets]
-        if address in s:
-            line, _ = s[address]
-            s[address] = (line, False)
+        self._dirty.discard(address)

@@ -92,9 +92,7 @@ def run_transaction(controller: Controller, txn: TxnDescriptor) -> Iterator[str]
     multiple requesters can interleave at flush granularity."""
     base = controller.log_slot_base(txn.core, txn.log_slot)
     regions = txn.regions()
-    total = sum(n for _, n in regions)
-    if total != len(txn.write_set):
-        raise ValueError("write set lines must match region lines")
+    total = len(txn.write_set)
     if total > controller.log_slot_lines - 2:
         raise ValueError("write set too large for the configured log slot")
 

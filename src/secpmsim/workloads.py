@@ -19,7 +19,6 @@ from typing import Iterable, TextIO
 from secpmsim.config import LINE, PAGE, Config, default_footprint
 from secpmsim.txn import TxnDescriptor
 
-BTREE_NODE = PAGE          # one node per page
 HASH_BUCKET_ITEMS = 4      # items per bucket
 
 
@@ -70,17 +69,17 @@ def _array_regions(spec: WorkloadSpec, rng: random.Random
         for _ in range(spec.txn_count):
             yield [(rng.randrange(slots) * LINE, 1)]
         return
+    # Two entries, the first one line longer when the count is odd; entries
+    # sit a first entry's length apart so neither runs into the next.
     half = total_lines // 2
-    entries = spec.footprint // (half * LINE)
+    stride = total_lines - half
+    entries = spec.footprint // (stride * LINE)
     for _ in range(spec.txn_count):
         a = rng.randrange(entries)
         b = rng.randrange(entries)
         while b == a:
             b = rng.randrange(entries)
-        regions = [(a * half * LINE, half), (b * half * LINE, half)]
-        if total_lines % 2:  # odd line count: widen the first entry
-            regions[0] = (regions[0][0], half + 1)
-        yield sorted(regions)
+        yield sorted([(a * stride * LINE, stride), (b * stride * LINE, half)])
 
 
 def _queue_regions(spec: WorkloadSpec, rng: random.Random
@@ -104,8 +103,9 @@ def _queue_regions(spec: WorkloadSpec, rng: random.Random
 def _btree_regions(spec: WorkloadSpec, rng: random.Random
                    ) -> Iterable[list[tuple[int, int]]]:
     nlines = spec.txn_size // LINE
-    capacity = max(1, BTREE_NODE // spec.txn_size)
-    max_nodes = spec.footprint // BTREE_NODE
+    node = max(PAGE, spec.txn_size)  # a node holds at least one transaction
+    capacity = node // spec.txn_size
+    max_nodes = spec.footprint // node
     # leaves: parallel lists of (separator key, node base, fill count)
     seps = [0.0]
     bases = [0]
@@ -115,7 +115,7 @@ def _btree_regions(spec: WorkloadSpec, rng: random.Random
         key = rng.random()
         idx = bisect_right(seps, key) - 1
         base, fill = bases[idx], fills[idx]
-        yield [(base * BTREE_NODE + (fill % capacity) * spec.txn_size, nlines)]
+        yield [(base * node + (fill % capacity) * spec.txn_size, nlines)]
         fills[idx] = fill + 1
         if fills[idx] >= capacity and next_node < max_nodes:
             # split: the upper half of the key range moves to a new node

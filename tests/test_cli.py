@@ -177,6 +177,17 @@ def test_bad_trace_record_is_usage_error(tmp_path, capsys):
     assert err.count("\n") == 1 and "trace line 2" in err
 
 
+@pytest.mark.parametrize("cores", ["2", "1,2"])
+def test_trace_in_rejects_cores_before_opening_the_trace(tmp_path, capsys,
+                                                         cores):
+    missing = tmp_path / "no-such-trace.txt"
+    assert run_cli("run", *FAST, "--cores", cores, "--trace-in",
+                   str(missing)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --trace-in supports single-core runs only\n"
+
+
 def test_trace_address_outside_data_region_is_usage_error(tmp_path, capsys):
     trace = tmp_path / "trace.txt"
     trace.write_text(f"TXN 0 WRITE {1 << 39:#x} 64\n")

@@ -9,7 +9,6 @@ from secpmsim.counters import (
     CounterAddressMap,
     CounterCache,
     CounterLine,
-    OverflowSignal,
     increment_minor,
 )
 
@@ -43,21 +42,19 @@ def test_counter_value_is_concatenation():
 
 def test_increment_minor_bumps_in_place():
     line = CounterLine(major=4)
-    assert increment_minor(line, 7) is None
+    assert increment_minor(line, 7) is True
     assert minors_of(line) == [1 if i == 7 else 0 for i in range(64)]
     assert line.major == 4
     line.set_minor(7, MINOR_MAX)
     image = line.serialize()
-    with pytest.raises(OverflowSignal):
-        increment_minor(line, 7)
+    assert increment_minor(line, 7) is False
     assert line.serialize() == image  # overflow leaves the line untouched
 
 
 def test_increment_overflow_signals_page():
     line = line_from(0, [MINOR_MAX] * 64)
-    with pytest.raises(OverflowSignal) as excinfo:
-        increment_minor(line, 3)
-    assert excinfo.value.minor_index == 3
+    assert increment_minor(line, 3) is False
+    assert minors_of(line) == [MINOR_MAX] * 64
 
 
 def test_increment_rejects_bad_index():
@@ -117,7 +114,8 @@ def test_cache_clean_eviction_drops_silently():
 
 def test_cache_dirty_eviction_surfaces_victim():
     cache = CounterCache(capacity_bytes=64 * 2, ways=2)
-    cache.insert(0, CounterLine(major=9), dirty=True)
+    cache.insert(0, CounterLine(major=9))
+    cache.mark_dirty(0)
     cache.insert(64, CounterLine())
     victim = cache.insert(128, CounterLine())
     assert victim is not None
@@ -142,7 +140,9 @@ def test_cache_capacity_never_exceeded():
 
 def test_cache_mark_clean():
     cache = CounterCache(capacity_bytes=64 * 2, ways=2)
-    cache.insert(0, CounterLine(), dirty=True)
+    cache.insert(0, CounterLine())
+    cache.mark_dirty(0)
+    assert cache.dirty_entries() == [(0, CounterLine())]
     cache.mark_clean(0)
     assert cache.dirty_entries() == []
 
@@ -155,7 +155,9 @@ def test_cache_rejects_tiny_capacity():
 def test_new_cache_sees_nothing_of_a_used_one():
     used = CounterCache(capacity_bytes=64 * 8, ways=2)  # 4 sets, 2 ways
     for i in range(40):
-        victim = used.insert(i * 64, CounterLine(major=i), dirty=i % 3 == 0)
+        victim = used.insert(i * 64, CounterLine(major=i))
+        if i % 3 == 0:
+            used.mark_dirty(i * 64)
         used.lookup(i * 64)
         used.lookup((i + 7) * 64)
         if victim is not None:

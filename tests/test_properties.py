@@ -19,7 +19,6 @@ from secpmsim.controller import COUNTER_REGION_BASE, Controller
 from secpmsim.counters import (
     MINOR_MAX,
     CounterLine,
-    OverflowSignal,
     increment_minor,
 )
 from secpmsim.crypto import OtpEngine, decrypt_line, encrypt_line
@@ -113,10 +112,9 @@ def test_packed_line_matches_list_reference(major, steps):
     for op, i, value in steps:
         if op == "increment":
             if ref.minors[i] == MINOR_MAX:
-                with pytest.raises(OverflowSignal):
-                    increment_minor(line, i)
+                assert increment_minor(line, i) is False
             else:
-                increment_minor(line, i)
+                assert increment_minor(line, i) is True
                 ref.minors[i] += 1
         elif op == "set":
             line.set_minor(i, value)
@@ -223,7 +221,9 @@ def test_cache_matches_eager_reference(seed, nsets, ways):
         op = rng.choice(["insert", "insert", "lookup", "clean", "dirty"])
         if op == "insert":
             line, dirty = CounterLine(major=step), rng.random() < 0.5
-            assert cache.insert(addr, line, dirty=dirty) == ref.insert(addr, line, dirty)
+            assert cache.insert(addr, line) == ref.insert(addr, line, dirty)
+            if dirty:
+                cache.mark_dirty(addr)
         elif op == "lookup":
             assert cache.lookup(addr) == ref.lookup(addr)
         elif op == "clean":

@@ -1,6 +1,8 @@
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secpmsim.config import LINE, PAGE, TXN_SIZES, WORKLOADS, Config
 from secpmsim.workloads import (
@@ -43,6 +45,32 @@ def test_smallest_accepted_footprint_holds_every_write(kind, txn_size):
     Config(workload=kind, txn_size=txn_size, footprint=footprint).validate()
     for txn in generate(spec_for(kind, txn_size=txn_size, footprint=footprint)):
         assert all(0 <= addr < footprint for addr, _ in txn.write_set)
+
+
+@st.composite
+def accepted_specs(draw):
+    """A workload, a txn_size from 64 B to 16 KiB (odd line counts too) and
+    a footprint that ``Config.validate`` accepts for them."""
+    kind = draw(st.sampled_from(WORKLOADS))
+    txn_size = draw(st.integers(min_value=1, max_value=256)) * LINE
+    least_pages = -(-4 * txn_size // PAGE)
+    footprint = draw(st.integers(min_value=least_pages,
+                                 max_value=least_pages + 8)) * PAGE
+    Config(workload=kind, txn_size=txn_size, footprint=footprint).validate()
+    return spec_for(kind, txn_size=txn_size, txn_count=40, footprint=footprint,
+                    seed=draw(st.integers(min_value=0, max_value=1 << 16)))
+
+
+@given(spec=accepted_specs())
+@settings(max_examples=60, deadline=None)
+def test_every_accepted_spec_writes_inside_its_footprint(spec):
+    for txn in generate(spec):
+        addrs = [addr for addr, _ in txn.write_set]
+        assert len(addrs) * LINE == spec.txn_size
+        assert len(set(addrs)) == len(addrs)
+        assert all(addr % LINE == 0 and 0 <= addr < spec.footprint
+                   for addr in addrs)
+        txn.regions()
 
 
 @pytest.mark.parametrize("kind", WORKLOADS)
