@@ -9,7 +9,7 @@ every durability-relevant boundary and verifies that recovery always lands
 in a consistent state.
 """
 
-from secpmsim.config import Config
-from secpmsim.controller import Controller, Mode
+from secpmsim.config import Config, Mode
+from secpmsim.controller import Controller
 
 __all__ = ["Config", "Controller", "Mode"]

@@ -10,22 +10,19 @@ Precedence: flags > config file > defaults.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import itertools
 import sys
 from collections import Counter
 from pathlib import Path
 
 from secpmsim import workloads
-from secpmsim.config import LINE, MODES, WORKLOADS, Config, parse_config
-from secpmsim.controller import Mode
+from secpmsim.config import LINE, MODES, WORKLOADS, Config, Mode, parse_config
 from secpmsim.counters import AddressError
 from secpmsim.crash import (SCOPES, CrashPlan, Outcome, PointOutOfRange,
                             Verdict, inject)
 from secpmsim.runner import run_experiment
-from secpmsim.stats import emit_normalized_report, emit_report
+from secpmsim.stats import csv_text, emit_normalized_report, emit_report
 
 class UsageError(Exception):
     pass
@@ -95,8 +92,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.trace_in:
         if any(cfg.cores != 1 for cfg in cells):
             raise UsageError("--trace-in supports single-core runs only")
-        footprint = min(workloads.WorkloadSpec.from_config(cfg).footprint
-                        for cfg in cells)
+        footprint = min(cfg.data_bytes for cfg in cells)
         max_lines = min(cfg.txn_size for cfg in cells) // LINE
         with open(args.trace_in) as fh:
             streams = [workloads.import_trace(fh, seed=base.seed,
@@ -111,17 +107,22 @@ def cmd_run(args: argparse.Namespace) -> int:
         with open(args.trace_out, "w") as fh:
             workloads.export_trace(workloads.generate(spec), fh)
 
-    report = emit_report(all_stats)
-    out = Path(args.out) if args.out else None
-    if out:
-        out.write_text(report)
+    _write_report(args, emit_report(all_stats))
+    if args.out:
         normalized = emit_normalized_report(all_stats)
         if normalized.count("\n") > 1:
+            out = Path(args.out)
             out.with_name(out.stem + "_normalized" + out.suffix).write_text(
                 normalized)
+    return 0
+
+
+def _write_report(args: argparse.Namespace, report: str) -> None:
+    """Write a report to the ``--out`` file, or to stdout without one."""
+    if args.out:
+        Path(args.out).write_text(report)
     else:
         sys.stdout.write(report)
-    return 0
 
 
 def _bad_plan(text: str, k_range: str) -> UsageError:
@@ -160,12 +161,9 @@ def cmd_crashcheck(args: argparse.Namespace) -> int:
         raise _bad_plan(args.crash, f"-1 <= K <= {exc.n_boundaries - 1} "
                         f"for the {args.scope} scope") from None
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["crash_point", "event", "stage", "verdict",
-                     "failing_address", "flag"])
     promised = Mode(base.mode).crash_consistent
     bad = 0
+    rows = []
     for o in outcomes:
         flag = ""
         if o.verdict is Verdict.INCONSISTENT:
@@ -174,16 +172,13 @@ def cmd_crashcheck(args: argparse.Namespace) -> int:
                 flag = "VIOLATION"
             else:
                 flag = "EXPECTED"
-        writer.writerow([
+        rows.append([
             o.crash_point, o.label, o.stage, o.verdict.value,
             "" if o.failing_address is None else f"{o.failing_address:#x}",
             flag,
         ])
-    report = buf.getvalue()
-    if args.out:
-        Path(args.out).write_text(report)
-    else:
-        sys.stdout.write(report)
+    _write_report(args, csv_text(["crash_point", "event", "stage", "verdict",
+                                  "failing_address", "flag"], rows))
     sys.stderr.write(_crash_summary(outcomes))
     return 1 if bad else 0
 

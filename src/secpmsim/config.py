@@ -10,13 +10,40 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 
 LINE = 64
 PAGE = 4096
 LINES_PER_PAGE = PAGE // LINE
 
-MODES = ("unsec-pm", "secpm-no-cwt", "secpm-no-cwr", "secpm")
+
+class Mode(Enum):
+    """The four configurations the paper compares."""
+
+    UNSEC_PM = "unsec-pm"
+    SECPM_NO_CWT = "secpm-no-cwt"
+    SECPM_NO_CWR = "secpm-no-cwr"
+    SECPM = "secpm"
+
+    @property
+    def encrypted(self) -> bool:
+        return self is not Mode.UNSEC_PM
+
+    @property
+    def write_through(self) -> bool:
+        return self in (Mode.SECPM_NO_CWR, Mode.SECPM)
+
+    @property
+    def cwr(self) -> bool:
+        return self is Mode.SECPM
+
+    @property
+    def crash_consistent(self) -> bool:  # never recovers to a torn state
+        return not self.encrypted or self.write_through
+
+
+MODES = tuple(m.value for m in Mode)
 WORKLOADS = ("array", "queue", "btree", "hashtable", "rbtree")
 TXN_SIZES = (64, 256, 1024, 4096)
 
@@ -26,7 +53,7 @@ MIB = 1 << 20
 
 @dataclass
 class Config:
-    mode: str = "secpm"
+    mode: str = Mode.SECPM.value
     workload: str = "btree"
     txn_size: int = 1024
     txn_count: int = 1000
@@ -62,6 +89,14 @@ class Config:
     def read_ns(self) -> float:
         # Row activate + CAS.
         return self.t_rcd_ns + self.t_cl_ns
+
+    @property
+    def data_bytes(self) -> int:
+        """The workload footprint: ``footprint``, or 1 GiB for the array and
+        queue workloads and 2 GiB for the others when it is 0."""
+        if self.footprint:
+            return self.footprint
+        return GIB if self.workload in ("array", "queue") else 2 * GIB
 
     def validate(self) -> None:
         if self.mode not in MODES:
@@ -133,7 +168,3 @@ def apply_setting(cfg: Config, key: str, value: str) -> None:
             raise ValueError(f"{key} must be {kind}, not {value!r}") from None
     else:
         setattr(cfg, key, value)
-
-
-def default_footprint(workload: str) -> int:
-    return GIB if workload in ("array", "queue") else 2 * GIB

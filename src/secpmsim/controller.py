@@ -19,10 +19,9 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Optional
 
-from secpmsim.config import LINE, LINES_PER_PAGE, PAGE, Config, default_footprint
+from secpmsim.config import LINE, LINES_PER_PAGE, PAGE, Config, Mode
 from secpmsim.counters import (
     CounterAddressMap,
     CounterCache,
@@ -39,29 +38,6 @@ from secpmsim.write_queue import (
 )
 
 COUNTER_REGION_BASE = 1 << 40
-
-
-class Mode(Enum):
-    UNSEC_PM = "unsec-pm"
-    SECPM_NO_CWT = "secpm-no-cwt"
-    SECPM_NO_CWR = "secpm-no-cwr"
-    SECPM = "secpm"
-
-    @property
-    def encrypted(self) -> bool:
-        return self is not Mode.UNSEC_PM
-
-    @property
-    def write_through(self) -> bool:
-        return self in (Mode.SECPM_NO_CWR, Mode.SECPM)
-
-    @property
-    def cwr(self) -> bool:
-        return self is Mode.SECPM
-
-    @property
-    def crash_consistent(self) -> bool:  # never recovers to a torn state
-        return not self.encrypted or self.write_through
 
 
 @dataclass
@@ -117,10 +93,10 @@ class Controller:
         self._read_ns = cfg.read_ns
         self.otp = OtpEngine(derive_key(cfg.seed))
 
-        footprint = cfg.footprint or default_footprint(cfg.workload)
-        # Log area sits right above the workload footprint; both are data
-        # region addresses and share the counter layout.
-        self.log_base = -(-footprint // PAGE) * PAGE
+        # Log area sits right above the workload footprint, a whole number
+        # of pages; both are data region addresses and share the counter
+        # layout.
+        self.log_base = cfg.data_bytes
         slot_lines = cfg.txn_size // LINE + 2
         log_bytes = cfg.cores * cfg.log_slots * slot_lines * LINE
         region_end = self.log_base + (-(-log_bytes // PAGE) * PAGE)

@@ -12,8 +12,8 @@ at 127 is left as it is, and the caller re-encrypts the page.
 The counter cache is set-associative with LRU replacement per set.  Lines
 enter clean and only a write-back controller marks one dirty, so under
 write-through operation the set of dirty addresses stays empty and
-evictions drop silently.  A cache allocates only the sets it has been
-filled into, so building one costs next to nothing.
+evictions drop silently.  A cache keeps a set only once a line has been
+inserted into it, so building one costs the same at any capacity.
 """
 
 from __future__ import annotations
@@ -112,11 +112,6 @@ class CounterAddressMap:
         return self.counter_region_base + LINE * page
 
 
-# Stands in for every set not yet filled: lookups miss on it like on any
-# empty set, and insert swaps in a real set before the first write.
-_UNFILLED: OrderedDict = OrderedDict()
-
-
 class CounterCache:
     """Set-associative LRU cache of counter lines, 64 B per entry."""
 
@@ -126,16 +121,17 @@ class CounterCache:
             raise ValueError("cache smaller than one set")
         self.ways = ways
         self.nsets = entries // ways
-        # addr -> CounterLine; insertion order is recency order
-        self._sets: list[OrderedDict[int, CounterLine]] = [_UNFILLED] * self.nsets
+        # Set index -> addr -> CounterLine, for the sets filled so far;
+        # insertion order is recency order.
+        self._sets: dict[int, OrderedDict[int, CounterLine]] = {}
         # Addresses of the resident lines that differ from their durable image.
         self._dirty: set[int] = set()
         self.hits = 0
         self.misses = 0
 
     def lookup(self, address: int) -> CounterLine | None:
-        s = self._sets[(address // LINE) % self.nsets]
-        line = s.get(address)
+        s = self._sets.get((address // LINE) % self.nsets)
+        line = None if s is None else s.get(address)
         if line is None:
             self.misses += 1
             return None
@@ -148,8 +144,8 @@ class CounterCache:
         """Install or replace a clean entry; returns an evicted dirty line,
         if any."""
         index = (address // LINE) % self.nsets
-        s = self._sets[index]
-        if s is _UNFILLED:
+        s = self._sets.get(index)
+        if s is None:
             s = self._sets[index] = OrderedDict()
         if address in s:
             self._dirty.discard(address)

@@ -195,11 +195,10 @@ class TxnScenario:
 
 @dataclass
 class AtomicWriteScenario:
-    """A logless single-line atomic write; old or new value must survive."""
+    """A logless atomic write of line 0; old or new value must survive."""
 
     cfg: Config
     seed: int = 11
-    address: int = 0
 
     def __post_init__(self) -> None:
         rng = random.Random(self.seed)
@@ -208,19 +207,19 @@ class AtomicWriteScenario:
 
     def fresh(self) -> Controller:
         ctrl = Controller(self.cfg)
-        ctrl.handle_flush(self.address, self.old)
+        ctrl.handle_flush(0, self.old)
         ctrl.flush_counter_cache()
         ctrl.drain_all()
         return ctrl
 
     def run(self, ctrl: Controller) -> None:
-        ctrl.handle_flush(self.address, self.new)
+        ctrl.handle_flush(0, self.new)
 
     def stage(self) -> str:
         return "atomic-write"
 
     def verify(self, recovered: Controller) -> tuple[Verdict, int | None]:
-        return _classify(recovered, [self.address], [self.old], [self.new])
+        return _classify(recovered, [0], [self.old], [self.new])
 
 
 _PAGE0 = [i * LINE for i in range(LINES_PER_PAGE)]

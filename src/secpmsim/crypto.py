@@ -26,7 +26,8 @@ from typing import Callable, Iterator
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-LINE = 64
+from secpmsim.config import LINE
+
 COUNTER_BITS = 71
 _CTR_LIMIT = 1 << COUNTER_BITS
 _LOW64 = (1 << 64) - 1

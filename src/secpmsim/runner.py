@@ -57,13 +57,7 @@ def run_experiment(cfg: Config, streams: list[list[TxnDescriptor]] | None = None
 def collect_stats(ctrl: Controller, cfg: Config, latencies: list[float]
                   ) -> RunStats:
     stats = RunStats(
-        workload=cfg.workload,
-        mode=cfg.mode,
-        txn_size=cfg.txn_size,
-        queue_len=cfg.queue_len,
-        cache_size=cfg.cache_size,
-        cores=cfg.cores,
-        seed=cfg.seed,
+        cfg,
         data_writes=ctrl.queue.appended_data,
         counter_writes_appended=ctrl.queue.appended_counter,
         counter_writes_merged=ctrl.queue.merged,

@@ -10,18 +10,15 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Iterable
+
+from secpmsim.config import Config, Mode
 
 
 @dataclass
 class RunStats:
-    workload: str = ""
-    mode: str = ""
-    txn_size: int = 0
-    queue_len: int = 0
-    cache_size: int = 0
-    cores: int = 1
-    seed: int = 0
+    cfg: Config
 
     data_writes: int = 0
     counter_writes_appended: int = 0
@@ -73,10 +70,10 @@ def reduction_percentage(stats: RunStats) -> float | None:
     return stats.counter_writes_merged / stats.counter_writes_appended
 
 
-REPORT_COLUMNS = [
-    "workload", "mode", "txn_size", "queue_len", "cache_size", "cores", "seed",
-    "metric", "value",
-]
+# The configuration fields that name a run, in report column order.
+KEY_COLUMNS = ("workload", "mode", "txn_size", "queue_len", "cache_size",
+               "cores", "seed")
+REPORT_COLUMNS = [*KEY_COLUMNS, "metric", "value"]
 
 _METRICS = [
     ("data_writes", lambda s: s.data_writes),
@@ -96,44 +93,43 @@ def _fmt_opt(value: float | None) -> str:
     return "N/A" if value is None else f"{value:.6f}"
 
 
-def emit_report(stats_list: list[RunStats]) -> str:
-    """CSV with one row per (run, metric); byte-stable for a fixed input."""
+def _run_key(cfg: Config) -> tuple:
+    return tuple(getattr(cfg, name) for name in KEY_COLUMNS)
+
+
+def csv_text(header: list[str], rows: Iterable[Iterable]) -> str:
+    """A CSV document with Unix line ends, the format of every report."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
-    for s in stats_list:
-        prefix = [s.workload, s.mode, s.txn_size, s.queue_len, s.cache_size,
-                  s.cores, s.seed]
-        for name, get in _METRICS:
-            writer.writerow(prefix + [name, get(s)])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def emit_report(stats_list: list[RunStats]) -> str:
+    """CSV with one row per (run, metric); byte-stable for a fixed input."""
+    rows = []
+    for s in stats_list:
+        prefix = _run_key(s.cfg)
+        rows += [(*prefix, name, get(s)) for name, get in _METRICS]
+    return csv_text(REPORT_COLUMNS, rows)
 
 
 def emit_normalized_report(stats_list: list[RunStats]) -> str:
     """Writes and latency normalized to the unencrypted baseline with the
-    same (workload, txn_size, queue_len, cache_size, cores, seed)."""
-    baselines = {
-        (s.workload, s.txn_size, s.queue_len, s.cache_size, s.cores, s.seed): s
-        for s in stats_list
-        if s.mode == "unsec-pm"
-    }
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
+    same run key in every other column."""
+    baseline_mode = Mode.UNSEC_PM.value
+    baselines = {_run_key(s.cfg): s
+                 for s in stats_list if s.cfg.mode == baseline_mode}
+    rows = []
     for s in stats_list:
-        key = (s.workload, s.txn_size, s.queue_len, s.cache_size, s.cores, s.seed)
-        base = baselines.get(key)
+        base = baselines.get(_run_key(replace(s.cfg, mode=baseline_mode)))
         if base is None or base.nvm_writes_total == 0:
             continue
-        prefix = [s.workload, s.mode, s.txn_size, s.queue_len, s.cache_size,
-                  s.cores, s.seed]
-        writer.writerow(
-            prefix + ["normalized_nvm_writes",
-                      f"{s.nvm_writes_total / base.nvm_writes_total:.6f}"]
-        )
+        prefix = _run_key(s.cfg)
+        rows.append((*prefix, "normalized_nvm_writes",
+                     f"{s.nvm_writes_total / base.nvm_writes_total:.6f}"))
         if base.mean_txn_latency_ns > 0:
-            writer.writerow(
-                prefix + ["normalized_txn_latency",
-                          f"{s.mean_txn_latency_ns / base.mean_txn_latency_ns:.6f}"]
-            )
-    return buf.getvalue()
+            rows.append((*prefix, "normalized_txn_latency",
+                         f"{s.mean_txn_latency_ns / base.mean_txn_latency_ns:.6f}"))
+    return csv_text(REPORT_COLUMNS, rows)

@@ -16,7 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
-from secpmsim.config import LINE, PAGE, Config, default_footprint
+from secpmsim.config import LINE, PAGE, Config
 from secpmsim.txn import TxnDescriptor
 
 HASH_BUCKET_ITEMS = 4      # items per bucket
@@ -31,10 +31,10 @@ def _seed_int(*parts: object) -> int:
 @dataclass(frozen=True)
 class WorkloadSpec:
     kind: str
+    footprint: int
     txn_size: int = 1024
     txn_count: int = 1000
     seed: int = 0
-    footprint: int = 0      # 0 = workload default
     log_slots: int = 64
     core: int = 0
 
@@ -46,7 +46,7 @@ class WorkloadSpec:
             txn_size=cfg.txn_size,
             txn_count=cfg.txn_count,
             seed=cfg.seed if seed is None else seed,
-            footprint=cfg.footprint or default_footprint(cfg.workload),
+            footprint=cfg.data_bytes,
             log_slots=cfg.log_slots,
             core=core,
         )
@@ -191,11 +191,10 @@ def export_trace(stream: list[TxnDescriptor], fh: TextIO) -> None:
             fh.write(f"TXN {txn.txn_id} WRITE {base:#x} {nlines * LINE}\n")
 
 
-def import_trace(fh: TextIO, seed: int = 0, log_slots: int = 64,
-                 footprint: int | None = None,
-                 max_lines: int | None = None) -> list[TxnDescriptor]:
-    """Read a trace; with ``footprint``, every record must end inside it,
-    and with ``max_lines``, no transaction may write more lines.  A
+def import_trace(fh: TextIO, footprint: int, max_lines: int, seed: int = 0,
+                 log_slots: int = 64) -> list[TxnDescriptor]:
+    """Read a trace.  Every record must end inside ``footprint``, no
+    transaction may write more than ``max_lines`` lines, and a
     transaction's records may span at most the regions one log header holds.
     """
     by_txn: dict[int, TxnDescriptor] = {}
@@ -216,7 +215,7 @@ def import_trace(fh: TextIO, seed: int = 0, log_slots: int = 64,
             raise ValueError(
                 f"trace line {lineno}: size {size} is not a positive multiple"
                 f" of {LINE}")
-        if footprint is not None and addr + size > footprint:
+        if addr + size > footprint:
             raise ValueError(
                 f"trace line {lineno}: write {parts[3]} + {size} ends outside"
                 f" data region [0x0, {footprint:#x})")
@@ -225,7 +224,7 @@ def import_trace(fh: TextIO, seed: int = 0, log_slots: int = 64,
             txn = by_txn[txn_id] = TxnDescriptor(
                 txn_id, [], log_slot=len(by_txn) % log_slots)
         nlines = len(txn.write_set) + size // LINE
-        if max_lines is not None and nlines > max_lines:
+        if nlines > max_lines:
             raise ValueError(
                 f"trace line {lineno}: transaction {txn_id} writes {nlines}"
                 f" lines, more than the {max_lines} a log slot holds at"

@@ -64,7 +64,6 @@ class WriteQueue:
         self.appended_data = 0
         self.appended_counter = 0
         self.merged = 0
-        self.drained = 0
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -121,5 +120,4 @@ class WriteQueue:
         self.entries.popleft()
         if self.latest.get(head.address) is head:
             del self.latest[head.address]
-        self.drained += 1
         return head

@@ -164,6 +164,11 @@ def test_smallest_footprint_runs_every_workload(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_terabyte_counter_cache_runs(capsys):
+    assert run_cli("run", "--cache-size", str(1 << 40), "--txn-count", "5") == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_zero_txn_count_is_accepted(capsys):
     assert run_cli("run", "--workload", "array", "--txn-count", "0") == 0
     assert capsys.readouterr().err == ""

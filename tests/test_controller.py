@@ -56,7 +56,7 @@ def test_every_queued_line_is_announced(mode, use_register):
     assert queue.appended_data + queue.appended_counter == (
         events["append"] + 2 * events["append_pair"]
         + 2 * events["reencrypt_line"])
-    assert events["drain"] == queue.drained
+    assert events["drain"] == ctrl.nvm.writes
     assert ctrl.reencryptions == (mode != "unsec-pm")
     if mode == "secpm-no-cwt":  # evictions and the final flush queue lines
         assert queue.appended_counter > events["reencrypt_line"]

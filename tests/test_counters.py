@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -135,7 +136,7 @@ def test_cache_capacity_never_exceeded():
     rng = random.Random(1)
     for _ in range(500):
         cache.insert(rng.randrange(256) * 64, CounterLine())
-    assert all(len(s) <= cache.ways for s in cache._sets)
+    assert all(len(s) <= cache.ways for s in cache._sets.values())
 
 
 def test_cache_mark_clean():
@@ -169,7 +170,21 @@ def test_new_cache_sees_nothing_of_a_used_one():
         assert (fresh.hits, fresh.misses) == (0, 48)
         assert fresh.dirty_entries() == []
         fresh.mark_clean(0)
-        assert all(len(s) == 0 for s in fresh._sets)
+        assert fresh._sets == {}
+
+
+def test_controller_allocation_does_not_grow_with_cache_size():
+    """A 4 GiB cache has 2**23 sets; a new controller allocates none."""
+    from secpmsim.config import Config
+    from secpmsim.controller import Controller
+
+    tracemalloc.start()
+    try:
+        Controller(Config(cache_size=1 << 32))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_flush_counter_cache_is_free_under_write_through():

@@ -4,7 +4,8 @@ secpmsim's product is the numbers it reports, so a refactor or speed-up
 must leave them byte-identical.  These tests hash the stats report of a
 small sweep and the outcome list of three crash scopes, and the same for
 the flush branch that appends counter and data without the staging
-register (``use_register=False``); a digest that
+register (``use_register=False``), the normalized report of the same
+sweep and what ``secpmsim crashcheck`` prints; a digest that
 changes means some reported number changed.  Update a pin only together
 with a note saying which number changed and why.
 """
@@ -13,6 +14,7 @@ import hashlib
 
 import pytest
 
+from secpmsim.cli import main
 from secpmsim.config import MODES, Config
 from secpmsim.crash import (
     AtomicWriteScenario,
@@ -22,11 +24,12 @@ from secpmsim.crash import (
     inject,
 )
 from secpmsim.runner import run_experiment
-from secpmsim.stats import emit_report
+from secpmsim.stats import emit_normalized_report, emit_report
 
 RUN_CELLS = (("btree", 4096), ("hashtable", 256))
 RUN_TXNS = 20
 RUN_PIN = "6a96b16ce783f8b148a7bd7b15917711bc5ef24d0e0719f19e32f34e8bf043c3"
+NORMALIZED_PIN = "a45388544cbb92abe35014cff3ede25b0e2fec2dd2f789a82ea35e37ad725761"
 
 CRASH_SCOPES = {
     "txn": (MODES, lambda cfg: TxnScenario(cfg, n_lines=4)),
@@ -49,14 +52,22 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_run_report_digest():
+@pytest.fixture(scope="module")
+def run_sweep():
     """All four modes x {btree 4 KiB, hashtable 256 B} x cores {1, 4}."""
-    stats = [
+    return [
         run_experiment(Config(mode=mode, workload=kind, txn_size=size,
                               txn_count=RUN_TXNS, cores=cores, seed=0))
         for mode in MODES for kind, size in RUN_CELLS for cores in (1, 4)
     ]
-    assert sha256(emit_report(stats)) == RUN_PIN
+
+
+def test_run_report_digest(run_sweep):
+    assert sha256(emit_report(run_sweep)) == RUN_PIN
+
+
+def test_normalized_report_digest(run_sweep):
+    assert sha256(emit_normalized_report(run_sweep)) == NORMALIZED_PIN
 
 
 def crash_digest(modes, make, **overrides) -> str:
@@ -105,3 +116,22 @@ def test_crash_outcome_digest_without_register(scope):
     _, make = CRASH_SCOPES[scope]
     digest = crash_digest(NO_REGISTER_MODES, make, use_register=False)
     assert digest == NO_REGISTER_CRASH_PINS[scope]
+
+
+# ``secpmsim crashcheck`` output (CSV, VIOLATION/EXPECTED flags, summary
+# lines and exit status) for the txn and atomic-write scopes in every mode
+# and the re-encrypt scope in one broken and one consistent mode.
+CRASHCHECK_CELLS = ([("txn", mode) for mode in MODES]
+                    + [("atomic-write", mode) for mode in MODES]
+                    + [("reencrypt", "secpm-no-cwt"), ("reencrypt", "secpm")])
+CRASHCHECK_PIN = "3362234795c3f7e2d643773a984db662184b28b1f188726cb252293f1a304730"
+
+
+def test_crashcheck_cli_digest(capsys):
+    parts = []
+    for scope, mode in CRASHCHECK_CELLS:
+        status = main(["crashcheck", "--scope", scope, "--mode", mode,
+                       "--txn-size", "256"])
+        captured = capsys.readouterr()
+        parts += [scope, mode, captured.out, captured.err, str(status)]
+    assert sha256("\x00".join(parts)) == CRASHCHECK_PIN

@@ -1,5 +1,6 @@
 import pytest
 
+from secpmsim.config import Config
 from secpmsim.stats import (
     RunStats,
     emit_normalized_report,
@@ -8,17 +9,17 @@ from secpmsim.stats import (
 )
 
 
-def stats_for(**kw):
+def stats_for(mode="secpm", **kw):
     base = dict(
-        workload="array", mode="secpm", txn_size=256, queue_len=32,
-        cache_size=1 << 20, cores=1, seed=0,
         data_writes=100, counter_writes_appended=100,
         counter_writes_merged=80, nvm_writes_total=120,
         cache_hits=90, cache_misses=10, txn_count=25,
         sim_time_ns=1e6, txn_latencies=[100.0, 300.0],
     )
     base.update(kw)
-    return RunStats(**base)
+    cfg = Config(mode=mode, workload="array", txn_size=256, queue_len=32,
+                 cache_size=1 << 20, cores=1, seed=0)
+    return RunStats(cfg, **base)
 
 
 def test_accounting_identity_holds():
@@ -42,8 +43,8 @@ def test_derived_metrics():
     assert s.mean_txn_latency_ns == 200.0
     assert s.cache_hit_rate == 0.9
     assert s.throughput_txn_per_s == pytest.approx(25 / 1e-3)
-    assert RunStats().mean_txn_latency_ns == 0.0
-    assert RunStats().throughput_txn_per_s == 0.0
+    assert RunStats(Config()).mean_txn_latency_ns == 0.0
+    assert RunStats(Config()).throughput_txn_per_s == 0.0
 
 
 def test_report_is_byte_stable_and_parseable():

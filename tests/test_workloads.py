@@ -13,6 +13,10 @@ from secpmsim.workloads import (
 )
 
 
+# Bounds that no trace in these tests reaches unless a test sets its own.
+BOUNDS = dict(footprint=1 << 30, max_lines=64)
+
+
 def spec_for(kind, **kw):
     kw.setdefault("txn_size", 256)
     kw.setdefault("txn_count", 200)
@@ -116,7 +120,7 @@ def test_trace_round_trip():
     buf = io.StringIO()
     export_trace(stream, buf)
     buf.seek(0)
-    back = import_trace(buf, seed=4)
+    back = import_trace(buf, **BOUNDS, seed=4)
     assert [t.txn_id for t in back] == [t.txn_id for t in stream]
     assert [[a for a, _ in t.write_set] for t in back] == \
         [[a for a, _ in t.write_set] for t in stream]
@@ -124,7 +128,7 @@ def test_trace_round_trip():
 
 def test_import_trace_rejects_malformed_line():
     with pytest.raises(ValueError):
-        import_trace(io.StringIO("TXN 1 READ 0x0 64\n"))
+        import_trace(io.StringIO("TXN 1 READ 0x0 64\n"), **BOUNDS)
 
 
 @pytest.mark.parametrize("record, problem", [
@@ -137,15 +141,16 @@ def test_import_trace_rejects_malformed_line():
 def test_import_trace_rejects_bad_record_with_line_number(record, problem):
     text = f"TXN 0 WRITE 0x0 64\n\n{record}\n"
     with pytest.raises(ValueError, match=f"trace line 3: .*{problem}"):
-        import_trace(io.StringIO(text))
+        import_trace(io.StringIO(text), **BOUNDS)
 
 
 def test_import_trace_checks_record_end_against_footprint():
     text = "TXN 0 WRITE 0x0 64\nTXN 1 WRITE 0xfc0 128\n"
     with pytest.raises(ValueError,
                        match="trace line 2: .*outside data region"):
-        import_trace(io.StringIO(text), footprint=0x103f)
-    assert len(import_trace(io.StringIO(text), footprint=0x1040)) == 2
+        import_trace(io.StringIO(text), footprint=0x103f, max_lines=64)
+    assert len(import_trace(io.StringIO(text), footprint=0x1040,
+                            max_lines=64)) == 2
 
 
 def test_import_trace_counts_regions_and_lines_per_transaction():
@@ -153,18 +158,18 @@ def test_import_trace_counts_regions_and_lines_per_transaction():
     text = ("".join(f"TXN 0 WRITE {a:#x} 64\n" for a in range(0, 256, 64))
             + "TXN 1 WRITE 0x2000 64\nTXN 0 WRITE 0x1000 64\n"
             "TXN 0 WRITE 0x3000 64\n")
-    txns = import_trace(io.StringIO(text), max_lines=6)
+    txns = import_trace(io.StringIO(text), footprint=1 << 30, max_lines=6)
     assert [len(t.regions()) for t in txns] == [3, 1]
     with pytest.raises(ValueError, match="trace line 7: transaction 0 writes"
                        " 6 lines, more than the 5"):
-        import_trace(io.StringIO(text), max_lines=5)
+        import_trace(io.StringIO(text), footprint=1 << 30, max_lines=5)
     with pytest.raises(ValueError, match="trace line 6: transaction 0: write"
                        " set spans 4 regions"):
-        import_trace(io.StringIO(text.replace("0x80", "0x4000")))
+        import_trace(io.StringIO(text.replace("0x80", "0x4000")), **BOUNDS)
 
 
 def test_import_trace_is_deterministic():
     text = "TXN 0 WRITE 0x0 128\nTXN 1 WRITE 0x1000 64\n"
-    a = import_trace(io.StringIO(text), seed=1)
-    b = import_trace(io.StringIO(text), seed=1)
+    a = import_trace(io.StringIO(text), **BOUNDS, seed=1)
+    b = import_trace(io.StringIO(text), **BOUNDS, seed=1)
     assert [t.write_set for t in a] == [t.write_set for t in b]

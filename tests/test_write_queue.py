@@ -110,7 +110,7 @@ def test_drain_is_fifo():
     first = q.drain_one(nvm, 0.0)
     second = q.drain_one(nvm, 400.0)
     assert (first.address, second.address) == (0, 16 * 64)
-    assert q.drained == 2
+    assert nvm.writes == 2
 
 
 def test_drain_blocks_on_busy_bank():
@@ -124,7 +124,7 @@ def test_drain_blocks_on_busy_bank():
     assert nvm.busy_until[nvm.bank(q.entries[0].address)] == Config().t_wr_ns
     with pytest.raises(RuntimeError, match="busy bank"):
         q.drain_one(nvm, 100.0)
-    assert [e.address for e in q.entries] == [16 * 64] and q.drained == 1
+    assert [e.address for e in q.entries] == [16 * 64] and nvm.writes == 1
     assert q.drain_one(nvm, Config().t_wr_ns).address == 16 * 64
 
 
@@ -138,7 +138,7 @@ def test_conservation_identity():
             t = max(t, nvm.busy_until[nvm.bank(q.entries[0].address)])
             q.drain_one(nvm, t)
         appended = q.appended_data + q.appended_counter
-        assert appended - q.merged == q.drained + len(q)
+        assert appended - q.merged == nvm.writes + len(q)
 
 
 class ScanQueue:
