@@ -96,7 +96,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         max_lines = min(cfg.txn_size for cfg in cells) // LINE
         with open(args.trace_in) as fh:
             streams = [workloads.import_trace(fh, seed=base.seed,
-                                              log_slots=base.log_slots,
                                               footprint=footprint,
                                               max_lines=max_lines)]
 

@@ -3,6 +3,10 @@
 Defaults follow the simulated machine: 4-core 2 GHz x86-64, 1 MB 8-way LRU
 counter cache (12 CPU cycles), 32-entry write queue, PCM in 16 banks with
 tRCD/tCL/tWR = 48/15/300 ns, and a 40 ns AES pipeline.
+
+``Config`` also owns the address layout: the footprint from address 0, each
+core's undo-log slots right above it, and one counter line per page of both
+from ``COUNTER_REGION_BASE`` on, which the other two must not reach.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ TXN_SIZES = (64, 256, 1024, 4096)
 
 GIB = 1 << 30
 MIB = 1 << 20
+COUNTER_REGION_BASE = 1 << 40
 
 
 @dataclass
@@ -98,6 +103,22 @@ class Config:
             return self.footprint
         return GIB if self.workload in ("array", "queue") else 2 * GIB
 
+    @property
+    def slot_lines(self) -> int:
+        """Lines in one undo-log slot: header, old values and end tag."""
+        return self.txn_size // LINE + 2
+
+    def log_slot_base(self, core: int, seq: int) -> int:
+        """A core's seq-th transaction logs here; slots are reused in turn."""
+        index = core * self.log_slots + seq % self.log_slots
+        return self.data_bytes + index * self.slot_lines * LINE
+
+    @property
+    def mapped_pages(self) -> int:
+        """Pages of data and log, which the counter region maps."""
+        log_bytes = self.cores * self.log_slots * self.slot_lines * LINE
+        return -(-(self.data_bytes + log_bytes) // PAGE)
+
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -129,6 +150,11 @@ class Config:
         if self.footprint and (self.footprint % PAGE or self.footprint < least):
             raise ValueError(f"footprint must be 0 or a multiple of {PAGE} of at"
                              f" least 4 * txn_size = {least}, not {self.footprint}")
+        end = self.mapped_pages * PAGE
+        if end > COUNTER_REGION_BASE:
+            raise ValueError(f"footprint and cores * log_slots log slots end at"
+                             f" {end:#x}, past the counter region at"
+                             f" {COUNTER_REGION_BASE:#x}")
 
 
 _FIELDS = [f.name for f in dataclasses.fields(Config)]

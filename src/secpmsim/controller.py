@@ -37,8 +37,6 @@ from secpmsim.write_queue import (
     WriteQueueEntry,
 )
 
-COUNTER_REGION_BASE = 1 << 40
-
 
 @dataclass
 class Rsr:
@@ -93,19 +91,7 @@ class Controller:
         self._read_ns = cfg.read_ns
         self.otp = OtpEngine(derive_key(cfg.seed))
 
-        # Log area sits right above the workload footprint, a whole number
-        # of pages; both are data region addresses and share the counter
-        # layout.
-        self.log_base = cfg.data_bytes
-        slot_lines = cfg.txn_size // LINE + 2
-        log_bytes = cfg.cores * cfg.log_slots * slot_lines * LINE
-        region_end = self.log_base + (-(-log_bytes // PAGE) * PAGE)
-        self.map = CounterAddressMap(
-            counter_region_base=COUNTER_REGION_BASE,
-            data_region_span=region_end // PAGE,
-        )
-        self.log_slot_lines = slot_lines
-
+        self.map = CounterAddressMap(cfg.mapped_pages)
         self.nvm = NvmDevice(cfg.banks, cfg.t_wr_ns, self._read_ns)
         self.cache = CounterCache(cfg.cache_size, cfg.cache_ways)
         self.queue = WriteQueue(cfg.queue_len, cwr_enabled=self.mode.cwr)
@@ -122,10 +108,6 @@ class Controller:
 
     # ------------------------------------------------------------------
     # plumbing
-
-    def log_slot_base(self, core: int, slot: int) -> int:
-        index = core * self.cfg.log_slots + slot
-        return self.log_base + index * self.log_slot_lines * LINE
 
     def _boundary(self, label: str) -> None:
         if self.boundary_hook is not None:
@@ -229,7 +211,7 @@ class Controller:
         # current; the lookup has already made it most recently used.
         line, t = self._get_counter_line(cline, t)
         if not increment_minor(line, minor_index):
-            t = self.reencrypt_page(self.map.page_of(address), t)
+            t = self.reencrypt_page(address // PAGE, t)
             line, t = self._get_counter_line(cline, t)
             increment_minor(line, minor_index)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from secpmsim.config import LINE, LINES_PER_PAGE, PAGE
+from secpmsim.config import COUNTER_REGION_BASE, LINE, LINES_PER_PAGE, PAGE
 
 MINOR_MAX = 127  # 7-bit minors
 LANE_BITS = 7 * LINES_PER_PAGE  # 448 bits of packed minors
@@ -92,9 +92,8 @@ def increment_minor(line: CounterLine, minor_index: int) -> bool:
 
 @dataclass(frozen=True)
 class CounterAddressMap:
-    """Places the counter line of page p at counter_region_base + 64*p."""
+    """Places the counter line of page p at COUNTER_REGION_BASE + 64*p."""
 
-    counter_region_base: int
     data_region_span: int  # pages
 
     def locate(self, data_line_address: int) -> tuple[int, int]:
@@ -103,13 +102,10 @@ class CounterAddressMap:
         page, offset = divmod(data_line_address, PAGE)
         if not 0 <= page < self.data_region_span:
             raise AddressError(f"address {data_line_address:#x} outside data region")
-        return self.counter_region_base + LINE * page, offset // LINE
-
-    def page_of(self, data_line_address: int) -> int:
-        return data_line_address // PAGE
+        return COUNTER_REGION_BASE + LINE * page, offset // LINE
 
     def counter_line_address(self, page: int) -> int:
-        return self.counter_region_base + LINE * page
+        return COUNTER_REGION_BASE + LINE * page
 
 
 class CounterCache:

@@ -175,11 +175,11 @@ class TxnScenario:
 
     def fresh(self) -> Controller:
         ctrl = Controller(self.cfg)
-        setup = TxnDescriptor(0, list(zip(self._addrs, self.pre)), log_slot=0)
+        setup = TxnDescriptor(0, list(zip(self._addrs, self.pre)))
         execute(ctrl, setup)
         ctrl.flush_counter_cache()  # leave write-back baselines consistent
         ctrl.drain_all()
-        self.txn = TxnDescriptor(1, list(zip(self._addrs, self.post)), log_slot=1)
+        self.txn = TxnDescriptor(1, list(zip(self._addrs, self.post)), seq=1)
         return ctrl
 
     def run(self, ctrl: Controller) -> None:

@@ -40,7 +40,7 @@ class Stage(Enum):
 class TxnDescriptor:
     txn_id: int
     write_set: list[tuple[int, bytes]]
-    log_slot: int = 0
+    seq: int = 0  # the transaction's position on its core
     core: int = 0
     stage: Stage = field(default=Stage.PREPARE)
 
@@ -90,10 +90,10 @@ def end_tag_matches(raw: bytes, txn_id: int) -> bool:
 def run_transaction(controller: Controller, txn: TxnDescriptor) -> Iterator[str]:
     """Execute one durable transaction, yielding after each flush so that
     multiple requesters can interleave at flush granularity."""
-    base = controller.log_slot_base(txn.core, txn.log_slot)
+    base = controller.cfg.log_slot_base(txn.core, txn.seq)
     regions = txn.regions()
     total = len(txn.write_set)
-    if total > controller.log_slot_lines - 2:
+    if total > controller.cfg.slot_lines - 2:
         raise ValueError("write set too large for the configured log slot")
 
     txn.stage = Stage.PREPARE
@@ -134,13 +134,13 @@ def recover(snapshot: CrashSnapshot, cfg: Config) -> tuple[Controller, list[int]
     undone: list[int] = []
     for core in range(cfg.cores):
         for slot in range(cfg.log_slots):
-            base = ctrl.log_slot_base(core, slot)
+            base = cfg.log_slot_base(core, slot)
             parsed = parse_header(ctrl.handle_read(base))
             if parsed is None:
                 continue
             txn_id, regions = parsed
             total = sum(n for _, n in regions)
-            if total > ctrl.log_slot_lines - 2:
+            if total > cfg.slot_lines - 2:
                 continue
             end_addr = base + (1 + total) * LINE
             if not end_tag_matches(ctrl.handle_read(end_addr), txn_id):

@@ -32,10 +32,9 @@ def _seed_int(*parts: object) -> int:
 class WorkloadSpec:
     kind: str
     footprint: int
-    txn_size: int = 1024
-    txn_count: int = 1000
+    txn_size: int
+    txn_count: int
     seed: int = 0
-    log_slots: int = 64
     core: int = 0
 
     @classmethod
@@ -47,7 +46,6 @@ class WorkloadSpec:
             txn_count=cfg.txn_count,
             seed=cfg.seed if seed is None else seed,
             footprint=cfg.data_bytes,
-            log_slots=cfg.log_slots,
             core=core,
         )
 
@@ -177,7 +175,7 @@ def generate(spec: WorkloadSpec) -> list[TxnDescriptor]:
             TxnDescriptor(
                 txn_id=spec.core * spec.txn_count + i,
                 write_set=_lines(rng, regions),
-                log_slot=i % spec.log_slots,
+                seq=i,
                 core=spec.core,
             )
         )
@@ -191,8 +189,8 @@ def export_trace(stream: list[TxnDescriptor], fh: TextIO) -> None:
             fh.write(f"TXN {txn.txn_id} WRITE {base:#x} {nlines * LINE}\n")
 
 
-def import_trace(fh: TextIO, footprint: int, max_lines: int, seed: int = 0,
-                 log_slots: int = 64) -> list[TxnDescriptor]:
+def import_trace(fh: TextIO, footprint: int, max_lines: int, seed: int = 0
+                 ) -> list[TxnDescriptor]:
     """Read a trace.  Every record must end inside ``footprint``, no
     transaction may write more than ``max_lines`` lines, and a
     transaction's records may span at most the regions one log header holds.
@@ -221,8 +219,7 @@ def import_trace(fh: TextIO, footprint: int, max_lines: int, seed: int = 0,
                 f" data region [0x0, {footprint:#x})")
         txn = by_txn.get(txn_id)
         if txn is None:
-            txn = by_txn[txn_id] = TxnDescriptor(
-                txn_id, [], log_slot=len(by_txn) % log_slots)
+            txn = by_txn[txn_id] = TxnDescriptor(txn_id, [], seq=len(by_txn))
         nlines = len(txn.write_set) + size // LINE
         if nlines > max_lines:
             raise ValueError(

@@ -9,8 +9,8 @@ import random
 
 import _acceptance_log
 
-from secpmsim.config import Config, TXN_SIZES, WORKLOADS
-from secpmsim.controller import COUNTER_REGION_BASE, Controller
+from secpmsim.config import COUNTER_REGION_BASE, Config, TXN_SIZES, WORKLOADS
+from secpmsim.controller import Controller
 from secpmsim.crash import (
     AtomicWriteScenario,
     CrashPlan,

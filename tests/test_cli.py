@@ -108,6 +108,8 @@ def test_zero_sized_config_is_usage_error(tmp_path, capsys, key):
     # forever at 128, 64 drew from an empty range, 4160 misaligned queue.
     ("footprint", "64"), ("footprint", "128"), ("footprint", "4160"),
     ("footprint", "2048"),
+    # 2 TiB: data at 1 TiB and up would overwrite the counter lines.
+    ("footprint", "2199023255552"),
     ("use_register", "maybe"),
     # Values that int() or float() cannot parse.
     ("banks", "x"), ("cpu_ghz", "abc"), ("txn_size", "1.5"),

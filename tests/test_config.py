@@ -6,7 +6,7 @@ import dataclasses
 import pytest
 
 from secpmsim import runner
-from secpmsim.config import Config, apply_setting
+from secpmsim.config import COUNTER_REGION_BASE, Config, apply_setting
 from secpmsim.stats import emit_report
 
 # Per field: overrides for the base run and a new value that must change
@@ -82,3 +82,20 @@ def test_boolean_setting_rejects_other_values(text):
     with pytest.raises(ValueError, match="use_register"):
         apply_setting(cfg, "use_register", text)
     assert cfg.use_register is True
+
+
+def test_log_reaching_the_counter_region_is_rejected():
+    # 4 cores * 2**26 slots of 66 lines need 1.03 TiB on their own.
+    cfg = Config(cores=4, log_slots=1 << 26, txn_size=4096)
+    with pytest.raises(ValueError, match="log_slots .* counter region"):
+        cfg.validate()
+
+
+def test_layout_may_end_where_the_counter_region_starts():
+    log_bytes = 64 * (1024 // 64 + 2) * 64  # 64 slots of 18 lines: 18 pages
+    cfg = Config(txn_size=1024, footprint=COUNTER_REGION_BASE - log_bytes)
+    cfg.validate()
+    assert cfg.mapped_pages * 4096 == COUNTER_REGION_BASE
+    cfg.footprint += 4096
+    with pytest.raises(ValueError, match="counter region"):
+        cfg.validate()

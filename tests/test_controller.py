@@ -48,7 +48,7 @@ def test_every_queued_line_is_announced(mode, use_register):
         base = 3 * k * PAGE  # three pages, so the 8-set cache evicts
         lines = [base, base + 64, base + PAGE, base + 2 * PAGE]
         execute(ctrl, TxnDescriptor(k, [(a, bytes([k]) * 64) for a in lines],
-                                    log_slot=k))
+                                    seq=k))
     for i in range(130):  # line 0 overflows its minor once
         ctrl.handle_flush(0, bytes([i]) * 64)
     ctrl.flush_counter_cache()
@@ -255,13 +255,20 @@ def test_snapshot_restore_preserves_data():
 
 def test_log_slots_do_not_overlap():
     ctrl = make("secpm", cores=2)
-    spans = []
+    cfg = ctrl.cfg
+    slot_bytes = cfg.slot_lines * 64
+    area = cfg.log_slots * slot_bytes  # one core's slots
+    spans = set()
     for core in range(2):
-        for slot in range(ctrl.cfg.log_slots):
-            base = ctrl.log_slot_base(core, slot)
-            spans.append((base, base + ctrl.log_slot_lines * 64))
-    spans.sort()
+        start = cfg.data_bytes + core * area
+        # Sequence numbers past log_slots reuse the core's own slots.
+        for seq in range(2 * cfg.log_slots):
+            base = cfg.log_slot_base(core, seq)
+            assert start <= base and base + slot_bytes <= start + area
+            spans.add((base, base + slot_bytes))
+    assert len(spans) == 2 * cfg.log_slots
+    spans = sorted(spans)
     assert all(spans[i][1] <= spans[i + 1][0] for i in range(len(spans) - 1))
     # The whole log area fits inside the mapped data region.
     last_page = (spans[-1][1] - 1) // 4096
-    assert last_page < ctrl.map.data_region_span
+    assert last_page < ctrl.map.data_region_span == cfg.mapped_pages

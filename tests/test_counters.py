@@ -64,7 +64,7 @@ def test_increment_rejects_bad_index():
 
 
 def test_locate_counter_math():
-    cmap = CounterAddressMap(counter_region_base=BASE, data_region_span=4)
+    cmap = CounterAddressMap(data_region_span=4)
     assert cmap.locate(0) == (BASE, 0)
     assert cmap.locate(64) == (BASE, 1)
     assert cmap.locate(4096) == (BASE + 64, 0)
@@ -72,7 +72,7 @@ def test_locate_counter_math():
 
 
 def test_locate_rejects_misaligned_and_outside():
-    cmap = CounterAddressMap(counter_region_base=BASE, data_region_span=2)
+    cmap = CounterAddressMap(data_region_span=2)
     with pytest.raises(AddressError):
         cmap.locate(33)
     with pytest.raises(AddressError):
@@ -80,7 +80,7 @@ def test_locate_rejects_misaligned_and_outside():
 
 
 def test_counter_region_is_disjoint():
-    cmap = CounterAddressMap(counter_region_base=BASE, data_region_span=100)
+    cmap = CounterAddressMap(data_region_span=100)
     counter_lines = {cmap.locate(page * 4096)[0] for page in range(100)}
     assert len(counter_lines) == 100 and min(counter_lines) == BASE
     assert 100 * 4096 <= BASE  # the data region ends below the counter region

@@ -122,24 +122,31 @@ def test_snapshots_change_monotonically():
 
 
 def test_txn_scenario_secpm_never_inconsistent():
-    outcomes = inject(CrashPlan("exhaustive"),
-                      lambda: TxnScenario(cfg_for("secpm"), n_lines=2))
-    verdicts = collections.Counter(o.verdict for o in outcomes)
-    assert verdicts[Verdict.INCONSISTENT] == 0
-    assert verdicts[Verdict.ROLLED_BACK] > 0
-    assert verdicts[Verdict.COMMITTED] > 0
+    # With one log slot the setup and the checked transaction share it.
+    for log_slots in (64, 1):
+        cfg = cfg_for("secpm", log_slots=log_slots)
+        outcomes = inject(CrashPlan("exhaustive"),
+                          lambda: TxnScenario(cfg, n_lines=2))
+        verdicts = collections.Counter(o.verdict for o in outcomes)
+        assert verdicts[Verdict.INCONSISTENT] == 0
+        assert verdicts[Verdict.ROLLED_BACK] > 0
+        assert verdicts[Verdict.COMMITTED] > 0
 
 
 def test_txn_scenario_no_cwr_never_inconsistent():
-    outcomes = inject(CrashPlan("exhaustive"),
-                      lambda: TxnScenario(cfg_for("secpm-no-cwr"), n_lines=2))
-    assert all(o.verdict.ok for o in outcomes)
+    for log_slots in (64, 1):
+        cfg = cfg_for("secpm-no-cwr", log_slots=log_slots)
+        outcomes = inject(CrashPlan("exhaustive"),
+                          lambda: TxnScenario(cfg, n_lines=2))
+        assert all(o.verdict.ok for o in outcomes)
 
 
 def test_txn_scenario_unencrypted_never_inconsistent():
-    outcomes = inject(CrashPlan("exhaustive"),
-                      lambda: TxnScenario(cfg_for("unsec-pm"), n_lines=2))
-    assert all(o.verdict.ok for o in outcomes)
+    for log_slots in (64, 1):
+        cfg = cfg_for("unsec-pm", log_slots=log_slots)
+        outcomes = inject(CrashPlan("exhaustive"),
+                          lambda: TxnScenario(cfg, n_lines=2))
+        assert all(o.verdict.ok for o in outcomes)
 
 
 def test_txn_scenario_write_back_baseline_breaks():

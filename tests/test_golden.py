@@ -5,7 +5,8 @@ must leave them byte-identical.  These tests hash the stats report of a
 small sweep and the outcome list of three crash scopes, and the same for
 the flush branch that appends counter and data without the staging
 register (``use_register=False``), the normalized report of the same
-sweep and what ``secpmsim crashcheck`` prints; a digest that
+sweep, a sweep that reuses each undo-log slot many times and what
+``secpmsim crashcheck`` prints; a digest that
 changes means some reported number changed.  Update a pin only together
 with a note saying which number changed and why.
 """
@@ -86,6 +87,24 @@ def crash_digest(modes, make, **overrides) -> str:
 def test_crash_outcome_digest(scope):
     modes, make = CRASH_SCOPES[scope]
     assert crash_digest(modes, make) == CRASH_PINS[scope]
+
+
+# Three undo-log slots per core and 30 transactions per core, so every slot
+# is reused many times over; the log sits right above a 64 KiB footprint.
+SLOT_REUSE_PIN = (
+    "0bb5e6ff81bf518ad16d6ee8a4c9c12c5086040c70d97d0da205b477db0be888"
+)
+
+
+def test_run_report_digest_with_reused_log_slots():
+    stats = [
+        run_experiment(Config(mode=mode, workload=kind, txn_size=size,
+                              txn_count=30, cores=cores, seed=0, log_slots=3,
+                              footprint=65536))
+        for mode in ("unsec-pm", "secpm") for kind in ("btree", "queue")
+        for size in (256, 1024) for cores in (1, 2)
+    ]
+    assert sha256(emit_report(stats)) == SLOT_REUSE_PIN
 
 
 # The write-through modes without the staging register: the counter and the

@@ -14,8 +14,8 @@ from _bit_loop import (
     reference_deserialize,
     reference_serialize,
 )
-from secpmsim.config import Config
-from secpmsim.controller import COUNTER_REGION_BASE, Controller
+from secpmsim.config import COUNTER_REGION_BASE, Config
+from secpmsim.controller import Controller
 from secpmsim.counters import (
     MINOR_MAX,
     CounterLine,

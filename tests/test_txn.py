@@ -80,7 +80,7 @@ def test_committed_txn_updates_data_and_zeroes_tag():
     execute(ctrl, txn)
     for addr, value in ws:
         assert ctrl.handle_read(addr) == value
-    base = ctrl.log_slot_base(0, 0)
+    base = ctrl.cfg.log_slot_base(0, 0)
     end_addr = base + 5 * 64
     assert ctrl.handle_read(end_addr) == bytes(64)
 
@@ -104,10 +104,10 @@ def test_recover_undoes_complete_uncommitted_log():
     ctrl = Controller(cfg)
     pre = write_set(4, seed=3)
     post = write_set(4, seed=4)
-    execute(ctrl, TxnDescriptor(0, pre, log_slot=0))
+    execute(ctrl, TxnDescriptor(0, pre, seq=0))
     # Stop the second transaction right after its last data flush: the log
     # is complete and the end tag is live, so recovery must roll it back.
-    gen = run_transaction(ctrl, TxnDescriptor(1, post, log_slot=1))
+    gen = run_transaction(ctrl, TxnDescriptor(1, post, seq=1))
     seen_data = 0
     for label in gen:
         if label == "data":
@@ -124,8 +124,8 @@ def test_recover_abandons_incomplete_log():
     cfg = make_cfg()
     ctrl = Controller(cfg)
     pre = write_set(4, seed=5)
-    execute(ctrl, TxnDescriptor(0, pre, log_slot=0))
-    gen = run_transaction(ctrl, TxnDescriptor(1, write_set(4, seed=6), log_slot=1))
+    execute(ctrl, TxnDescriptor(0, pre, seq=0))
+    gen = run_transaction(ctrl, TxnDescriptor(1, write_set(4, seed=6), seq=1))
     next(gen)  # header only; no old values, no end tag
     recovered, undone = recover(ctrl.snapshot(), cfg)
     assert undone == []
@@ -137,8 +137,8 @@ def test_recovery_is_idempotent():
     cfg = make_cfg()
     ctrl = Controller(cfg)
     pre = write_set(4, seed=7)
-    execute(ctrl, TxnDescriptor(0, pre, log_slot=0))
-    gen = run_transaction(ctrl, TxnDescriptor(1, write_set(4, seed=8), log_slot=1))
+    execute(ctrl, TxnDescriptor(0, pre, seq=0))
+    gen = run_transaction(ctrl, TxnDescriptor(1, write_set(4, seed=8), seq=1))
     for _ in range(7):  # through mutate
         next(gen)
     recovered, undone = recover(ctrl.snapshot(), cfg)

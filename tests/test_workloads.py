@@ -87,8 +87,11 @@ def test_generation_is_deterministic(kind):
 
 
 def test_log_slots_cycle():
-    stream = generate(spec_for("array", footprint=1 << 30, log_slots=4))
-    assert [t.log_slot for t in stream[:6]] == [0, 1, 2, 3, 0, 1]
+    stream = generate(spec_for("array", footprint=1 << 30))
+    assert [t.seq for t in stream[:6]] == [0, 1, 2, 3, 4, 5]
+    cfg = Config(workload="array", txn_size=256, log_slots=4)
+    bases = [cfg.log_slot_base(0, t.seq) for t in stream[:6]]
+    assert len(set(bases[:4])) == 4 and bases[4:] == bases[:2]
 
 
 def test_from_config_fills_defaults():
@@ -101,9 +104,11 @@ def test_from_config_fills_defaults():
 
 def test_unknown_workload_rejected():
     with pytest.raises(ValueError):
-        generate(WorkloadSpec(kind="deque", footprint=1 << 30))
+        generate(WorkloadSpec(kind="deque", footprint=1 << 30, txn_size=256,
+                              txn_count=1))
     with pytest.raises(ValueError):
-        generate(WorkloadSpec(kind="array", txn_size=100, footprint=1 << 30))
+        generate(WorkloadSpec(kind="array", footprint=1 << 30, txn_size=100,
+                              txn_count=1))
 
 
 def test_queue_workload_is_contiguous():
