@@ -3,13 +3,14 @@
 A 64-byte pad is derived from (key, line address, 71-bit counter) and XORed
 with the line content.  The block function is an opaque fixed-latency
 pseudorandom primitive; only determinism and pad non-reuse matter here, so
-it is AES-128-ECB in a two-stage cascade:
+it is AES-128 on the split-counter seed (Yan et al., ISCA 2006):
 
-    t      = E_K(addr64 || ctr_low64)
-    pad_i  = E_K(t XOR (ctr_high64 || i)),   i = 0..3
+    pad_i = E_K(line_index55 || ctr71 || i2),   i = 0..3
 
-The address/counter packing is a convention of this simulator, not a
-hardware contract.
+where line_index is the address divided by 64.  The four blocks go through
+one 64-byte ECB call, so a pad costs one AES call.  The seed fits one block
+for line-aligned addresses below 2^61 (the pad domain); any other address
+raises ``ValueError``.  Every address the simulator maps lies below 2^41.
 
 A pad is a pure function of (key, address, counter), so inside
 ``shared_pads()`` every engine on one key computes each pad once.  Crash
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import struct
 from typing import Callable, Iterator
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -30,12 +30,11 @@ from secpmsim.config import LINE
 
 COUNTER_BITS = 71
 _CTR_LIMIT = 1 << COUNTER_BITS
-_LOW64 = (1 << 64) - 1
-# base * _SPREAD copies a 128-bit value into all four 16-byte blocks of a
-# line; XOR with _BLOCK_INDEX then turns block i into base ^ i.
+_ADDR_LIMIT = 1 << 61  # 55-bit line index, 71-bit counter, 2-bit block
+# seed * _SPREAD copies a 128-bit seed into all four 16-byte blocks of a
+# line; XOR with _BLOCK_INDEX then turns block i into seed | i.
 _SPREAD = (1 << 384) | (1 << 256) | (1 << 128) | 1
 _BLOCK_INDEX = (1 << 256) | (2 << 128) | 3
-_PACK_ADDR_CTR = struct.Struct(">QQ").pack
 
 BlockFn = Callable[[bytes], bytes]
 
@@ -91,12 +90,12 @@ class OtpEngine:
                 return pad
         if not 0 <= counter_value < _CTR_LIMIT:
             raise ValueError("counter out of 71-bit range")
-        t = int.from_bytes(
-            self._block(_PACK_ADDR_CTR(line_address, counter_value & _LOW64)),
-            "big",
-        )
-        base = t ^ ((counter_value >> 64) << 64)
-        pad = self._block((base * _SPREAD ^ _BLOCK_INDEX).to_bytes(64, "big"))
+        if line_address % LINE or not 0 <= line_address < _ADDR_LIMIT:
+            raise ValueError(f"address {line_address:#x} is not a 64-byte"
+                             " aligned address below 2^61")
+        # (line_address >> 6) << 73 for an aligned address.
+        seed = line_address << 67 | counter_value << 2
+        pad = self._block((seed * _SPREAD ^ _BLOCK_INDEX).to_bytes(64, "big"))
         if pads is not None:
             pads[line_address, counter_value] = pad
         return pad

@@ -272,3 +272,18 @@ def test_shared_pads_leave_outcomes_unchanged(monkeypatch, scope, mode, override
     shared = check()
     monkeypatch.setattr(crypto, "shared_pads", contextlib.nullcontext)
     assert check() == shared
+
+
+@pytest.mark.parametrize("scope", SCOPES)
+def test_outcomes_do_not_depend_on_the_key(scope):
+    """Config.seed only picks the encryption key, and no verdict reads a
+    ciphertext byte, so two keys give the same outcome list.  That is why a
+    change to the pad construction moves no crash verdict."""
+    def outcomes(seed):
+        # 256-byte transactions: the txn scope checks 4 lines.
+        cfg = cfg_for("secpm", txn_size=256, seed=seed)
+        return inject(CrashPlan("exhaustive"), lambda: SCOPES[scope](cfg))
+
+    assert Controller(cfg_for(seed=0)).otp.generate(0, 0) != (
+        Controller(cfg_for(seed=1)).otp.generate(0, 0))
+    assert outcomes(0) == outcomes(1)

@@ -5,8 +5,9 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given
 from hypothesis import strategies as st
 
-from secpmsim.config import Config
+from secpmsim.config import COUNTER_REGION_BASE, PAGE, Config
 from secpmsim.controller import Controller
+from secpmsim.counters import CounterAddressMap
 from secpmsim.crash import CrashPlan, PointOutOfRange, TxnScenario, inject
 from secpmsim.crypto import (
     OtpEngine,
@@ -29,7 +30,7 @@ def otp():
 
 def test_pad_is_64_bytes(otp):
     assert len(otp.generate(0, 0)) == 64
-    assert len(otp.generate(1 << 62, (1 << 71) - 1)) == 64
+    assert len(otp.generate((1 << 61) - 64, (1 << 71) - 1)) == 64
 
 
 def test_pad_deterministic(otp):
@@ -77,17 +78,60 @@ def test_engines_sharing_a_key_schedule_stay_independent():
         addr, ctr = rng.randrange(1 << 40) * 64, rng.randrange(1 << 71)
         pads = [a.generate(addr, ctr), other.generate(addr, ctr),
                 b.generate(addr, ctr)]
-        assert pads[0] == pads[2] == cascade_on_a_fresh_cipher(addr, ctr)
+        assert pads[0] == pads[2] == pad_on_a_fresh_cipher(addr, ctr)
         assert pads[1] != pads[0]
 
 
-def cascade_on_a_fresh_cipher(addr, ctr):
-    """The two-stage pad cascade, written out on an unshared AES context."""
-    block = Cipher(algorithms.AES(KEY), modes.ECB()).encryptor().update
-    low, high = ctr & ((1 << 64) - 1), ctr >> 64
-    t = block(addr.to_bytes(8, "big") + low.to_bytes(8, "big"))
-    base = int.from_bytes(t, "big") ^ (high << 64)
-    return b"".join(block((base ^ i).to_bytes(16, "big")) for i in range(4))
+def pad_on_a_fresh_cipher(addr, ctr):
+    """Block i of the pad is E_K(line index || counter || i), one block per
+    call, each on its own unshared AES context."""
+    seed = (addr // 64) << 73 | ctr << 2
+    return b"".join(
+        Cipher(algorithms.AES(KEY), modes.ECB()).encryptor().update(
+            (seed | i).to_bytes(16, "big"))
+        for i in range(4))
+
+
+def test_pads_stay_apart_across_field_boundaries(otp):
+    """The line index, counter and block number fields abut in the seed, so
+    carrying into a neighbouring field must not reproduce any pad block."""
+    top_ctr = (1 << 71) - 1
+    cases = [(64, 0), (0, 1 << 70), (0, top_ctr), (0, 1), (0, 0),
+             ((1 << 61) - 64, top_ctr), ((1 << 61) - 128, top_ctr)]
+    blocks = [pad[i:i + 16] for pad in (otp.generate(*c) for c in cases)
+              for i in range(0, 64, 16)]
+    assert len(set(blocks)) == len(blocks)
+    for addr, ctr in cases:
+        assert otp.generate(addr, ctr) == pad_on_a_fresh_cipher(addr, ctr)
+
+
+outside_pad_domain = st.one_of(
+    st.integers(min_value=0, max_value=1 << 62).filter(lambda a: a % 64),
+    st.integers(min_value=1 << 61, max_value=1 << 80),
+    st.integers(min_value=-(1 << 80), max_value=-1),
+)
+
+
+@given(addr=outside_pad_domain, ctr=st.integers(0, (1 << 71) - 1))
+def test_address_outside_pad_domain_rejected(addr, ctr):
+    with pytest.raises(ValueError):
+        REFERENCE.generate(addr, ctr)
+
+
+def test_largest_accepted_layout_stays_inside_pad_domain(otp):
+    """The largest layout Config.validate accepts maps every page below the
+    counter region; its last counter line still gets a pad."""
+    def layout(footprint):
+        return Config(workload="array", txn_size=64, cores=1, log_slots=1,
+                      footprint=footprint)
+    with pytest.raises(ValueError, match="past the counter region"):
+        layout(COUNTER_REGION_BASE).validate()
+    cfg = layout(COUNTER_REGION_BASE - PAGE)
+    cfg.validate()
+    pages = cfg.mapped_pages
+    assert pages == COUNTER_REGION_BASE // PAGE
+    top = CounterAddressMap(pages).counter_line_address(pages - 1)
+    assert len(otp.generate(top, (1 << 71) - 1)) == 64
 
 
 def test_xor_identity_and_involution(otp):

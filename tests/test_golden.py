@@ -6,9 +6,10 @@ small sweep and the outcome list of three crash scopes, and the same for
 the flush branch that appends counter and data without the staging
 register (``use_register=False``), the normalized report of the same
 sweep, a sweep that reuses each undo-log slot many times and what
-``secpmsim crashcheck`` prints; a digest that
-changes means some reported number changed.  Update a pin only together
-with a note saying which number changed and why.
+``secpmsim crashcheck`` prints; a digest that changes means some reported
+number changed.  One more pin hashes sixteen fixed pads, so that a change
+to the pad construction, which no report shows, is deliberate.  Update a
+pin only together with a note saying which number changed and why.
 """
 
 import hashlib
@@ -17,6 +18,7 @@ import pytest
 
 from secpmsim.cli import main
 from secpmsim.config import MODES, Config
+from secpmsim.controller import derive_key
 from secpmsim.crash import (
     AtomicWriteScenario,
     CrashPlan,
@@ -24,6 +26,7 @@ from secpmsim.crash import (
     TxnScenario,
     inject,
 )
+from secpmsim.crypto import OtpEngine
 from secpmsim.runner import run_experiment
 from secpmsim.stats import emit_normalized_report, emit_report
 
@@ -154,3 +157,18 @@ def test_crashcheck_cli_digest(capsys):
         captured = capsys.readouterr()
         parts += [scope, mode, captured.out, captured.err, str(status)]
     assert sha256("\x00".join(parts)) == CRASHCHECK_PIN
+
+
+# No report holds ciphertext, so the pins above cannot see the pad
+# construction; this one can.  Sixteen pads under the seed-0 key, at the
+# edges of the line-index and counter fields of the pad seed.
+PAD_INPUTS = [(addr, ctr)
+              for addr in (0, 64, 1 << 40, (1 << 61) - 64)
+              for ctr in (0, 1, 1 << 70, (1 << 71) - 1)]
+PAD_PIN = "666bdc5450c64fae51159d92d81698db795863a39e770eb17aa17bfeffa5d48b"
+
+
+def test_pad_digest():
+    engine = OtpEngine(derive_key(0))
+    pads = b"".join(engine.generate(addr, ctr) for addr, ctr in PAD_INPUTS)
+    assert hashlib.sha256(pads).hexdigest() == PAD_PIN
