@@ -108,16 +108,22 @@ class Config:
         """Lines in one undo-log slot: header, old values and end tag."""
         return self.txn_size // LINE + 2
 
+    @property
+    def log_headers(self) -> range:
+        """The header address of every undo-log slot, in address order:
+        each core's ``log_slots`` slots in turn, right above the footprint."""
+        stride = self.slot_lines * LINE
+        first = self.data_bytes
+        return range(first, first + self.cores * self.log_slots * stride, stride)
+
     def log_slot_base(self, core: int, seq: int) -> int:
         """A core's seq-th transaction logs here; slots are reused in turn."""
-        index = core * self.log_slots + seq % self.log_slots
-        return self.data_bytes + index * self.slot_lines * LINE
+        return self.log_headers[core * self.log_slots + seq % self.log_slots]
 
     @property
     def mapped_pages(self) -> int:
         """Pages of data and log, which the counter region maps."""
-        log_bytes = self.cores * self.log_slots * self.slot_lines * LINE
-        return -(-(self.data_bytes + log_bytes) // PAGE)
+        return -(-self.log_headers.stop // PAGE)
 
     def validate(self) -> None:
         if self.mode not in MODES:

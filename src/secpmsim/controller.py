@@ -31,6 +31,8 @@ from secpmsim.counters import (
 from secpmsim.crypto import OtpEngine, decrypt_line, encrypt_line
 from secpmsim.nvm import CrashSnapshot, NvmDevice, take_crash_snapshot
 from secpmsim.write_queue import (
+    COUNTER,
+    DATA,
     Origin,
     StagingRegister,
     WriteQueue,
@@ -187,7 +189,7 @@ class Controller:
         if victim is not None:
             # Write-back eviction (only reachable without write-through).
             vaddr, vline = victim
-            t = self._enqueue(vaddr, vline.serialize(), Origin.COUNTER, t)
+            t = self._enqueue(vaddr, vline.serialize(), COUNTER, t)
         return t
 
     # ------------------------------------------------------------------
@@ -202,7 +204,7 @@ class Controller:
         self.flushes += 1
 
         if not self._encrypted:
-            t = self._enqueue(address, plaintext, Origin.DATA, t)
+            t = self._enqueue(address, plaintext, DATA, t)
             self.clock = t
             return t
 
@@ -223,23 +225,25 @@ class Controller:
             # Broken baseline: the counter stays dirty in the cache and
             # only the data entry becomes durable.
             self.cache.mark_dirty(cline)
-            t = self._enqueue(address, cipher, Origin.DATA, t)
+            t = self._enqueue(address, cipher, DATA, t)
         elif self._use_register:
             register = self.register
+            queue = self.queue
             hook = self.boundary_hook
-            register.store_counter(cline, line.serialize())
+            register.counter_slot = (cline, line.serialize())
             if hook is not None:
                 hook("reg_store")
-            register.store_data(address, cipher)
+            register.data_slot = (address, cipher)
             if hook is not None:
                 hook("reg_store")
-            t = self._ensure_space(2, t)
-            self.queue.atomic_append_pair(register)
+            if len(queue.entries) + 2 > queue.capacity:
+                t = self._ensure_space(2, t)
+            queue.atomic_append_pair(register)
             if hook is not None:
                 hook("append_pair")
         else:
-            t = self._enqueue(cline, line.serialize(), Origin.COUNTER, t)
-            t = self._enqueue(address, cipher, Origin.DATA, t)
+            t = self._enqueue(cline, line.serialize(), COUNTER, t)
+            t = self._enqueue(address, cipher, DATA, t)
 
         self.clock = t
         return t
@@ -276,7 +280,7 @@ class Controller:
         t = self.clock
         for addr, line in self.cache.dirty_entries():
             self.cache.mark_clean(addr)
-            t = self._enqueue(addr, line.serialize(), Origin.COUNTER, t)
+            t = self._enqueue(addr, line.serialize(), COUNTER, t)
         self.clock = t
         return t
 
@@ -326,8 +330,8 @@ class Controller:
             t = self._insert_counter(cline, hybrid, t)
             # The queue append and the done-bit update are one controller
             # action: no crash point separates them.
-            self.register.store_counter(cline, hybrid.serialize())
-            self.register.store_data(address, recipher)
+            self.register.counter_slot = (cline, hybrid.serialize())
+            self.register.data_slot = (address, recipher)
             t = self._ensure_space(2, t)
             self.queue.atomic_append_pair(self.register)
             self.rsr.set_done(i)

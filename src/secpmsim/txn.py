@@ -3,7 +3,9 @@
 A transaction runs prepare (log header, old values, end tag; fence),
 mutate (in-place updates; fence), commit (zero the end tag; fence).  A log
 entry is complete iff its end tag matches the transaction id; recovery
-abandons incomplete logs and undoes complete ones.
+abandons incomplete logs and undoes complete ones.  It reads only the slots
+whose header line is in the durable image, never the unwritten rest of the
+log region.
 
 Log layout, per fixed-size slot:
   line 0              header: magic4 | nregions4 | txn_id8 | 3x(base8, nlines8)
@@ -129,31 +131,34 @@ def execute(controller: Controller, txn: TxnDescriptor) -> float:
 
 def recover(snapshot: CrashSnapshot, cfg: Config) -> tuple[Controller, list[int]]:
     """Rebuild a controller over the durable image, finish any in-flight
-    page re-encryption, then scan the log region and undo complete logs."""
+    page re-encryption, then undo complete logs in address order.
+
+    Only slots whose header line the durable image holds are read: a slot
+    never written holds no log, so recovery costs the same at any
+    ``log_slots``."""
     ctrl = Controller.from_snapshot(cfg, snapshot)
     undone: list[int] = []
-    for core in range(cfg.cores):
-        for slot in range(cfg.log_slots):
-            base = cfg.log_slot_base(core, slot)
-            parsed = parse_header(ctrl.handle_read(base))
-            if parsed is None:
-                continue
-            txn_id, regions = parsed
-            total = sum(n for _, n in regions)
-            if total > cfg.slot_lines - 2:
-                continue
-            end_addr = base + (1 + total) * LINE
-            if not end_tag_matches(ctrl.handle_read(end_addr), txn_id):
-                continue  # incomplete log: abandon
-            idx = 1
-            for rbase, nlines in regions:
-                for j in range(nlines):
-                    old = ctrl.handle_read(base + idx * LINE)
-                    idx += 1
-                    ctrl.handle_flush(rbase + j * LINE, old)
-            ctrl.fence()
-            ctrl.handle_flush(end_addr, ZERO_LINE)
-            ctrl.fence()
-            undone.append(txn_id)
+    headers = cfg.log_headers
+    for base in sorted(a for a in snapshot.store if a in headers):
+        parsed = parse_header(ctrl.handle_read(base))
+        if parsed is None:
+            continue
+        txn_id, regions = parsed
+        total = sum(n for _, n in regions)
+        if total > cfg.slot_lines - 2:
+            continue
+        end_addr = base + (1 + total) * LINE
+        if not end_tag_matches(ctrl.handle_read(end_addr), txn_id):
+            continue  # incomplete log: abandon
+        idx = 1
+        for rbase, nlines in regions:
+            for j in range(nlines):
+                old = ctrl.handle_read(base + idx * LINE)
+                idx += 1
+                ctrl.handle_flush(rbase + j * LINE, old)
+        ctrl.fence()
+        ctrl.handle_flush(end_addr, ZERO_LINE)
+        ctrl.fence()
+        undone.append(txn_id)
     ctrl.drain_all()
     return ctrl, undone

@@ -26,6 +26,12 @@ class Origin(Enum):
     COUNTER = "counter"
 
 
+# The members as module globals: on the per-flush path a global load costs
+# about a tenth of an Enum class attribute lookup.
+DATA = Origin.DATA
+COUNTER = Origin.COUNTER
+
+
 @dataclass(eq=False, slots=True)
 class WriteQueueEntry:
     address: int
@@ -33,22 +39,14 @@ class WriteQueueEntry:
     origin: Origin
 
 
-@dataclass
+@dataclass(slots=True)
 class StagingRegister:
-    """Two-line volatile buffer; contents are lost on crash."""
+    """Two-line volatile buffer; contents are lost on crash.  The
+    controller fills each slot with an ``(address, payload)`` pair, and
+    ``WriteQueue.atomic_append_pair`` empties both."""
 
     data_slot: Optional[tuple[int, bytes]] = None
     counter_slot: Optional[tuple[int, bytes]] = None
-
-    def store_counter(self, address: int, payload: bytes) -> None:
-        self.counter_slot = (address, payload)
-
-    def store_data(self, address: int, payload: bytes) -> None:
-        self.data_slot = (address, payload)
-
-    def clear(self) -> None:
-        self.data_slot = None
-        self.counter_slot = None
 
 
 class WriteQueue:
@@ -74,7 +72,7 @@ class WriteQueue:
         The no-two-counters-per-address invariant bounds removals to one,
         so the per-address index finds it without a scan.
         """
-        if incoming.origin is not Origin.COUNTER:
+        if incoming.origin is not COUNTER:
             raise ValueError("merge applies to counter entries only")
         if not self.cwr_enabled:
             raise ValueError("merging is disabled on this queue")
@@ -88,7 +86,7 @@ class WriteQueue:
     def append(self, entry: WriteQueueEntry) -> None:
         if len(self.entries) >= self.capacity:
             raise RuntimeError("append on a full queue; caller must stall")
-        if entry.origin is Origin.COUNTER:
+        if entry.origin is COUNTER:
             self.appended_counter += 1
             if self.cwr_enabled:
                 self.cwr_merge(entry)
@@ -103,15 +101,14 @@ class WriteQueue:
         The caller guarantees two free slots; no crash point may be
         introduced between the two appends.
         """
-        if register.counter_slot is None or register.data_slot is None:
+        counter, data = register.counter_slot, register.data_slot
+        if counter is None or data is None:
             raise ValueError("staging register must hold both lines")
         if len(self.entries) + 2 > self.capacity:
             raise RuntimeError("need two free slots for an atomic pair")
-        caddr, cpayload = register.counter_slot
-        daddr, dpayload = register.data_slot
-        self.append(WriteQueueEntry(caddr, cpayload, Origin.COUNTER))
-        self.append(WriteQueueEntry(daddr, dpayload, Origin.DATA))
-        register.clear()
+        self.append(WriteQueueEntry(counter[0], counter[1], COUNTER))
+        self.append(WriteQueueEntry(data[0], data[1], DATA))
+        register.counter_slot = register.data_slot = None
 
     def drain_one(self, nvm: "NvmDevice", now: float) -> WriteQueueEntry:
         """Issue the head entry at ``now`` (FIFO only); its bank must be free."""

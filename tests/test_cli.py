@@ -402,3 +402,15 @@ def test_crashcheck_rejects_comma_list(capsys):
     assert run_cli(*CRASH, "--queue-len", "2,32") == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error:")
+
+
+def test_crashcheck_output_does_not_depend_on_log_slots(tmp_path, capsys):
+    """Recovery reads only the log slots a crash image holds, so 65,536
+    slots print the same verdicts as the default 64, and quickly."""
+    config = tmp_path / "slots.cfg"
+    config.write_text("log_slots = 65536\n")
+    printed = []
+    for extra in ([], ["--config", str(config)]):
+        assert run_cli("crashcheck", "--txn-size", "256", *extra) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] and printed[0] == printed[1]

@@ -268,6 +268,7 @@ def test_log_slots_do_not_overlap():
             spans.add((base, base + slot_bytes))
     assert len(spans) == 2 * cfg.log_slots
     spans = sorted(spans)
+    assert [start for start, _ in spans] == list(cfg.log_headers)
     assert all(spans[i][1] <= spans[i + 1][0] for i in range(len(spans) - 1))
     # The whole log area fits inside the mapped data region.
     last_page = (spans[-1][1] - 1) // 4096

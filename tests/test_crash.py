@@ -3,9 +3,10 @@ import contextlib
 import itertools
 
 import pytest
+from _every_slot_recover import recover_every_slot
 
-from secpmsim import crypto
-from secpmsim.config import MODES, Config
+from secpmsim import crypto, txn
+from secpmsim.config import MODES, Config, Mode
 from secpmsim.controller import Controller
 from secpmsim.crash import (
     SCOPES,
@@ -287,3 +288,37 @@ def test_outcomes_do_not_depend_on_the_key(scope):
     assert Controller(cfg_for(seed=0)).otp.generate(0, 0) != (
         Controller(cfg_for(seed=1)).otp.generate(0, 0))
     assert outcomes(0) == outcomes(1)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("scope", SCOPES)
+def test_recover_matches_the_every_slot_scan(scope, mode):
+    """recover reads only the log slots in the durable image; the reference
+    reads all cores * log_slots of them.  At crash point -1 and at every
+    boundary of every queue_len {2, 32} x use_register x log_slots
+    {1, 3, 64} case, both undo the same transactions, leave the same store
+    and give the same verdict.  One run of the scenario yields every
+    point's image, the one ``inject`` replays up to."""
+    undid = False
+    for queue_len, use_register, log_slots in itertools.product(
+            [2, 32], [True, False], [1, 3, 64]):
+        cfg = cfg_for(mode, txn_size=64 if scope == "reencrypt" else 256,
+                      queue_len=queue_len, use_register=use_register,
+                      log_slots=log_slots)
+        scenario = SCOPES[scope](cfg)
+        ctrl = scenario.fresh()
+        images = [ctrl.snapshot()]
+        ctrl.boundary_hook = lambda label: images.append(ctrl.snapshot())
+        scenario.run(ctrl)
+        with crypto.shared_pads():
+            for point, snapshot in enumerate(images, -1):
+                case = (queue_len, use_register, log_slots, point)
+                got, undone = txn.recover(snapshot, cfg)
+                ref, ref_undone = recover_every_slot(snapshot, cfg)
+                assert undone == ref_undone, case
+                assert got.snapshot().store == ref.snapshot().store, case
+                assert scenario.verify(got) == scenario.verify(ref), case
+                undid = undid or bool(undone)
+    # The txn scope undoes a complete log at some crash point wherever its
+    # log lines decrypt after a crash.
+    assert undid == (scope == "txn" and Mode(mode).crash_consistent)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from _every_slot_recover import recover_every_slot
 
 from secpmsim.config import Config
 from secpmsim.controller import Controller
@@ -147,3 +148,46 @@ def test_recovery_is_idempotent():
     assert undone2 == []
     for addr, value in pre:
         assert again.handle_read(addr) == value
+
+
+def test_recovery_reads_do_not_grow_with_log_slots(monkeypatch):
+    """Each of two cores crashes with a complete, uncommitted log over a
+    committed transaction.  Recovery reads as many lines at log_slots 65,536
+    as at 64, undoes the same two transactions, and agrees with the
+    every-slot reference at 64."""
+    def crash_image(log_slots):
+        cfg = make_cfg(cores=2, log_slots=log_slots)
+        ctrl = Controller(cfg)
+        for core in range(2):
+            ws = write_set(4, seed=core, base=core * 4096)
+            execute(ctrl, TxnDescriptor(2 * core, ws, seq=0, core=core))
+        for core in range(2):
+            ws = write_set(4, seed=10 + core, base=core * 4096)
+            gen = run_transaction(ctrl, TxnDescriptor(2 * core + 1, ws, seq=1,
+                                                      core=core))
+            # Stop after the last data flush: the end tag is still live.
+            for _ in range(1 + 4 + 1 + 4):
+                next(gen)
+        return ctrl.snapshot(), cfg
+
+    images = {log_slots: crash_image(log_slots) for log_slots in (64, 65536)}
+    reads = []
+    handle_read = Controller.handle_read
+
+    def counting_read(self, address):
+        reads.append(address)
+        return handle_read(self, address)
+
+    monkeypatch.setattr(Controller, "handle_read", counting_read)
+    counts = {}
+    for log_slots, (snapshot, cfg) in images.items():
+        reads.clear()
+        _, undone = recover(snapshot, cfg)
+        assert undone == [1, 3]
+        counts[log_slots] = len(reads)
+    assert counts[64] == counts[65536]
+
+    snapshot, cfg = images[64]
+    got, ref = recover(snapshot, cfg), recover_every_slot(snapshot, cfg)
+    assert got[1] == ref[1]
+    assert got[0].snapshot().store == ref[0].snapshot().store

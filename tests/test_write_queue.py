@@ -77,7 +77,7 @@ def test_merge_only_same_address():
 def test_atomic_pair_requires_both_slots():
     q = WriteQueue(capacity=8)
     reg = StagingRegister()
-    reg.store_counter(1 << 40, bytes(64))
+    reg.counter_slot = (1 << 40, bytes(64))
     with pytest.raises(ValueError):
         q.atomic_append_pair(reg)
 
@@ -86,8 +86,8 @@ def test_atomic_pair_requires_two_slots():
     q = WriteQueue(capacity=2)
     q.append(entry(0))
     reg = StagingRegister()
-    reg.store_counter(1 << 40, bytes(64))
-    reg.store_data(64, bytes(64))
+    reg.counter_slot = (1 << 40, bytes(64))
+    reg.data_slot = (64, bytes(64))
     with pytest.raises(RuntimeError):
         q.atomic_append_pair(reg)
 
@@ -95,8 +95,8 @@ def test_atomic_pair_requires_two_slots():
 def test_atomic_pair_appends_counter_then_data_and_clears():
     q = WriteQueue(capacity=4)
     reg = StagingRegister()
-    reg.store_counter(1 << 40, b"\1" * 64)
-    reg.store_data(64, b"\2" * 64)
+    reg.counter_slot = (1 << 40, b"\1" * 64)
+    reg.data_slot = (64, b"\2" * 64)
     q.atomic_append_pair(reg)
     assert [e.origin for e in q.entries] == [Origin.COUNTER, Origin.DATA]
     assert reg.counter_slot is None and reg.data_slot is None
