@@ -17,7 +17,8 @@ from collections import Counter
 from pathlib import Path
 
 from secpmsim import workloads
-from secpmsim.config import LINE, MODES, WORKLOADS, Config, Mode, parse_config
+from secpmsim.config import (LINE, MODES, WORKLOADS, Config, Mode,
+                              config_items, parse_config)
 from secpmsim.counters import AddressError
 from secpmsim.crash import (SCOPES, CrashPlan, Outcome, PointOutOfRange,
                             Verdict, inject)
@@ -144,11 +145,32 @@ def _parse_plan(text: str) -> CrashPlan:
     raise _bad_plan(text, "K >= -1")
 
 
+# Settings no crash scope reads: each scope builds its own fixed writes.
+_UNREAD_BY_CRASHCHECK = ("workload", "cores", "txn_count")
+
+
+def _reject_unread(args: argparse.Namespace) -> None:
+    """A flag or config key that crashcheck would ignore is a usage error."""
+    in_file = set()
+    if args.config:
+        in_file = {key for key, _ in config_items(Path(args.config).read_text())}
+    for key in _UNREAD_BY_CRASHCHECK:
+        if getattr(args, key) is not None:
+            name = "--" + key.replace("_", "-")
+        elif key in in_file:
+            name = f"config key {key!r}"
+        else:
+            continue
+        raise UsageError(f"crashcheck does not read {name}: no crash scope"
+                         " uses it")
+
+
 def cmd_crashcheck(args: argparse.Namespace) -> int:
     cells = _sweep_cells(args, _base_config(args))
     if len(cells) != 1:
         raise UsageError(f"crashcheck checks one configuration; the comma "
                          f"lists give {len(cells)}")
+    _reject_unread(args)
     base = cells[0]
     plan = _parse_plan(args.crash)
     plan.seed = base.seed
@@ -220,7 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--trace-out", dest="trace_out")
     run_p.set_defaults(func=cmd_run)
 
-    crash_p = sub.add_parser("crashcheck", help="crash injection + recovery")
+    crash_p = sub.add_parser(
+        "crashcheck", help="crash injection + recovery",
+        epilog="no crash scope reads --workload, --cores or --txn-count;"
+               " crashcheck rejects them")
     common(crash_p)
     crash_p.add_argument("--crash", default="exhaustive",
                          help="exhaustive | random:N | at:K")

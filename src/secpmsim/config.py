@@ -15,6 +15,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 
 LINE = 64
@@ -168,8 +169,8 @@ _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
 
-def parse_config(text: str, base: Config | None = None) -> Config:
-    cfg = dataclasses.replace(base) if base else Config()
+def config_items(text: str) -> Iterator[tuple[str, str]]:
+    """The ``(key, value)`` settings of a flat config text, in file order."""
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -177,6 +178,12 @@ def parse_config(text: str, base: Config | None = None) -> Config:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
+        yield key, value
+
+
+def parse_config(text: str, base: Config | None = None) -> Config:
+    cfg = dataclasses.replace(base) if base else Config()
+    for key, value in config_items(text):
         apply_setting(cfg, key, value)
     return cfg
 

@@ -7,6 +7,15 @@ overlap pad generation with the NVM access.  Minor-counter overflow
 triggers a page re-encryption tracked by a 20-byte status register that is
 battery-persisted on crash so recovery can finish the page.
 
+A line is encrypted by sealing it (``crypto.Sealed``): the queue and the
+NVM store hold the plaintext with the counter it was sealed under, and the
+ciphertext is computed on demand, so the durable image is exactly the
+counter-mode ciphertext.  Every encryption is charged ``aes_ns`` and
+checked for pad reuse in ``_seal``.  A read under the sealing counter gets
+the plaintext back directly; any other read (a line never written, a
+counter lost in a crash, a counter-tracking bug) decrypts the real
+ciphertext under the counter it looked up, as the hardware would.
+
 The timing model is coarse and event-driven on one global clock: each
 operation advances the clock by its configured latency, and appends stall
 (draining the queue against per-bank occupancy) when the queue is full.  Crash
@@ -28,7 +37,9 @@ from secpmsim.counters import (
     CounterLine,
     increment_minor,
 )
-from secpmsim.crypto import OtpEngine, decrypt_line, encrypt_line
+# ``encrypt_line`` is unused here but stays a module global: tracing tools
+# patch both XOR helpers on this module to count XOR work.
+from secpmsim.crypto import OtpEngine, Sealed, decrypt_line, encrypt_line  # noqa: F401
 from secpmsim.nvm import CrashSnapshot, NvmDevice, take_crash_snapshot
 from secpmsim.write_queue import (
     COUNTER,
@@ -92,6 +103,7 @@ class Controller:
         self._aes_ns = cfg.aes_ns
         self._read_ns = cfg.read_ns
         self.otp = OtpEngine(derive_key(cfg.seed))
+        self._key = self.otp.key
 
         self.map = CounterAddressMap(cfg.mapped_pages)
         self.nvm = NvmDevice(cfg.banks, cfg.t_wr_ns, self._read_ns)
@@ -115,7 +127,8 @@ class Controller:
         if self.boundary_hook is not None:
             self.boundary_hook(label)
 
-    def _read_line_raw(self, address: int, t: float) -> tuple[bytes, float]:
+    def _read_line_raw(self, address: int, t: float
+                       ) -> tuple[bytes | Sealed, float]:
         queued = self.queue.latest.get(address)
         if queued is not None:
             return queued.payload, t + self._read_ns
@@ -147,7 +160,7 @@ class Controller:
             return t
         return self._drain(t, keep=min(capacity - n, capacity // 2))
 
-    def _enqueue(self, address: int, payload: bytes, origin: Origin,
+    def _enqueue(self, address: int, payload: bytes | Sealed, origin: Origin,
                  t: float) -> float:
         """Wait for a free slot, queue one line and announce it as durable."""
         t = self._ensure_space(1, t)
@@ -167,13 +180,24 @@ class Controller:
         self.clock = self._drain(self.clock)
         return self.clock
 
-    def _pad_for_encrypt(self, address: int, ctr: int) -> bytes:
+    def _seal(self, address: int, ctr: int, plaintext: bytes, t: float
+              ) -> tuple[Sealed, float]:
+        """Encrypt a line under ``ctr``: count a reused pad input, charge
+        the AES latency, and return the sealed line."""
         last = self._last_ctr.get(address)
         if last is not None and ctr <= last:
             self.otp_reuse += 1
         else:
             self._last_ctr[address] = ctr
-        return self.otp.generate(address, ctr)
+        return Sealed(plaintext, self.otp, address, ctr), t + self._aes_ns
+
+    def _open(self, address: int, ctr: int, stored: bytes | Sealed) -> bytes:
+        """Decrypt a stored line under ``ctr``; a line sealed here under
+        that very counter and key needs no pad."""
+        if (type(stored) is Sealed and stored.counter == ctr
+                and stored.address == address and stored.engine.key == self._key):
+            return stored.plaintext
+        return decrypt_line(bytes(stored), self.otp.generate(address, ctr))
 
     def _get_counter_line(self, cline: int, t: float) -> tuple[CounterLine, float]:
         line = self.cache.lookup(cline)
@@ -217,15 +241,14 @@ class Controller:
             line, t = self._get_counter_line(cline, t)
             increment_minor(line, minor_index)
 
-        pad = self._pad_for_encrypt(address, line.counter_value(minor_index))
-        t += self._aes_ns
-        cipher = encrypt_line(plaintext, pad)
+        sealed, t = self._seal(address, line.counter_value(minor_index),
+                               plaintext, t)
 
         if not self._write_through:
             # Broken baseline: the counter stays dirty in the cache and
             # only the data entry becomes durable.
             self.cache.mark_dirty(cline)
-            t = self._enqueue(address, cipher, DATA, t)
+            t = self._enqueue(address, sealed, DATA, t)
         elif self._use_register:
             register = self.register
             queue = self.queue
@@ -233,7 +256,7 @@ class Controller:
             register.counter_slot = (cline, line.serialize())
             if hook is not None:
                 hook("reg_store")
-            register.data_slot = (address, cipher)
+            register.data_slot = (address, sealed)
             if hook is not None:
                 hook("reg_store")
             if len(queue.entries) + 2 > queue.capacity:
@@ -243,7 +266,7 @@ class Controller:
                 hook("append_pair")
         else:
             t = self._enqueue(cline, line.serialize(), COUNTER, t)
-            t = self._enqueue(address, cipher, DATA, t)
+            t = self._enqueue(address, sealed, DATA, t)
 
         self.clock = t
         return t
@@ -263,11 +286,9 @@ class Controller:
 
         cline, minor_index = self.map.locate(address)
         line, t_ctr = self._get_counter_line(cline, t0)
-        pad = self.otp.generate(address, line.counter_value(minor_index))
-        cipher, t_data = self._read_line_raw(address, t0)
-        t = max(t_data, t_ctr + self._aes_ns)
-        self.clock = t
-        return decrypt_line(cipher, pad)
+        stored, t_data = self._read_line_raw(address, t0)
+        self.clock = max(t_data, t_ctr + self._aes_ns)
+        return self._open(address, line.counter_value(minor_index), stored)
 
     def fence(self) -> float:
         """All prior flushes are acked (queued = durable) by construction."""
@@ -321,17 +342,15 @@ class Controller:
             if self.rsr.done(i):
                 continue
             address = page * PAGE + i * LINE
-            cipher, t = self._read_line_raw(address, t)
-            plain = decrypt_line(cipher, self.otp.generate(address,
-                                                           old.counter_value(i)))
+            stored, t = self._read_line_raw(address, t)
+            plain = self._open(address, old.counter_value(i), stored)
             hybrid.set_minor(i, 0)
-            recipher = encrypt_line(plain, self._pad_for_encrypt(address, new_ctr))
-            t += self._aes_ns
+            sealed, t = self._seal(address, new_ctr, plain, t)
             t = self._insert_counter(cline, hybrid, t)
             # The queue append and the done-bit update are one controller
             # action: no crash point separates them.
             self.register.counter_slot = (cline, hybrid.serialize())
-            self.register.data_slot = (address, recipher)
+            self.register.data_slot = (address, sealed)
             t = self._ensure_space(2, t)
             self.queue.atomic_append_pair(self.register)
             self.rsr.set_done(i)

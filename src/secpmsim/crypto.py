@@ -16,6 +16,14 @@ A pad is a pure function of (key, address, counter), so inside
 ``shared_pads()`` every engine on one key computes each pad once.  Crash
 checks use it: they rebuild the same scenario for every crash point.  A
 workload run (``secpmsim run``) does not, as its pads seldom repeat.
+
+The controller stores each encrypted line as a ``Sealed`` value: the
+plaintext with the (key, address, counter) it was encrypted under.  It
+stands for ``plaintext XOR pad`` and computes those ciphertext bytes only
+on demand (``bytes``, ``==``, ``hash``), so a read under the counter the
+line was sealed with needs neither AES nor XOR, while a read under any
+other counter decrypts the real ciphertext and gets the same garbage a
+real device would return.
 """
 
 from __future__ import annotations
@@ -77,6 +85,7 @@ class OtpEngine:
     """Pad generator for one encryption key, fixed for a simulation run."""
 
     def __init__(self, key_bytes: bytes):
+        self.key = key_bytes
         self._block = aes_block_fn(key_bytes)
         self._pads: dict[tuple[int, int], bytes] | None = (
             None if _shared is None else _shared.setdefault(key_bytes, {}))
@@ -113,3 +122,41 @@ def encrypt_line(plaintext: bytes, pad: bytes) -> bytes:
 
 def decrypt_line(ciphertext: bytes, pad: bytes) -> bytes:
     return xor_lines(ciphertext, pad)
+
+
+class Sealed:
+    """A line encrypted under ``engine``'s key at (address, counter),
+    held as its plaintext: it stands for ``plaintext XOR pad``.
+
+    ``bytes()`` computes the ciphertext.  ``==`` and ``hash`` follow those
+    bytes, so a sealed line equals the eager ciphertext and never its own
+    plaintext; two seals of one plaintext under one (key, address,
+    counter) compare equal without computing a pad.
+    """
+
+    __slots__ = ("plaintext", "engine", "address", "counter")
+
+    def __init__(self, plaintext: bytes, engine: OtpEngine, address: int,
+                 counter: int):
+        self.plaintext = plaintext
+        self.engine = engine
+        self.address = address
+        self.counter = counter
+
+    def __bytes__(self) -> bytes:
+        return encrypt_line(self.plaintext,
+                            self.engine.generate(self.address, self.counter))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is Sealed:
+            if (self.address == other.address and self.counter == other.counter
+                    and self.plaintext == other.plaintext
+                    and self.engine.key == other.engine.key):
+                return True
+            return bytes(self) == bytes(other)
+        if isinstance(other, bytes):
+            return bytes(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(bytes(self))

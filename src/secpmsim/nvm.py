@@ -4,7 +4,9 @@ The store is sparse (touched lines only).  Banks are line-interleaved:
 bank = (address / 64) mod nbanks.  A write occupies its bank for tWR; a
 read waits for the bank and then costs tRCD + tCL.  A crash snapshot is
 the store with all queued entries applied in FIFO order (the ADR
-guarantee) plus the 20-byte re-encryption status register image.
+guarantee) plus the 20-byte re-encryption status register image.  An
+encrypted mode stores its data lines as ``crypto.Sealed`` values, which
+stand for their ciphertext bytes.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import TYPE_CHECKING
 from secpmsim.config import LINE
 
 if TYPE_CHECKING:
+    from secpmsim.crypto import Sealed
     from secpmsim.write_queue import WriteQueue
 
 ZERO_LINE = bytes(LINE)
@@ -26,13 +29,14 @@ class NvmDevice:
         self.t_wr_ns = t_wr_ns
         self.read_ns = read_ns
         self.busy_until = [0.0] * banks
-        self.store: dict[int, bytes] = {}
+        self.store: dict[int, bytes | Sealed] = {}
         self.writes = 0
 
     def bank(self, address: int) -> int:
         return (address // LINE) % self.nbanks
 
-    def nvm_write(self, address: int, payload: bytes, now: float) -> float:
+    def nvm_write(self, address: int, payload: bytes | Sealed, now: float
+                  ) -> float:
         """Issue a line write on a free bank; returns completion time."""
         b = (address // LINE) % self.nbanks
         if self.busy_until[b] > now:
@@ -43,7 +47,8 @@ class NvmDevice:
         self.writes += 1
         return done
 
-    def nvm_read(self, address: int, now: float) -> tuple[bytes, float]:
+    def nvm_read(self, address: int, now: float
+                 ) -> tuple[bytes | Sealed, float]:
         """Read a line, waiting out any in-flight write on the bank."""
         b = self.bank(address)
         start = max(now, self.busy_until[b])
@@ -60,7 +65,7 @@ class CrashSnapshot:
     are volatile by design.
     """
 
-    store: dict[int, bytes]
+    store: dict[int, bytes | Sealed]
     rsr_image: bytes = bytes(20)
     rsr_active: bool = False
 

@@ -18,6 +18,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
+    from secpmsim.crypto import Sealed
     from secpmsim.nvm import NvmDevice
 
 
@@ -35,7 +36,7 @@ COUNTER = Origin.COUNTER
 @dataclass(eq=False, slots=True)
 class WriteQueueEntry:
     address: int
-    payload: bytes
+    payload: bytes | Sealed
     origin: Origin
 
 
@@ -45,7 +46,7 @@ class StagingRegister:
     controller fills each slot with an ``(address, payload)`` pair, and
     ``WriteQueue.atomic_append_pair`` empties both."""
 
-    data_slot: Optional[tuple[int, bytes]] = None
+    data_slot: Optional[tuple[int, bytes | Sealed]] = None
     counter_slot: Optional[tuple[int, bytes]] = None
 
 

@@ -309,7 +309,7 @@ def test_bad_sweep_list_is_usage_error(tmp_path, capsys, flag, value,
 
 def test_crashcheck_consistent_mode_passes(tmp_path):
     out = tmp_path / "verdicts.csv"
-    assert run_cli("crashcheck", "--mode", "secpm", "--workload", "array",
+    assert run_cli("crashcheck", "--mode", "secpm",
                    "--txn-size", "128", "--scope", "txn",
                    "--out", str(out)) == 0
     rows = read_rows(out)
@@ -320,8 +320,8 @@ def test_crashcheck_broken_baseline_is_expected(tmp_path):
     out = tmp_path / "verdicts.csv"
     # The write-back baseline is allowed to be inconsistent; verdicts are
     # flagged EXPECTED and the exit status stays 0.
-    assert run_cli("crashcheck", "--mode", "secpm-no-cwt", "--workload",
-                   "array", "--txn-size", "128", "--scope", "txn",
+    assert run_cli("crashcheck", "--mode", "secpm-no-cwt",
+                   "--txn-size", "128", "--scope", "txn",
                    "--out", str(out)) == 0
     rows = read_rows(out)
     assert any(r["flag"] == "EXPECTED" for r in rows)
@@ -329,7 +329,7 @@ def test_crashcheck_broken_baseline_is_expected(tmp_path):
 
 def test_crashcheck_atomic_write_scope(tmp_path):
     out = tmp_path / "verdicts.csv"
-    assert run_cli("crashcheck", "--mode", "secpm", "--workload", "array",
+    assert run_cli("crashcheck", "--mode", "secpm",
                    "--txn-size", "64", "--scope", "atomic-write",
                    "--crash", "exhaustive", "--out", str(out)) == 0
     verdicts = {r["verdict"] for r in read_rows(out)}
@@ -338,7 +338,7 @@ def test_crashcheck_atomic_write_scope(tmp_path):
 
 def test_crashcheck_single_point(tmp_path):
     out = tmp_path / "verdicts.csv"
-    assert run_cli("crashcheck", "--mode", "secpm", "--workload", "array",
+    assert run_cli("crashcheck", "--mode", "secpm",
                    "--txn-size", "128", "--crash", "at:0",
                    "--out", str(out)) == 0
     rows = read_rows(out)
@@ -346,7 +346,7 @@ def test_crashcheck_single_point(tmp_path):
 
 
 def test_crashcheck_summary_on_stderr(tmp_path, capsys):
-    argv = ["crashcheck", "--mode", "secpm-no-cwt", "--workload", "array",
+    argv = ["crashcheck", "--mode", "secpm-no-cwt",
             "--txn-size", "128", "--scope", "txn"]
     assert run_cli(*argv) == 0
     captured = capsys.readouterr()
@@ -371,14 +371,12 @@ def test_crashcheck_summary_on_stderr(tmp_path, capsys):
     assert any(verdict == "inconsistent" for _, _, verdict in summary)
 
 
-CRASH = ["crashcheck", "--mode", "secpm", "--workload", "array",
-         "--txn-size", "128"]
+CRASH = ["crashcheck", "--mode", "secpm", "--txn-size", "128"]
 
 
 @pytest.mark.parametrize("flag, key, value", [
     ("--queue-len", "queue_len", "2"),
     ("--cache-size", "cache_size", "512"),
-    ("--cores", "cores", "2"),
 ])
 def test_crashcheck_flag_matches_config_file(tmp_path, capsys, flag, key, value):
     cfg_file = tmp_path / "crash.cfg"
@@ -414,3 +412,25 @@ def test_crashcheck_output_does_not_depend_on_log_slots(tmp_path, capsys):
         assert run_cli("crashcheck", "--txn-size", "256", *extra) == 0
         printed.append(capsys.readouterr().out)
     assert printed[0] and printed[0] == printed[1]
+
+
+@pytest.mark.parametrize("flag, key, value", [
+    ("--workload", "workload", "rbtree"),
+    ("--cores", "cores", "2"),
+    ("--txn-count", "txn_count", "900"),
+])
+def test_crashcheck_rejects_settings_no_scope_reads(tmp_path, capsys, flag,
+                                                    key, value):
+    """No crash scope reads the workload, the core count or the transaction
+    count, so crashcheck refuses them, from a flag or from the config file,
+    instead of printing what it prints without them."""
+    cfg_file = tmp_path / "crash.cfg"
+    cfg_file.write_text(f"{key} = {value}\n")
+    for source, name in (([flag, value], flag),
+                         (["--config", str(cfg_file)], f"config key {key!r}")):
+        assert run_cli("crashcheck", "--txn-size", "256", *source) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: crashcheck does not read {name}:"
+                                " no crash scope uses it\n")
+

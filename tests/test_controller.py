@@ -130,6 +130,29 @@ def test_ciphertext_differs_from_plaintext():
     assert ctrl.handle_read(0) == b"\0" * 64
 
 
+def test_read_back_catches_a_line_sealed_under_a_stale_counter(monkeypatch):
+    """A counter-tracking bug that seals one line under ctr - 1 garbles
+    that line on read, from the queue and from NVM; the other lines read
+    back intact.  Sealing keeps the read-back check's power."""
+    target = 3 * 64
+    seal = Controller._seal
+
+    def stale(self, address, ctr, plaintext, t):
+        return seal(self, address, ctr - (address == target), plaintext, t)
+
+    monkeypatch.setattr(Controller, "_seal", stale)
+    ctrl = make("secpm")
+    rng = random.Random(3)
+    values = {a * 64: rng.randbytes(64) for a in range(8)}
+    for addr, value in values.items():
+        ctrl.handle_flush(addr, value)
+    for drained in (False, True):
+        if drained:
+            ctrl.drain_all()
+        for addr, value in values.items():
+            assert (ctrl.handle_read(addr) == value) == (addr != target)
+
+
 def test_counter_values_strictly_increase():
     ctrl = make("secpm")
     cline, idx = ctrl.map.locate(0)

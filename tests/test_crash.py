@@ -200,14 +200,14 @@ def test_reencrypt_oracle_catches_a_line_left_under_its_old_ciphertext(
     is the page as it read before the overflowing flush, so every crash
     point from the re-encryption on names that line."""
     target = 5 * 64
-    pad_for_encrypt = Controller._pad_for_encrypt
+    seal = Controller._seal
 
-    def keep_old_cipher(self, address, ctr):
+    def keep_old_cipher(self, address, ctr, plaintext, t):
         if address == target:
             ctr -= 1 << 7  # the counter before the major moved: the old pad
-        return pad_for_encrypt(self, address, ctr)
+        return seal(self, address, ctr, plaintext, t)
 
-    monkeypatch.setattr(Controller, "_pad_for_encrypt", keep_old_cipher)
+    monkeypatch.setattr(Controller, "_seal", keep_old_cipher)
     outcomes = inject(CrashPlan("exhaustive"),
                       lambda: ReencryptScenario(cfg_for("secpm", txn_size=64)))
     assert outcomes[0].verdict is Verdict.CONSISTENT

@@ -2,15 +2,16 @@ import random
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secpmsim.config import COUNTER_REGION_BASE, PAGE, Config
-from secpmsim.controller import Controller
+from secpmsim.controller import Controller, derive_key
 from secpmsim.counters import CounterAddressMap
 from secpmsim.crash import CrashPlan, PointOutOfRange, TxnScenario, inject
 from secpmsim.crypto import (
     OtpEngine,
+    Sealed,
     aes_block_fn,
     decrypt_line,
     encrypt_line,
@@ -216,3 +217,76 @@ def test_no_memo_after_inject_returns_or_raises():
     with pytest.raises(PointOutOfRange):
         inject(CrashPlan("at", at=9999), factory)
     assert Controller(cfg).otp._pads is None
+
+
+# Sealing and opening draw from small pools, so that the seal's own
+# (key, address, counter) comes up often next to every kind of mismatch.
+CONTROLLER_KEY = derive_key(0)
+seal_keys = st.sampled_from([CONTROLLER_KEY, KEY])
+seal_addresses = st.sampled_from([0, 64, 4096, (1 << 40) * 64])
+seal_counters = st.sampled_from([0, 1, 127, 1 << 7, (1 << 71) - 1])
+lines = st.binary(min_size=64, max_size=64)
+REFERENCE_ENGINES = {k: OtpEngine(k) for k in (CONTROLLER_KEY, KEY)}
+
+
+@given(plain=lines, key=seal_keys, address=seal_addresses,
+       counter=seal_counters, read_address=seal_addresses,
+       read_counter=seal_counters)
+def test_opening_a_sealed_line_equals_eager_decryption(
+        plain, key, address, counter, read_address, read_counter):
+    """A read of a sealed line returns exactly what decrypting its eager
+    ciphertext under the read's pad returns: the plaintext under the seal's
+    own key, address and counter, and the same garbage under any other."""
+    ctrl = Controller(Config(mode="secpm", seed=0))
+    sealed = Sealed(plain, OtpEngine(key), address, counter)
+    eager = encrypt_line(plain, REFERENCE_ENGINES[key].generate(address, counter))
+    expected = decrypt_line(eager, ctrl.otp.generate(read_address, read_counter))
+    assert ctrl._open(read_address, read_counter, sealed) == expected
+    # A stored line of plain bytes (never written, or a counter line) opens
+    # by the same eager route.
+    assert ctrl._open(read_address, read_counter, eager) == expected
+
+
+@given(plain=lines, key=seal_keys, address=seal_addresses,
+       counter=seal_counters)
+def test_sealed_line_is_its_eager_ciphertext(plain, key, address, counter):
+    sealed = Sealed(plain, OtpEngine(key), address, counter)
+    eager = encrypt_line(plain, REFERENCE_ENGINES[key].generate(address, counter))
+    assert bytes(sealed) == eager
+    assert sealed == eager and eager == sealed
+    assert not sealed != eager
+    assert hash(sealed) == hash(eager)
+    # No stored line equals its plaintext: the image holds ciphertext only.
+    assert sealed != plain and plain != sealed
+    assert bytes(sealed) != plain
+
+
+@given(plain=lines, other=lines, keys=st.tuples(seal_keys, seal_keys),
+       addresses=st.tuples(seal_addresses, seal_addresses),
+       counters=st.tuples(seal_counters, seal_counters),
+       same_plain=st.booleans())
+@settings(max_examples=200)
+def test_sealed_lines_compare_by_ciphertext(plain, other, keys, addresses,
+                                            counters, same_plain):
+    a = Sealed(plain, OtpEngine(keys[0]), addresses[0], counters[0])
+    b = Sealed(plain if same_plain else other, OtpEngine(keys[1]),
+               addresses[1], counters[1])
+    assert (a == b) == (bytes(a) == bytes(b))
+    assert (a != b) == (bytes(a) != bytes(b))
+    if a == b:
+        assert hash(a) == hash(b)
+    assert {a: 1}.get(bytes(a)) == 1  # a dict key is found by its bytes
+
+
+@given(values=st.lists(lines, min_size=1, max_size=8))
+@settings(max_examples=20, deadline=None)
+def test_no_durable_line_holds_its_plaintext(values):
+    """Every data line in the durable image is ciphertext, never the
+    plaintext that was flushed (no data remanence on the DIMM)."""
+    ctrl = Controller(Config(mode="secpm", workload="array", txn_size=256))
+    for i, value in enumerate(values):
+        ctrl.handle_flush(i * 64, value)
+    store = ctrl.snapshot().store
+    for i, value in enumerate(values):
+        assert store[i * 64] != value and bytes(store[i * 64]) != value
+        assert ctrl.handle_read(i * 64) == value

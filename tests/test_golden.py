@@ -16,6 +16,7 @@ import hashlib
 
 import pytest
 
+from secpmsim import runner
 from secpmsim.cli import main
 from secpmsim.config import MODES, Config
 from secpmsim.controller import derive_key
@@ -172,3 +173,50 @@ def test_pad_digest():
     engine = OtpEngine(derive_key(0))
     pads = b"".join(engine.generate(addr, ctr) for addr, ctr in PAD_INPUTS)
     assert hashlib.sha256(pads).hexdigest() == PAD_PIN
+
+
+# The reports hold no ciphertext byte, so this pin hashes the simulated NVM
+# image itself: every durable line, the queue applied, as the bytes a stolen
+# DIMM would hold.  A run of the headline mode, a run of the write-back
+# baseline, and page 0 after a re-encryption.
+def _run_image(mode, monkeypatch):
+    made = []
+
+    class Recorded(runner.Controller):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(runner, "Controller", Recorded)
+    run_experiment(Config(mode=mode, workload="btree", txn_size=4096,
+                          txn_count=RUN_TXNS, seed=0))
+    return made[0].snapshot().store
+
+
+def _reencrypt_image():
+    scenario = ReencryptScenario(Config(mode="secpm", txn_size=4096, seed=0))
+    ctrl = scenario.fresh()
+    scenario.run(ctrl)
+    return ctrl.snapshot().store
+
+
+NVM_IMAGES = {
+    "secpm": lambda mp: _run_image("secpm", mp),
+    "secpm-no-cwt": lambda mp: _run_image("secpm-no-cwt", mp),
+    "reencrypt": lambda mp: _reencrypt_image(),
+}
+NVM_IMAGE_PINS = {
+    "secpm": "276a1ccc2a137e24dbedc7f15cdccfe4bad41da308bf428833cffb553a54b956",
+    "secpm-no-cwt":
+        "0836bb1f473420648e41922c883d7f0fb7a275e6dd6ed0d89259297ba0310941",
+    "reencrypt": "4ac4cbbc913cddbb7b36422f02816fa01c01165fd4cef5b831f18f6a972e923a",
+}
+
+
+@pytest.mark.parametrize("image", sorted(NVM_IMAGES))
+def test_nvm_image_digest(image, monkeypatch):
+    store = NVM_IMAGES[image](monkeypatch)
+    digest = hashlib.sha256()
+    for address in sorted(store):
+        digest.update(address.to_bytes(8, "big") + bytes(store[address]))
+    assert digest.hexdigest() == NVM_IMAGE_PINS[image]
