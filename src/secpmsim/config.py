@@ -55,6 +55,8 @@ TXN_SIZES = (64, 256, 1024, 4096)
 GIB = 1 << 30
 MIB = 1 << 20
 COUNTER_REGION_BASE = 1 << 40
+# The NVM keeps one busy-until time per bank, so the bank count sizes a list.
+MAX_BANKS = 1 << 16
 
 
 @dataclass
@@ -138,6 +140,8 @@ class Config:
         for name in ("cache_ways", "banks", "log_slots"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if self.banks > MAX_BANKS:
+            raise ValueError(f"banks must be at most {MAX_BANKS}, not {self.banks}")
         if self.cache_size < LINE * self.cache_ways:
             raise ValueError("cache_size too small for one set")
         if self.cores < 1:
@@ -157,6 +161,10 @@ class Config:
         if self.footprint and (self.footprint % PAGE or self.footprint < least):
             raise ValueError(f"footprint must be 0 or a multiple of {PAGE} of at"
                              f" least 4 * txn_size = {least}, not {self.footprint}")
+        if self.data_bytes < least:
+            raise ValueError(f"footprint = 0 gives {self.workload} its default"
+                             f" {self.data_bytes} bytes, below 4 * txn_size ="
+                             f" {least}")
         end = self.mapped_pages * PAGE
         if end > COUNTER_REGION_BASE:
             raise ValueError(f"footprint and cores * log_slots log slots end at"

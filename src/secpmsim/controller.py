@@ -45,7 +45,6 @@ from secpmsim.write_queue import (
     COUNTER,
     DATA,
     Origin,
-    StagingRegister,
     WriteQueue,
     WriteQueueEntry,
 )
@@ -109,7 +108,6 @@ class Controller:
         self.nvm = NvmDevice(cfg.banks, cfg.t_wr_ns, self._read_ns)
         self.cache = CounterCache(cfg.cache_size, cfg.cache_ways)
         self.queue = WriteQueue(cfg.queue_len, cwr_enabled=self.mode.cwr)
-        self.register = StagingRegister()
         self.rsr = Rsr()
         self.clock = 0.0
         self.reencryptions = 0
@@ -250,18 +248,18 @@ class Controller:
             self.cache.mark_dirty(cline)
             t = self._enqueue(address, sealed, DATA, t)
         elif self._use_register:
-            register = self.register
             queue = self.queue
             hook = self.boundary_hook
-            register.counter_slot = (cline, line.serialize())
+            counter_image = line.serialize()
             if hook is not None:
+                # The counter line, then the data line, go into the
+                # two-line staging register.  It is volatile and nothing
+                # reads it back, so its two stores are crash points only.
                 hook("reg_store")
-            register.data_slot = (address, sealed)
-            if hook is not None:
                 hook("reg_store")
             if len(queue.entries) + 2 > queue.capacity:
                 t = self._ensure_space(2, t)
-            queue.atomic_append_pair(register)
+            queue.atomic_append_pair(cline, counter_image, address, sealed)
             if hook is not None:
                 hook("append_pair")
         else:
@@ -349,10 +347,9 @@ class Controller:
             t = self._insert_counter(cline, hybrid, t)
             # The queue append and the done-bit update are one controller
             # action: no crash point separates them.
-            self.register.counter_slot = (cline, hybrid.serialize())
-            self.register.data_slot = (address, sealed)
             t = self._ensure_space(2, t)
-            self.queue.atomic_append_pair(self.register)
+            self.queue.atomic_append_pair(cline, hybrid.serialize(), address,
+                                          sealed)
             self.rsr.set_done(i)
             self._boundary("reencrypt_line")
         self.rsr.active = False

@@ -7,10 +7,6 @@ reencrypt_line, rsr_done); enumerating them is exhaustive.  Crash point -1
 (label ``pre``) denotes a failure before the scenario's first event.
 ``SCOPES`` names the scenarios ``crashcheck`` runs; each judges its lines
 by one rule, ``_classify``, against its pre- and post-image.
-
-Every controller one ``inject`` builds runs under the same key, so the
-whole check runs inside ``crypto.shared_pads()`` and computes each pad
-once; ``secpmsim run`` never memoises pads.
 """
 
 from __future__ import annotations
@@ -20,7 +16,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Protocol
 
-from secpmsim import crypto
 from secpmsim.config import LINE, LINES_PER_PAGE, Config
 from secpmsim.controller import Controller
 from secpmsim.txn import TxnDescriptor, execute, recover, run_transaction
@@ -104,33 +99,32 @@ def count_boundaries(factory: Callable[[], Scenario]) -> int:
 
 
 def inject(plan: CrashPlan, factory: Callable[[], Scenario]) -> list[Outcome]:
-    with crypto.shared_pads():
-        n = count_boundaries(factory)
-        outcomes = []
-        for point in plan.points(n):
-            scenario = factory()
-            ctrl = scenario.fresh()
-            seen = 0
-            label = "pre"
+    n = count_boundaries(factory)
+    outcomes = []
+    for point in plan.points(n):
+        scenario = factory()
+        ctrl = scenario.fresh()
+        seen = 0
+        label = "pre"
 
-            def hook(lbl: str) -> None:
-                nonlocal seen
-                if seen == point:
-                    raise CrashNow(lbl)
-                seen += 1
+        def hook(lbl: str) -> None:
+            nonlocal seen
+            if seen == point:
+                raise CrashNow(lbl)
+            seen += 1
 
-            if point >= 0:
-                ctrl.boundary_hook = hook
-                try:
-                    scenario.run(ctrl)
-                except CrashNow as crash:
-                    label = crash.label
-            snap = ctrl.snapshot()
-            ctrl.boundary_hook = None
-            recovered, _ = recover(snap, scenario.cfg)
-            verdict, failing = scenario.verify(recovered)
-            outcomes.append(Outcome(point, label, scenario.stage(), verdict, failing))
-        return outcomes
+        if point >= 0:
+            ctrl.boundary_hook = hook
+            try:
+                scenario.run(ctrl)
+            except CrashNow as crash:
+                label = crash.label
+        snap = ctrl.snapshot()
+        ctrl.boundary_hook = None
+        recovered, _ = recover(snap, scenario.cfg)
+        verdict, failing = scenario.verify(recovered)
+        outcomes.append(Outcome(point, label, scenario.stage(), verdict, failing))
+    return outcomes
 
 
 # ----------------------------------------------------------------------

@@ -12,11 +12,6 @@ one 64-byte ECB call, so a pad costs one AES call.  The seed fits one block
 for line-aligned addresses below 2^61 (the pad domain); any other address
 raises ``ValueError``.  Every address the simulator maps lies below 2^41.
 
-A pad is a pure function of (key, address, counter), so inside
-``shared_pads()`` every engine on one key computes each pad once.  Crash
-checks use it: they rebuild the same scenario for every crash point.  A
-workload run (``secpmsim run``) does not, as its pads seldom repeat.
-
 The controller stores each encrypted line as a ``Sealed`` value: the
 plaintext with the (key, address, counter) it was encrypted under.  It
 stands for ``plaintext XOR pad`` and computes those ciphertext bytes only
@@ -28,9 +23,8 @@ real device would return.
 
 from __future__ import annotations
 
-import contextlib
 import functools
-from typing import Callable, Iterator
+from typing import Callable
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
@@ -45,26 +39,6 @@ _SPREAD = (1 << 384) | (1 << 256) | (1 << 128) | 1
 _BLOCK_INDEX = (1 << 256) | (2 << 128) | 3
 
 BlockFn = Callable[[bytes], bytes]
-
-# Key bytes -> {(line address, counter): pad}, set only inside shared_pads().
-_shared: dict[bytes, dict[tuple[int, int], bytes]] | None = None
-
-
-@contextlib.contextmanager
-def shared_pads() -> Iterator[None]:
-    """Every AES engine built inside the block shares one pad memo per key.
-
-    A nested use keeps the outer memo; the previous state comes back on
-    exit, also when the block raises.
-    """
-    global _shared
-    outer = _shared
-    if outer is None:
-        _shared = {}
-    try:
-        yield
-    finally:
-        _shared = outer
 
 
 @functools.lru_cache(maxsize=8)
@@ -87,16 +61,9 @@ class OtpEngine:
     def __init__(self, key_bytes: bytes):
         self.key = key_bytes
         self._block = aes_block_fn(key_bytes)
-        self._pads: dict[tuple[int, int], bytes] | None = (
-            None if _shared is None else _shared.setdefault(key_bytes, {}))
 
     def generate(self, line_address: int, counter_value: int) -> bytes:
         """Deterministic 64-byte pad for (address, major||minor counter)."""
-        pads = self._pads
-        if pads is not None:
-            pad = pads.get((line_address, counter_value))
-            if pad is not None:
-                return pad
         if not 0 <= counter_value < _CTR_LIMIT:
             raise ValueError("counter out of 71-bit range")
         if line_address % LINE or not 0 <= line_address < _ADDR_LIMIT:
@@ -104,10 +71,7 @@ class OtpEngine:
                              " aligned address below 2^61")
         # (line_address >> 6) << 73 for an aligned address.
         seed = line_address << 67 | counter_value << 2
-        pad = self._block((seed * _SPREAD ^ _BLOCK_INDEX).to_bytes(64, "big"))
-        if pads is not None:
-            pads[line_address, counter_value] = pad
-        return pad
+        return self._block((seed * _SPREAD ^ _BLOCK_INDEX).to_bytes(64, "big"))
 
 
 def xor_lines(a: bytes, b: bytes) -> bytes:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from secpmsim.crypto import Sealed
@@ -38,16 +38,6 @@ class WriteQueueEntry:
     address: int
     payload: bytes | Sealed
     origin: Origin
-
-
-@dataclass(slots=True)
-class StagingRegister:
-    """Two-line volatile buffer; contents are lost on crash.  The
-    controller fills each slot with an ``(address, payload)`` pair, and
-    ``WriteQueue.atomic_append_pair`` empties both."""
-
-    data_slot: Optional[tuple[int, bytes | Sealed]] = None
-    counter_slot: Optional[tuple[int, bytes]] = None
 
 
 class WriteQueue:
@@ -96,20 +86,17 @@ class WriteQueue:
         self.entries.append(entry)
         self.latest[entry.address] = entry
 
-    def atomic_append_pair(self, register: StagingRegister) -> None:
-        """Move the staged counter+data pair into the queue indivisibly.
+    def atomic_append_pair(self, counter_address: int, counter_image: bytes,
+                           address: int, payload: bytes | Sealed) -> None:
+        """Append a counter line and then its data line indivisibly.
 
         The caller guarantees two free slots; no crash point may be
         introduced between the two appends.
         """
-        counter, data = register.counter_slot, register.data_slot
-        if counter is None or data is None:
-            raise ValueError("staging register must hold both lines")
         if len(self.entries) + 2 > self.capacity:
             raise RuntimeError("need two free slots for an atomic pair")
-        self.append(WriteQueueEntry(counter[0], counter[1], COUNTER))
-        self.append(WriteQueueEntry(data[0], data[1], DATA))
-        register.counter_slot = register.data_slot = None
+        self.append(WriteQueueEntry(counter_address, counter_image, COUNTER))
+        self.append(WriteQueueEntry(address, payload, DATA))
 
     def drain_one(self, nvm: "NvmDevice", now: float) -> WriteQueueEntry:
         """Issue the head entry at ``now`` (FIFO only); its bank must be free."""

@@ -158,6 +158,17 @@ def test_footprint_holds_four_transactions_of_every_cell(tmp_path, capsys):
     assert run_cli(*argv, "--txn-size", "1024,2048") == 0
 
 
+def test_default_footprint_holds_four_transactions(capsys):
+    # hashtable's 2 GiB default once drew a bucket from an empty range.
+    assert run_cli("run", "--workload", "hashtable", "--txn-size", str(1 << 30),
+                   "--txn-count", "1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: footprint = 0 gives hashtable its default 2147483648 bytes,"
+        " below 4 * txn_size = 4294967296\n")
+
+
 def test_smallest_footprint_runs_every_workload(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("footprint = 4096\n")

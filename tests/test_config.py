@@ -6,7 +6,15 @@ import dataclasses
 import pytest
 
 from secpmsim import runner
-from secpmsim.config import COUNTER_REGION_BASE, Config, apply_setting
+from secpmsim.config import (
+    COUNTER_REGION_BASE,
+    LINE,
+    MAX_BANKS,
+    PAGE,
+    WORKLOADS,
+    Config,
+    apply_setting,
+)
 from secpmsim.stats import emit_report
 
 # Per field: overrides for the base run and a new value that must change
@@ -99,3 +107,26 @@ def test_layout_may_end_where_the_counter_region_starts():
     cfg.footprint += 4096
     with pytest.raises(ValueError, match="counter region"):
         cfg.validate()
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_default_footprint_holds_four_transactions(workload):
+    """footprint = 0 obeys the 4 * txn_size rule of an explicit footprint:
+    a larger transaction would log onto, or draw addresses past, the
+    workload's default range."""
+    default = Config(workload=workload).data_bytes
+    Config(workload=workload, txn_size=default // 4).validate()
+    for txn_size in (default // 4 + LINE, 2 * default):
+        cfg = Config(workload=workload, txn_size=txn_size)
+        with pytest.raises(ValueError, match=r"footprint = 0 .* 4 \* txn_size"):
+            cfg.validate()
+        cfg.footprint = -(-4 * txn_size // PAGE) * PAGE
+        cfg.validate()
+
+
+def test_bank_count_is_capped():
+    Config(banks=MAX_BANKS).validate()
+    with pytest.raises(ValueError, match="banks must be at most 65536"):
+        Config(banks=MAX_BANKS + 1).validate()
+    with pytest.raises(ValueError, match="banks must be at most"):
+        Config(banks=1 << 40).validate()

@@ -1,11 +1,10 @@
 import collections
-import contextlib
 import itertools
 
 import pytest
 from _every_slot_recover import recover_every_slot
 
-from secpmsim import crypto, txn
+from secpmsim import txn
 from secpmsim.config import MODES, Config, Mode
 from secpmsim.controller import Controller
 from secpmsim.crash import (
@@ -243,38 +242,6 @@ def test_write_back_baseline_starts_from_a_durable_counter(scope):
     assert outcomes[-1].failing_address == 0
 
 
-@pytest.mark.parametrize("overrides", [
-    {"queue_len": 2}, {"queue_len": 32}, {"queue_len": 32, "use_register": False},
-], ids=["q2", "q32", "q32-no-register"])
-@pytest.mark.parametrize("mode", ["secpm", "secpm-no-cwr", "secpm-no-cwt"])
-@pytest.mark.parametrize("scope", SCOPES)
-def test_shared_pads_leave_outcomes_unchanged(monkeypatch, scope, mode, overrides):
-    """inject with one pad memo per check against inject without it: the
-    same outcomes and the same pad-reuse total over every controller built."""
-    cfg = cfg_for(mode, txn_size=64 if scope == "reencrypt" else 256, **overrides)
-    factory = lambda: SCOPES[scope](cfg)
-    built = []
-    init = Controller.__init__
-
-    def tracking_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        built.append(self)
-
-    monkeypatch.setattr(Controller, "__init__", tracking_init)
-    n = count_boundaries(factory)
-    plans = [CrashPlan("exhaustive"), CrashPlan("at", at=n // 2),
-             CrashPlan("random", count=5, seed=3)]
-
-    def check():
-        built.clear()
-        outcomes = [inject(plan, factory) for plan in plans]
-        return outcomes, sum(ctrl.otp_reuse for ctrl in built)
-
-    shared = check()
-    monkeypatch.setattr(crypto, "shared_pads", contextlib.nullcontext)
-    assert check() == shared
-
-
 @pytest.mark.parametrize("scope", SCOPES)
 def test_outcomes_do_not_depend_on_the_key(scope):
     """Config.seed only picks the encryption key, and no verdict reads a
@@ -310,15 +277,14 @@ def test_recover_matches_the_every_slot_scan(scope, mode):
         images = [ctrl.snapshot()]
         ctrl.boundary_hook = lambda label: images.append(ctrl.snapshot())
         scenario.run(ctrl)
-        with crypto.shared_pads():
-            for point, snapshot in enumerate(images, -1):
-                case = (queue_len, use_register, log_slots, point)
-                got, undone = txn.recover(snapshot, cfg)
-                ref, ref_undone = recover_every_slot(snapshot, cfg)
-                assert undone == ref_undone, case
-                assert got.snapshot().store == ref.snapshot().store, case
-                assert scenario.verify(got) == scenario.verify(ref), case
-                undid = undid or bool(undone)
+        for point, snapshot in enumerate(images, -1):
+            case = (queue_len, use_register, log_slots, point)
+            got, undone = txn.recover(snapshot, cfg)
+            ref, ref_undone = recover_every_slot(snapshot, cfg)
+            assert undone == ref_undone, case
+            assert got.snapshot().store == ref.snapshot().store, case
+            assert scenario.verify(got) == scenario.verify(ref), case
+            undid = undid or bool(undone)
     # The txn scope undoes a complete log at some crash point wherever its
     # log lines decrypt after a crash.
     assert undid == (scope == "txn" and Mode(mode).crash_consistent)

@@ -8,20 +8,17 @@ from hypothesis import strategies as st
 from secpmsim.config import COUNTER_REGION_BASE, PAGE, Config
 from secpmsim.controller import Controller, derive_key
 from secpmsim.counters import CounterAddressMap
-from secpmsim.crash import CrashPlan, PointOutOfRange, TxnScenario, inject
 from secpmsim.crypto import (
     OtpEngine,
     Sealed,
     aes_block_fn,
     decrypt_line,
     encrypt_line,
-    shared_pads,
     xor_lines,
 )
 
 KEY = bytes(range(16))
-OTHER_KEY = bytes(range(1, 17))
-REFERENCE = OtpEngine(KEY)  # built outside any shared_pads() scope
+REFERENCE = OtpEngine(KEY)
 
 
 @pytest.fixture()
@@ -57,12 +54,6 @@ def test_counter_range_enforced(otp):
         otp.generate(0, -1)
     with pytest.raises(ValueError):
         otp.generate(0, 1 << 71)
-    with shared_pads():
-        engine = OtpEngine(KEY)
-        engine.generate(0, (1 << 71) - 1)
-        for bad in (-1, 1 << 71):
-            with pytest.raises(ValueError):
-                engine.generate(0, bad)
 
 
 def test_key_must_be_128_bit():
@@ -171,52 +162,6 @@ def test_round_trip_random_lines(otp):
         ctr = rng.randrange(1 << 71)
         pad = otp.generate(addr, ctr)
         assert decrypt_line(encrypt_line(plain, pad), pad) == plain
-
-
-# A small pool of (address, counter) pairs, so that requests repeat.
-pad_requests = st.lists(
-    st.tuples(st.sampled_from([0, 64, 4096, (1 << 40) * 64]),
-              st.sampled_from([0, 1, 127, 1 << 7, (1 << 71) - 1]),
-              st.booleans()),
-    max_size=40)
-
-
-@given(requests=pad_requests)
-def test_shared_pads_equal_unshared_pads(requests):
-    with shared_pads():
-        engines = OtpEngine(KEY), OtpEngine(KEY)
-        for addr, ctr, second in requests:
-            assert engines[second].generate(addr, ctr) == REFERENCE.generate(addr, ctr)
-
-
-def test_engines_on_one_key_share_pads_and_keys_stay_apart():
-    with shared_pads():
-        a, b, other = OtpEngine(KEY), OtpEngine(KEY), OtpEngine(OTHER_KEY)
-        pad = a.generate(0x1000, 42)
-        assert b.generate(0x1000, 42) is pad  # served from the memo
-        assert other.generate(0x1000, 42) != pad
-        assert other.generate(0x1000, 42) == OtpEngine(OTHER_KEY).generate(0x1000, 42)
-
-
-def test_nested_scope_reuses_outer_memo_and_exit_restores():
-    with pytest.raises(RuntimeError):
-        with shared_pads():
-            pad = OtpEngine(KEY).generate(0, 5)
-            with shared_pads():
-                assert OtpEngine(KEY).generate(0, 5) is pad
-            assert OtpEngine(KEY).generate(0, 5) is pad
-            raise RuntimeError("leave the scope by an exception")
-    assert OtpEngine(KEY).generate(0, 5) is not pad
-
-
-def test_no_memo_after_inject_returns_or_raises():
-    cfg = Config(mode="secpm", workload="array", txn_size=256, txn_count=1)
-    factory = lambda: TxnScenario(cfg, n_lines=2)
-    inject(CrashPlan("at", at=3), factory)
-    assert Controller(cfg).otp._pads is None
-    with pytest.raises(PointOutOfRange):
-        inject(CrashPlan("at", at=9999), factory)
-    assert Controller(cfg).otp._pads is None
 
 
 # Sealing and opening draw from small pools, so that the seal's own

@@ -4,12 +4,7 @@ from hypothesis import strategies as st
 
 from secpmsim.config import Config
 from secpmsim.nvm import NvmDevice, take_crash_snapshot
-from secpmsim.write_queue import (
-    Origin,
-    StagingRegister,
-    WriteQueue,
-    WriteQueueEntry,
-)
+from secpmsim.write_queue import Origin, WriteQueue, WriteQueueEntry
 
 
 BASE = 1 << 40
@@ -74,32 +69,19 @@ def test_merge_only_same_address():
     assert q.merged == 0 and len(q) == 2
 
 
-def test_atomic_pair_requires_both_slots():
-    q = WriteQueue(capacity=8)
-    reg = StagingRegister()
-    reg.counter_slot = (1 << 40, bytes(64))
-    with pytest.raises(ValueError):
-        q.atomic_append_pair(reg)
-
-
 def test_atomic_pair_requires_two_slots():
     q = WriteQueue(capacity=2)
     q.append(entry(0))
-    reg = StagingRegister()
-    reg.counter_slot = (1 << 40, bytes(64))
-    reg.data_slot = (64, bytes(64))
     with pytest.raises(RuntimeError):
-        q.atomic_append_pair(reg)
+        q.atomic_append_pair(1 << 40, bytes(64), 64, bytes(64))
+    assert len(q) == 1  # neither line went in
 
 
-def test_atomic_pair_appends_counter_then_data_and_clears():
+def test_atomic_pair_appends_counter_then_data():
     q = WriteQueue(capacity=4)
-    reg = StagingRegister()
-    reg.counter_slot = (1 << 40, b"\1" * 64)
-    reg.data_slot = (64, b"\2" * 64)
-    q.atomic_append_pair(reg)
-    assert [e.origin for e in q.entries] == [Origin.COUNTER, Origin.DATA]
-    assert reg.counter_slot is None and reg.data_slot is None
+    q.atomic_append_pair(1 << 40, b"\1" * 64, 64, b"\2" * 64)
+    assert [(e.address, e.payload, e.origin) for e in q.entries] == [
+        (1 << 40, b"\1" * 64, Origin.COUNTER), (64, b"\2" * 64, Origin.DATA)]
 
 
 def test_drain_is_fifo():
