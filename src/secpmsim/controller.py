@@ -4,8 +4,9 @@ Orders every flush as: locate counter -> bump minor -> encrypt -> write the
 counter through the cache -> stage counter+data in the two-line register ->
 append both to the write queue in one indivisible step -> ack.  Reads
 overlap pad generation with the NVM access.  Minor-counter overflow
-triggers a page re-encryption tracked by a 20-byte status register that is
-battery-persisted on crash so recovery can finish the page.
+triggers a page re-encryption tracked by the status register (``Rsr``), an
+immutable value that a crash snapshot keeps as it was, so recovery can
+finish the page.
 
 A line is encrypted by sealing it (``crypto.Sealed``): the queue and the
 NVM store hold the plaintext with the counter it was sealed under, and the
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from secpmsim.config import LINE, LINES_PER_PAGE, PAGE, Config, Mode
@@ -40,7 +40,7 @@ from secpmsim.counters import (
 # ``encrypt_line`` is unused here but stays a module global: tracing tools
 # patch both XOR helpers on this module to count XOR work.
 from secpmsim.crypto import OtpEngine, Sealed, decrypt_line, encrypt_line  # noqa: F401
-from secpmsim.nvm import CrashSnapshot, NvmDevice, take_crash_snapshot
+from secpmsim.nvm import CrashSnapshot, NvmDevice, Rsr, take_crash_snapshot
 from secpmsim.write_queue import (
     COUNTER,
     DATA,
@@ -48,40 +48,6 @@ from secpmsim.write_queue import (
     WriteQueue,
     WriteQueueEntry,
 )
-
-
-@dataclass
-class Rsr:
-    """Re-encryption status register: page, old major, 64 done bits."""
-
-    page_number: int = 0
-    old_major: int = 0
-    done_bits: int = 0
-    active: bool = False
-
-    def done(self, i: int) -> bool:
-        return bool(self.done_bits >> i & 1)
-
-    def set_done(self, i: int) -> None:
-        self.done_bits |= 1 << i
-
-    def serialize(self) -> bytes:
-        return (
-            self.page_number.to_bytes(4, "big")
-            + self.old_major.to_bytes(8, "big")
-            + self.done_bits.to_bytes(8, "big")
-        )
-
-    @classmethod
-    def deserialize(cls, raw: bytes) -> "Rsr":
-        if len(raw) != 20:
-            raise ValueError("RSR image must be 20 bytes")
-        return cls(
-            page_number=int.from_bytes(raw[:4], "big"),
-            old_major=int.from_bytes(raw[4:12], "big"),
-            done_bits=int.from_bytes(raw[12:20], "big"),
-            active=True,
-        )
 
 
 def derive_key(seed: int) -> bytes:
@@ -108,7 +74,7 @@ class Controller:
         self.nvm = NvmDevice(cfg.banks, cfg.t_wr_ns, self._read_ns)
         self.cache = CounterCache(cfg.cache_size, cfg.cache_ways)
         self.queue = WriteQueue(cfg.queue_len, cwr_enabled=self.mode.cwr)
-        self.rsr = Rsr()
+        self.rsr: Rsr | None = None
         self.clock = 0.0
         self.reencryptions = 0
         self.flushes = 0
@@ -307,11 +273,11 @@ class Controller:
     # page re-encryption
 
     def reencrypt_page(self, page: int, t: float) -> float:
-        if self.rsr.active:
+        if self.rsr is not None:
             raise RuntimeError("a page re-encryption is already in flight")
         cline = self.map.counter_line_address(page)
         old_line, t = self._get_counter_line(cline, t)
-        self.rsr = Rsr(page_number=page, old_major=old_line.major, active=True)
+        self.rsr = Rsr(page, old_line.major)
         self._boundary("rsr_arm")
         return self._reencrypt_lines(page, old_line, t)
 
@@ -336,8 +302,9 @@ class Controller:
         cline = self.map.counter_line_address(page)
         hybrid = CounterLine(old.major + 1, lanes=old.lanes)
         new_ctr = hybrid.major << 7
+        rsr = self.rsr
         for i in range(LINES_PER_PAGE):
-            if self.rsr.done(i):
+            if rsr.done(i):
                 continue
             address = page * PAGE + i * LINE
             stored, t = self._read_line_raw(address, t)
@@ -350,9 +317,9 @@ class Controller:
             t = self._ensure_space(2, t)
             self.queue.atomic_append_pair(cline, hybrid.serialize(), address,
                                           sealed)
-            self.rsr.set_done(i)
+            rsr = self.rsr = Rsr(page, rsr.old_major, rsr.done_bits | 1 << i)
             self._boundary("reencrypt_line")
-        self.rsr.active = False
+        self.rsr = None
         self._boundary("rsr_done")
         self.reencryptions += 1
         self.clock = t
@@ -362,15 +329,12 @@ class Controller:
     # crash handling
 
     def snapshot(self) -> CrashSnapshot:
-        return take_crash_snapshot(
-            self.nvm, self.queue,
-            rsr_image=self.rsr.serialize(), rsr_active=self.rsr.active,
-        )
+        return take_crash_snapshot(self.nvm, self.queue, self.rsr)
 
     @classmethod
     def from_snapshot(cls, cfg: Config, snap: CrashSnapshot) -> "Controller":
         ctrl = cls(cfg)
         ctrl.nvm.store = dict(snap.store)
-        if snap.rsr_active:
-            ctrl.resume_reencryption(Rsr.deserialize(snap.rsr_image))
+        if snap.rsr is not None:
+            ctrl.resume_reencryption(snap.rsr)
         return ctrl

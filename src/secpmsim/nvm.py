@@ -4,7 +4,7 @@ The store is sparse (touched lines only).  Banks are line-interleaved:
 bank = (address / 64) mod nbanks.  A write occupies its bank for tWR; a
 read waits for the bank and then costs tRCD + tCL.  A crash snapshot is
 the store with all queued entries applied in FIFO order (the ADR
-guarantee) plus the 20-byte re-encryption status register image.  An
+guarantee) plus the re-encryption status register's value.  An
 encrypted mode stores its data lines as ``crypto.Sealed`` values, which
 stand for their ciphertext bytes.
 """
@@ -57,6 +57,21 @@ class NvmDevice:
         return self.store.get(address, ZERO_LINE), done
 
 
+@dataclass(frozen=True, slots=True)
+class Rsr:
+    """Re-encryption status register: the page being moved, its old major
+    counter and one done bit per line (4 + 8 + 8 = 20 bytes of
+    battery-backed state that survives a crash).  An idle register is
+    ``None``; each moved line replaces the value with one more done bit."""
+
+    page_number: int
+    old_major: int
+    done_bits: int = 0
+
+    def done(self, i: int) -> bool:
+        return bool(self.done_bits >> i & 1)
+
+
 @dataclass
 class CrashSnapshot:
     """Durable image at a crash: NVM store + ADR-applied queue + RSR.
@@ -66,16 +81,12 @@ class CrashSnapshot:
     """
 
     store: dict[int, bytes | Sealed]
-    rsr_image: bytes = bytes(20)
-    rsr_active: bool = False
+    rsr: Rsr | None = None
 
 
 def take_crash_snapshot(device: NvmDevice, queue: "WriteQueue",
-                        rsr_image: bytes = bytes(20),
-                        rsr_active: bool = False) -> CrashSnapshot:
+                        rsr: Rsr | None = None) -> CrashSnapshot:
     store = dict(device.store)
     for entry in queue.entries:  # FIFO order: later entries overwrite
         store[entry.address] = entry.payload
-    if len(rsr_image) != 20:
-        raise ValueError("RSR image must be 20 bytes")
-    return CrashSnapshot(store, rsr_image, rsr_active)
+    return CrashSnapshot(store, rsr)

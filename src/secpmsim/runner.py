@@ -6,11 +6,16 @@ requester-id) order.
 
 from __future__ import annotations
 
+from collections import deque
+from typing import Iterator
+
 from secpmsim.config import Config
 from secpmsim.controller import Controller
 from secpmsim.stats import RunStats
 from secpmsim.txn import TxnDescriptor, run_transaction
 from secpmsim.workloads import WorkloadSpec, generate
+
+_DONE = object()
 
 
 def run_experiment(cfg: Config, streams: list[list[TxnDescriptor]] | None = None
@@ -24,31 +29,22 @@ def run_experiment(cfg: Config, streams: list[list[TxnDescriptor]] | None = None
     ctrl = Controller(cfg)
     latencies: list[float] = []
 
-    # Per-core cursors: (iterator over txns, active generator, start time)
-    cursors = []
-    for stream in streams:
-        it = iter(stream)
-        cursors.append([it, None, 0.0])
+    def steps(stream: list[TxnDescriptor]) -> Iterator[str | None]:
+        """One core's transactions, one step per turn; finishing a
+        transaction takes a turn of its own."""
+        for txn in stream:
+            start = ctrl.clock
+            yield from run_transaction(ctrl, txn)
+            latencies.append(ctrl.clock - start)
+            if cfg.txn_gap_ns > 0:
+                ctrl.idle_drain(cfg.txn_gap_ns)
+            yield
 
-    active = len(cursors)
-    while active:
-        active = 0
-        for cursor in cursors:
-            it, gen, start = cursor
-            if gen is None:
-                txn = next(it, None)
-                if txn is None:
-                    continue
-                cursor[1] = run_transaction(ctrl, txn)
-                cursor[2] = ctrl.clock
-            try:
-                next(cursor[1])
-            except StopIteration:
-                latencies.append(ctrl.clock - cursor[2])
-                cursor[1] = None
-                if cfg.txn_gap_ns > 0:
-                    ctrl.idle_drain(cfg.txn_gap_ns)
-            active += 1
+    ready = deque(steps(stream) for stream in streams)
+    while ready:  # round-robin; a core leaves once its stream ends
+        gen = ready.popleft()
+        if next(gen, _DONE) is not _DONE:
+            ready.append(gen)
 
     ctrl.drain_all()
     return collect_stats(ctrl, cfg, latencies)

@@ -248,20 +248,9 @@ def test_pad_reuse_counts_every_non_increasing_counter():
 
 def test_second_reencryption_rejected_while_active():
     ctrl = make("secpm")
-    ctrl.rsr.active = True
+    ctrl.rsr = Rsr(0, 0)
     with pytest.raises(RuntimeError):
         ctrl.reencrypt_page(1, 0.0)
-
-
-def test_rsr_serde_round_trip():
-    rsr = Rsr(page_number=7, old_major=99, done_bits=(1 << 13) | 1, active=True)
-    raw = rsr.serialize()
-    assert len(raw) == 20
-    back = Rsr.deserialize(raw)
-    assert (back.page_number, back.old_major, back.done_bits) == (7, 99, rsr.done_bits)
-    assert back.done(0) and back.done(13) and not back.done(1)
-    with pytest.raises(ValueError):
-        Rsr.deserialize(b"short")
 
 
 def test_snapshot_restore_preserves_data():

@@ -1,4 +1,5 @@
 import collections
+import copy
 import itertools
 
 import pytest
@@ -17,6 +18,7 @@ from secpmsim.crash import (
     count_boundaries,
     inject,
 )
+from secpmsim.nvm import CrashSnapshot
 
 
 def cfg_for(mode="secpm", **kw):
@@ -77,11 +79,11 @@ def test_replay_to_same_point_is_deterministic():
         return ctrl.snapshot()
 
     a, b = snapshot_at(point), snapshot_at(point)
-    assert a.store == b.store and a.rsr_image == b.rsr_image
+    assert a == b
 
 
-# Boundaries after which the durable image (store, RSR image, RSR active)
-# is the one before them, and those after which it differs.
+# Boundaries after which the durable image (store, rsr) is the one before
+# them, and those after which it differs.
 KEEP_IMAGE = {"reg_store", "drain", "fence"}
 CHANGE_IMAGE = {"append", "append_pair", "reencrypt_line", "rsr_arm", "rsr_done"}
 
@@ -100,20 +102,16 @@ def test_snapshots_change_monotonically():
         scenario = SCOPES[scope](cfg)
         ctrl = scenario.fresh()
 
-        def image():
-            snap = ctrl.snapshot()
-            return snap.store, snap.rsr_image, snap.rsr_active
-
-        previous = image()
+        previous = ctrl.snapshot()
 
         def hook(label):
             nonlocal previous
-            current = image()
+            current = ctrl.snapshot()
             labels[label] += 1
             case = (scope, mode, queue_len, use_register, label)
             assert label in KEEP_IMAGE | CHANGE_IMAGE, case
             assert (current == previous) == (label in KEEP_IMAGE), case
-            assert previous[0].keys() <= current[0].keys(), case
+            assert previous.store.keys() <= current.store.keys(), case
             previous = current
 
         ctrl.boundary_hook = hook
@@ -182,6 +180,39 @@ def test_reencryption_survives_all_crash_points():
     assert all(o.verdict is Verdict.CONSISTENT for o in outcomes)
     # The sweep covers every per-line boundary of the 64-line page.
     assert sum(1 for o in outcomes if o.label == "reencrypt_line") >= 64
+
+
+def test_a_snapshot_keeps_the_register_it_was_taken_with():
+    """Snapshots kept from one run through the boundary hook still hold the
+    register as it was when each was taken: the k-th reencrypt_line image
+    has done bits 0..k-1, and images outside the re-encryption hold none.
+    Recovering any image twice gives the same store and leaves the image
+    as it was."""
+    cfg = cfg_for("secpm", txn_size=64)
+    scenario = ReencryptScenario(cfg)
+    ctrl = scenario.fresh()
+    taken = [("pre", ctrl.snapshot())]
+    ctrl.boundary_hook = lambda label: taken.append((label, ctrl.snapshot()))
+    scenario.run(ctrl)
+
+    labels = [label for label, _ in taken]
+    arm, done = labels.index("rsr_arm"), labels.index("rsr_done")
+    moved = 0
+    for i, (label, snap) in enumerate(taken):
+        moved += label == "reencrypt_line"
+        if arm <= i < done:
+            assert snap.rsr.page_number == 0, (i, label)
+            assert snap.rsr.done_bits == (1 << moved) - 1, (i, label)
+        else:
+            assert snap.rsr is None, (i, label)
+    assert moved == 64
+
+    for i, (label, snap) in enumerate(taken):
+        kept = CrashSnapshot(dict(snap.store), copy.copy(snap.rsr))
+        first, _ = txn.recover(snap, cfg)
+        second, _ = txn.recover(snap, cfg)
+        assert first.nvm.store == second.nvm.store, (i, label)
+        assert snap == kept, (i, label)
 
 
 def test_outcome_csv_fields_are_complete():

@@ -72,9 +72,3 @@ def test_snapshot_applies_queue_fifo():
     assert snap.store.get(0, ZERO_LINE) == b"\2" * 64  # later entry wins
     # The snapshot is a copy; the device is untouched.
     assert nvm.store.get(0, ZERO_LINE) == b"\0" * 64
-
-
-def test_snapshot_rejects_bad_rsr_image():
-    nvm = device()
-    with pytest.raises(ValueError):
-        take_crash_snapshot(nvm, WriteQueue(), rsr_image=b"short")
