@@ -10,7 +10,6 @@ Precedence: flags > config file > defaults.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import sys
 from collections import Counter
@@ -18,7 +17,7 @@ from pathlib import Path
 
 from secpmsim import workloads
 from secpmsim.config import (LINE, MODES, WORKLOADS, Config, Mode,
-                              config_items, parse_config)
+                              parse_config, parse_setting)
 from secpmsim.counters import AddressError
 from secpmsim.crash import (SCOPES, CrashPlan, Outcome, PointOutOfRange,
                             Verdict, inject)
@@ -37,75 +36,76 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _flag_value(key: str, cast, part: str, text: str, kind: str):
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _flag_value(key: str, part: str, text: str, kind: str):
     try:
-        return cast(part)
+        return parse_setting(key, part)
     except ValueError:
-        flag = "--" + key.replace("_", "-")
-        raise UsageError(f"{flag} takes {kind}, not {text!r}") from None
+        raise UsageError(f"{_flag(key)} takes {kind}, not {text!r}") from None
 
 
-def _base_config(args: argparse.Namespace) -> Config:
-    cfg = Config()
-    if args.config:
-        cfg = parse_config(Path(args.config).read_text(), base=cfg)
+def _settings(args: argparse.Namespace) -> dict:
+    """The config file's settings with the single-valued flags on top."""
+    settings = parse_config(Path(args.config).read_text()) if args.config else {}
     for key in ("txn_count", "seed"):
         text = getattr(args, key)
         if text is not None:
-            setattr(cfg, key, _flag_value(key, int, text, text, "an integer"))
-    return cfg
+            settings[key] = _flag_value(key, text, text, "an integer")
+    return settings
 
 
 # Config fields that a comma list sweeps, in the sweep's nesting order.
-_SWEPT = (("mode", str), ("workload", str), ("txn_size", int),
-          ("queue_len", int), ("cache_size", int), ("cores", int))
+_SWEPT = ("mode", "workload", "txn_size", "queue_len", "cache_size", "cores")
 
 
-def _sweep_values(args: argparse.Namespace, base: Config, key: str,
-                  cast) -> list:
+def _sweep_values(args: argparse.Namespace, key: str) -> list:
     text = getattr(args, key)
-    if text is None:
-        return [getattr(base, key)]
-    values = [_flag_value(key, cast, part.strip(), text, "a comma list of integers")
+    values = [_flag_value(key, part.strip(), text, "a comma list of integers")
               for part in text.split(",") if part.strip()]
     if not values:
-        flag = "--" + key.replace("_", "-")
-        raise UsageError(f"{flag} needs at least one value, not {text!r}")
+        raise UsageError(f"{_flag(key)} needs at least one value, not {text!r}")
     return values
 
 
-def _sweep_cells(args: argparse.Namespace, base: Config) -> list[Config]:
-    """Every cell of the sweep, each validated."""
-    lists = [_sweep_values(args, base, key, cast) for key, cast in _SWEPT]
-    keys = [key for key, _ in _SWEPT]
-    cells = [dataclasses.replace(base, **dict(zip(keys, cell)))
-             for cell in itertools.product(*lists)]
-    for cfg in cells:
-        cfg.validate()
-    return cells
+def _sweep_cells(args: argparse.Namespace, settings: dict) -> list[Config]:
+    """Every cell of the sweep: the settings with one value of each comma
+    list on top."""
+    keys = [key for key in _SWEPT if getattr(args, key) is not None]
+    lists = [_sweep_values(args, key) for key in keys]
+    return [Config(**{**settings, **dict(zip(keys, cell))})
+            for cell in itertools.product(*lists)]
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    base = _base_config(args)
-    cells = _sweep_cells(args, base)
+    cells = _sweep_cells(args, _settings(args))
+    for flag, path in (("--trace-in", args.trace_in),
+                       ("--trace-out", args.trace_out)):
+        if path and any(cfg.cores != 1 for cfg in cells):
+            raise UsageError(f"{flag} supports single-core runs only")
 
     streams = None
     if args.trace_in:
-        if any(cfg.cores != 1 for cfg in cells):
-            raise UsageError("--trace-in supports single-core runs only")
         footprint = min(cfg.data_bytes for cfg in cells)
         max_lines = min(cfg.txn_size for cfg in cells) // LINE
         with open(args.trace_in) as fh:
-            streams = [workloads.import_trace(fh, seed=base.seed,
+            streams = [workloads.import_trace(fh, seed=cells[0].seed,
                                               footprint=footprint,
                                               max_lines=max_lines)]
+    if args.trace_out:
+        if streams is None:
+            specs = {workloads.WorkloadSpec.from_config(cfg) for cfg in cells}
+            if len(specs) != 1:
+                raise UsageError(f"--trace-out writes one stream, but the sweep"
+                                 f" runs {len(specs)}: give one workload and"
+                                 f" one txn size")
+            streams = [workloads.generate(specs.pop())]
+        with open(args.trace_out, "w") as fh:
+            workloads.export_trace(streams[0], fh)
 
     all_stats = [run_experiment(cfg, streams) for cfg in cells]
-
-    if args.trace_out:
-        spec = workloads.WorkloadSpec.from_config(cells[0])
-        with open(args.trace_out, "w") as fh:
-            workloads.export_trace(workloads.generate(spec), fh)
 
     _write_report(args, emit_report(all_stats))
     if args.out:
@@ -130,18 +130,18 @@ def _bad_plan(text: str, k_range: str) -> UsageError:
                       f"at:K ({k_range}), not {text!r}")
 
 
-def _parse_plan(text: str) -> CrashPlan:
+def _parse_plan(text: str, seed: int) -> CrashPlan:
     if text == "exhaustive":
-        return CrashPlan("exhaustive")
+        return CrashPlan("exhaustive", seed=seed)
     strategy, _, number = text.partition(":")
     try:
         value = int(number)
     except ValueError:
         value = None
     if strategy == "random" and value is not None and value >= 1:
-        return CrashPlan("random", count=value)
+        return CrashPlan("random", count=value, seed=seed)
     if strategy == "at" and value is not None and value >= -1:
-        return CrashPlan("at", at=value)
+        return CrashPlan("at", at=value, seed=seed)
     raise _bad_plan(text, "K >= -1")
 
 
@@ -149,15 +149,12 @@ def _parse_plan(text: str) -> CrashPlan:
 _UNREAD_BY_CRASHCHECK = ("workload", "cores", "txn_count")
 
 
-def _reject_unread(args: argparse.Namespace) -> None:
+def _reject_unread(args: argparse.Namespace, settings: dict) -> None:
     """A flag or config key that crashcheck would ignore is a usage error."""
-    in_file = set()
-    if args.config:
-        in_file = {key for key, _ in config_items(Path(args.config).read_text())}
     for key in _UNREAD_BY_CRASHCHECK:
         if getattr(args, key) is not None:
-            name = "--" + key.replace("_", "-")
-        elif key in in_file:
+            name = _flag(key)
+        elif key in settings:
             name = f"config key {key!r}"
         else:
             continue
@@ -166,14 +163,14 @@ def _reject_unread(args: argparse.Namespace) -> None:
 
 
 def cmd_crashcheck(args: argparse.Namespace) -> int:
-    cells = _sweep_cells(args, _base_config(args))
+    settings = _settings(args)
+    cells = _sweep_cells(args, settings)
     if len(cells) != 1:
         raise UsageError(f"crashcheck checks one configuration; the comma "
                          f"lists give {len(cells)}")
-    _reject_unread(args)
+    _reject_unread(args, settings)
     base = cells[0]
-    plan = _parse_plan(args.crash)
-    plan.seed = base.seed
+    plan = _parse_plan(args.crash, base.seed)
 
     make = SCOPES[args.scope]
     try:

@@ -1,4 +1,6 @@
-"""Run configuration, read from a flat ``key = value`` file and flags.
+"""Run configuration, read from a flat ``key = value`` file and flags, which
+share one reader, ``parse_setting``.  A ``Config`` is checked when it is
+built and never changes, so every one that exists is valid.
 
 Defaults follow the simulated machine: 4-core 2 GHz x86-64, 1 MB 8-way LRU
 counter cache (12 CPU cycles), 32-entry write queue, PCM in 16 banks with
@@ -15,7 +17,6 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
 
 
 LINE = 64
@@ -59,7 +60,7 @@ COUNTER_REGION_BASE = 1 << 40
 MAX_BANKS = 1 << 16
 
 
-@dataclass
+@dataclass(frozen=True)
 class Config:
     mode: str = Mode.SECPM.value
     workload: str = "btree"
@@ -128,7 +129,7 @@ class Config:
         """Pages of data and log, which the counter region maps."""
         return -(-self.log_headers.stop // PAGE)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.workload not in WORKLOADS:
@@ -172,13 +173,15 @@ class Config:
                              f" {COUNTER_REGION_BASE:#x}")
 
 
-_FIELDS = [f.name for f in dataclasses.fields(Config)]
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(Config)}
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
 
-def config_items(text: str) -> Iterator[tuple[str, str]]:
-    """The ``(key, value)`` settings of a flat config text, in file order."""
+def parse_config(text: str) -> dict[str, object]:
+    """The settings of a flat config text, typed; a later line for a key
+    overrides an earlier one."""
+    settings = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -186,32 +189,26 @@ def config_items(text: str) -> Iterator[tuple[str, str]]:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        yield key, value
+        settings[key] = parse_setting(key, value)
+    return settings
 
 
-def parse_config(text: str, base: Config | None = None) -> Config:
-    cfg = dataclasses.replace(base) if base else Config()
-    for key, value in config_items(text):
-        apply_setting(cfg, key, value)
-    return cfg
-
-
-def apply_setting(cfg: Config, key: str, value: str) -> None:
-    if key not in _FIELDS:
+def parse_setting(key: str, value: str) -> object:
+    """The value of the setting ``key`` spelled ``value``, typed like the
+    key's default."""
+    if key not in _DEFAULTS:
         raise ValueError(f"unknown config key {key!r}")
-    current = getattr(cfg, key)
-    if isinstance(current, bool):
+    default = _DEFAULTS[key]
+    if isinstance(default, bool):
         flag = _BOOLEANS.get(value.strip().lower())
         if flag is None:
             raise ValueError(f"{key} must be 1/0, true/false, yes/no or on/off,"
                              f" not {value!r}")
-        setattr(cfg, key, flag)
-    elif isinstance(current, (int, float)):
-        cast = int if isinstance(current, int) else float
+        return flag
+    if isinstance(default, (int, float)):
         try:
-            setattr(cfg, key, cast(value))
+            return type(default)(value)
         except ValueError:
-            kind = "an integer" if cast is int else "a number"
+            kind = "an integer" if isinstance(default, int) else "a number"
             raise ValueError(f"{key} must be {kind}, not {value!r}") from None
-    else:
-        setattr(cfg, key, value)
+    return value

@@ -56,7 +56,6 @@ def derive_key(seed: int) -> bytes:
 
 class Controller:
     def __init__(self, cfg: Config):
-        cfg.validate()
         self.cfg = cfg
         self.mode = Mode(cfg.mode)
         # Per-flush constants, fixed for the controller's lifetime.

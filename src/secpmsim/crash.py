@@ -44,7 +44,7 @@ class Verdict(Enum):
         return self is not Verdict.INCONSISTENT
 
 
-@dataclass
+@dataclass(frozen=True)
 class CrashPlan:
     strategy: str = "exhaustive"  # exhaustive | random | at
     at: int = 0

@@ -20,7 +20,6 @@ _DONE = object()
 
 def run_experiment(cfg: Config, streams: list[list[TxnDescriptor]] | None = None
                    ) -> RunStats:
-    cfg.validate()
     if streams is None:
         streams = [
             generate(WorkloadSpec.from_config(cfg, core=core, seed=cfg.seed + core))

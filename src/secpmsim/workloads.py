@@ -191,10 +191,10 @@ def export_trace(stream: list[TxnDescriptor], fh: TextIO) -> None:
 
 def import_trace(fh: TextIO, footprint: int, max_lines: int, seed: int = 0
                  ) -> list[TxnDescriptor]:
-    """Read a trace.  Every record must end inside ``footprint``, no
-    transaction may write more than ``max_lines`` lines, and a
-    transaction's records may span at most the regions one log header holds.
-    """
+    """Read a trace.  Every record must end inside ``footprint`` and carry
+    a transaction id that fits the log header's 64 bits, no transaction may
+    write more than ``max_lines`` lines, and a transaction's records may
+    span at most the regions one log header holds."""
     by_txn: dict[int, TxnDescriptor] = {}
     for lineno, raw in enumerate(fh, 1):
         parts = raw.split()
@@ -206,6 +206,9 @@ def import_trace(fh: TextIO, footprint: int, max_lines: int, seed: int = 0
             txn_id, addr, size = int(parts[1]), int(parts[3], 16), int(parts[4])
         except ValueError:
             raise ValueError(f"trace line {lineno}: malformed record") from None
+        if not 0 <= txn_id < 1 << 64:
+            raise ValueError(f"trace line {lineno}: transaction id {parts[1]}"
+                             f" is outside 0..2**64 - 1")
         if addr < 0 or addr % LINE:
             raise ValueError(
                 f"trace line {lineno}: address {parts[3]} is not line-aligned")

@@ -80,7 +80,7 @@ def test_config_round_trip():
                  queue_len=64, seed=17, use_register=False, t_wr_ns=250.5)
     text = "".join(f"{f.name} = {getattr(cfg, f.name)}\n"
                    for f in dataclasses.fields(cfg))
-    assert parse_config(text) == cfg
+    assert Config(**parse_config(text)) == cfg
 
 
 def test_config_parse_errors():
@@ -204,6 +204,56 @@ def test_trace_in_rejects_cores_before_opening_the_trace(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --trace-in supports single-core runs only\n"
+
+
+@pytest.mark.parametrize("txn_id", ["-1", str(1 << 64)])
+def test_trace_id_outside_64_bits_is_usage_error(tmp_path, capsys, txn_id):
+    trace = tmp_path / "trace.txt"
+    trace.write_text(f"TXN {(1 << 64) - 1} WRITE 0x0 64\n"
+                     f"TXN {txn_id} WRITE 0x40 64\n")
+    assert run_cli("run", *FAST, "--trace-in", str(trace)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: trace line 2: transaction id {txn_id}"
+                            " is outside 0..2**64 - 1\n")
+    trace.write_text(f"TXN {(1 << 64) - 1} WRITE 0x0 64\nTXN 0 WRITE 0x40 64\n")
+    assert run_cli("run", *FAST, "--trace-in", str(trace)) == 0
+
+
+def test_trace_out_writes_the_stream_that_ran(tmp_path):
+    """A generated stream survives export, import and export byte for byte,
+    and an imported trace is exported as it was read, not regenerated."""
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    assert run_cli("run", *FAST, "--out", str(tmp_path / "a.csv"),
+                   "--trace-out", str(first)) == 0
+    assert run_cli("run", *FAST, "--out", str(tmp_path / "b.csv"),
+                   "--trace-in", str(first), "--trace-out", str(second)) == 0
+    assert second.read_bytes() == first.read_bytes()
+    assert first.read_text().count("\n") >= 20
+    written = "TXN 7 WRITE 0x1000 128\nTXN 3 WRITE 0x0 64\n"
+    first.write_text(written)
+    assert run_cli("run", *FAST, "--workload", "array,queue", "--out",
+                   str(tmp_path / "c.csv"), "--trace-in", str(first),
+                   "--trace-out", str(second)) == 0
+    assert second.read_text() == written
+
+
+@pytest.mark.parametrize("sweep, message", [
+    (["--cores", "2"], "--trace-out supports single-core runs only"),
+    (["--cores", "1,2"], "--trace-out supports single-core runs only"),
+    (["--workload", "array,queue"], "--trace-out writes one stream, but the"
+     " sweep runs 2: give one workload and one txn size"),
+    (["--txn-size", "256,512"], "--trace-out writes one stream, but the"
+     " sweep runs 2: give one workload and one txn size"),
+])
+def test_trace_out_rejects_cells_without_one_stream(tmp_path, capsys, sweep,
+                                                    message):
+    trace, out = tmp_path / "trace.txt", tmp_path / "report.csv"
+    assert run_cli("run", *FAST, *sweep, "--trace-out", str(trace),
+                   "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert not trace.exists() and not out.exists()
 
 
 def test_trace_address_outside_data_region_is_usage_error(tmp_path, capsys):

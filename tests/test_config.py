@@ -13,7 +13,7 @@ from secpmsim.config import (
     PAGE,
     WORKLOADS,
     Config,
-    apply_setting,
+    parse_setting,
 )
 from secpmsim.stats import emit_report
 
@@ -79,34 +79,27 @@ def test_every_field_is_live(name, monkeypatch):
     ("YES", True), ("no", False), ("On", True), ("off", False),
 ])
 def test_boolean_setting_spellings(text, expected):
-    cfg = Config(use_register=not expected)
-    apply_setting(cfg, "use_register", text)
-    assert cfg.use_register is expected
+    assert parse_setting("use_register", text) is expected
 
 
 @pytest.mark.parametrize("text", ["maybe", "", "2", "tru", "enabled"])
 def test_boolean_setting_rejects_other_values(text):
-    cfg = Config()
     with pytest.raises(ValueError, match="use_register"):
-        apply_setting(cfg, "use_register", text)
-    assert cfg.use_register is True
+        parse_setting("use_register", text)
 
 
 def test_log_reaching_the_counter_region_is_rejected():
     # 4 cores * 2**26 slots of 66 lines need 1.03 TiB on their own.
-    cfg = Config(cores=4, log_slots=1 << 26, txn_size=4096)
     with pytest.raises(ValueError, match="log_slots .* counter region"):
-        cfg.validate()
+        Config(cores=4, log_slots=1 << 26, txn_size=4096)
 
 
 def test_layout_may_end_where_the_counter_region_starts():
     log_bytes = 64 * (1024 // 64 + 2) * 64  # 64 slots of 18 lines: 18 pages
     cfg = Config(txn_size=1024, footprint=COUNTER_REGION_BASE - log_bytes)
-    cfg.validate()
     assert cfg.mapped_pages * 4096 == COUNTER_REGION_BASE
-    cfg.footprint += 4096
     with pytest.raises(ValueError, match="counter region"):
-        cfg.validate()
+        dataclasses.replace(cfg, footprint=cfg.footprint + 4096)
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -115,18 +108,24 @@ def test_default_footprint_holds_four_transactions(workload):
     a larger transaction would log onto, or draw addresses past, the
     workload's default range."""
     default = Config(workload=workload).data_bytes
-    Config(workload=workload, txn_size=default // 4).validate()
+    Config(workload=workload, txn_size=default // 4)
     for txn_size in (default // 4 + LINE, 2 * default):
-        cfg = Config(workload=workload, txn_size=txn_size)
         with pytest.raises(ValueError, match=r"footprint = 0 .* 4 \* txn_size"):
-            cfg.validate()
-        cfg.footprint = -(-4 * txn_size // PAGE) * PAGE
-        cfg.validate()
+            Config(workload=workload, txn_size=txn_size)
+        Config(workload=workload, txn_size=txn_size,
+               footprint=-(-4 * txn_size // PAGE) * PAGE)
 
 
 def test_bank_count_is_capped():
-    Config(banks=MAX_BANKS).validate()
+    Config(banks=MAX_BANKS)
     with pytest.raises(ValueError, match="banks must be at most 65536"):
-        Config(banks=MAX_BANKS + 1).validate()
+        Config(banks=MAX_BANKS + 1)
     with pytest.raises(ValueError, match="banks must be at most"):
-        Config(banks=1 << 40).validate()
+        Config(banks=1 << 40)
+
+
+def test_a_built_config_cannot_change():
+    cfg = Config()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.queue_len = 1
+    assert cfg == Config()

@@ -111,15 +111,14 @@ def test_address_outside_pad_domain_rejected(addr, ctr):
 
 
 def test_largest_accepted_layout_stays_inside_pad_domain(otp):
-    """The largest layout Config.validate accepts maps every page below the
+    """The largest layout a Config accepts maps every page below the
     counter region; its last counter line still gets a pad."""
     def layout(footprint):
         return Config(workload="array", txn_size=64, cores=1, log_slots=1,
                       footprint=footprint)
     with pytest.raises(ValueError, match="past the counter region"):
-        layout(COUNTER_REGION_BASE).validate()
+        layout(COUNTER_REGION_BASE)
     cfg = layout(COUNTER_REGION_BASE - PAGE)
-    cfg.validate()
     pages = cfg.mapped_pages
     assert pages == COUNTER_REGION_BASE // PAGE
     top = CounterAddressMap(pages).counter_line_address(pages - 1)

@@ -46,7 +46,7 @@ def test_write_sets_fit_three_regions(kind, txn_size):
 @pytest.mark.parametrize("txn_size", TXN_SIZES)
 def test_smallest_accepted_footprint_holds_every_write(kind, txn_size):
     footprint = max(PAGE, 4 * txn_size)
-    Config(workload=kind, txn_size=txn_size, footprint=footprint).validate()
+    Config(workload=kind, txn_size=txn_size, footprint=footprint)
     for txn in generate(spec_for(kind, txn_size=txn_size, footprint=footprint)):
         assert all(0 <= addr < footprint for addr, _ in txn.write_set)
 
@@ -54,13 +54,13 @@ def test_smallest_accepted_footprint_holds_every_write(kind, txn_size):
 @st.composite
 def accepted_specs(draw):
     """A workload, a txn_size from 64 B to 16 KiB (odd line counts too) and
-    a footprint that ``Config.validate`` accepts for them."""
+    a footprint that ``Config`` accepts for them."""
     kind = draw(st.sampled_from(WORKLOADS))
     txn_size = draw(st.integers(min_value=1, max_value=256)) * LINE
     least_pages = -(-4 * txn_size // PAGE)
     footprint = draw(st.integers(min_value=least_pages,
                                  max_value=least_pages + 8)) * PAGE
-    Config(workload=kind, txn_size=txn_size, footprint=footprint).validate()
+    Config(workload=kind, txn_size=txn_size, footprint=footprint)
     return spec_for(kind, txn_size=txn_size, txn_count=40, footprint=footprint,
                     seed=draw(st.integers(min_value=0, max_value=1 << 16)))
 
