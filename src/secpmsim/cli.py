@@ -16,8 +16,8 @@ from collections import Counter
 from pathlib import Path
 
 from secpmsim import workloads
-from secpmsim.config import (LINE, MODES, WORKLOADS, Config, Mode,
-                              parse_config, parse_setting)
+from secpmsim.config import (LINE, MODES, WORKLOADS, Config, parse_config,
+                              parse_setting)
 from secpmsim.counters import AddressError
 from secpmsim.crash import (SCOPES, CrashPlan, Outcome, PointOutOfRange,
                             Verdict, inject)
@@ -179,7 +179,7 @@ def cmd_crashcheck(args: argparse.Namespace) -> int:
         raise _bad_plan(args.crash, f"-1 <= K <= {exc.n_boundaries - 1} "
                         f"for the {args.scope} scope") from None
 
-    promised = Mode(base.mode).crash_consistent
+    promised = base.crash_consistent
     bad = 0
     rows = []
     for o in outcomes:

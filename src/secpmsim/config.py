@@ -100,6 +100,15 @@ class Config:
         return self.t_rcd_ns + self.t_cl_ns
 
     @property
+    def crash_consistent(self) -> bool:
+        """Whether this configuration promises never to recover to a torn
+        state: its mode's promise, which an encrypted write-through mode
+        keeps only by staging counter and data in the register."""
+        mode = Mode(self.mode)
+        return mode.crash_consistent and (self.use_register
+                                          or not mode.write_through)
+
+    @property
     def data_bytes(self) -> int:
         """The workload footprint: ``footprint``, or 1 GiB for the array and
         queue workloads and 2 GiB for the others when it is 0."""

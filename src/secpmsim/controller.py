@@ -2,11 +2,10 @@
 
 Orders every flush as: locate counter -> bump minor -> encrypt -> write the
 counter through the cache -> stage counter+data in the two-line register ->
-append both to the write queue in one indivisible step -> ack.  Reads
-overlap pad generation with the NVM access.  Minor-counter overflow
-triggers a page re-encryption tracked by the status register (``Rsr``), an
-immutable value that a crash snapshot keeps as it was, so recovery can
-finish the page.
+append both to the write queue in one indivisible step -> ack.
+Minor-counter overflow triggers a page re-encryption tracked by the status
+register (``Rsr``), an immutable value that a crash snapshot keeps as it
+was, so recovery can finish the page.
 
 A line is encrypted by sealing it (``crypto.Sealed``): the queue and the
 NVM store hold the plaintext with the counter it was sealed under, and the
@@ -17,11 +16,14 @@ the plaintext back directly; any other read (a line never written, a
 counter lost in a crash, a counter-tracking bug) decrypts the real
 ciphertext under the counter it looked up, as the hardware would.
 
-The timing model is coarse and event-driven on one global clock: each
-operation advances the clock by its configured latency, and appends stall
-(draining the queue against per-bank occupancy) when the queue is full.  Crash
-boundaries are announced through ``boundary_hook`` after every
-durability-relevant state change.
+The timing model is coarse and runs on one clock, ``Controller.clock``:
+every step advances it in place by its configured latency, and an append
+that finds the queue full first drains it against per-bank occupancy,
+which moves the clock to the last issue.  A read overlaps its counter
+fetch and its data fetch: both start at the read's start time, and the
+read ends when the data has arrived and the pad, one AES latency after
+the counter, is ready.  Crash boundaries are announced through
+``boundary_hook`` after every durability-relevant state change.
 """
 
 from __future__ import annotations
@@ -90,19 +92,21 @@ class Controller:
         if self.boundary_hook is not None:
             self.boundary_hook(label)
 
-    def _read_line_raw(self, address: int, t: float
-                       ) -> tuple[bytes | Sealed, float]:
+    def _read_line_raw(self, address: int) -> bytes | Sealed:
         queued = self.queue.latest.get(address)
         if queued is not None:
-            return queued.payload, t + self._read_ns
-        return self.nvm.nvm_read(address, t)
+            self.clock += self._read_ns
+            return queued.payload
+        payload, self.clock = self.nvm.nvm_read(address, self.clock)
+        return payload
 
-    def _drain(self, t: float, keep: int = 0, until: float = math.inf) -> float:
+    def _drain(self, keep: int = 0, until: float = math.inf) -> None:
         """Issue queue heads in FIFO order, each once its bank is free, until
         ``keep`` entries remain or the next issue would come after ``until``;
-        returns the time of the last issue."""
+        the clock stops at the last issue."""
         nvm = self.nvm
         entries = self.queue.entries
+        t = self.clock
         while len(entries) > keep:
             ready = nvm.busy_until[nvm.bank(entries[0].address)]
             if ready > t:
@@ -113,38 +117,33 @@ class Controller:
             hook = self.boundary_hook
             if hook is not None:
                 hook("drain")
-        return t
+        self.clock = t
 
-    def _ensure_space(self, n: int, t: float) -> float:
+    def _ensure_space(self, n: int) -> None:
         """Backpressure: when the queue cannot take n entries, drain down
         to the low watermark (half capacity), charging the wait time."""
         capacity = self.queue.capacity
-        if len(self.queue.entries) + n <= capacity:
-            return t
-        return self._drain(t, keep=min(capacity - n, capacity // 2))
+        if len(self.queue.entries) + n > capacity:
+            self._drain(keep=min(capacity - n, capacity // 2))
 
-    def _enqueue(self, address: int, payload: bytes | Sealed, origin: Origin,
-                 t: float) -> float:
+    def _enqueue(self, address: int, payload: bytes | Sealed, origin: Origin
+                 ) -> None:
         """Wait for a free slot, queue one line and announce it as durable."""
-        t = self._ensure_space(1, t)
+        self._ensure_space(1)
         self.queue.append(WriteQueueEntry(address, payload, origin))
         self._boundary("append")
-        return t
 
-    def idle_drain(self, duration: float) -> float:
+    def idle_drain(self, duration: float) -> None:
         """Let the queue drain in the background for ``duration`` ns of
         CPU compute time (e.g. between transactions)."""
         end = self.clock + duration
-        self._drain(self.clock, until=end)
+        self._drain(until=end)
         self.clock = end
-        return end
 
-    def drain_all(self) -> float:
-        self.clock = self._drain(self.clock)
-        return self.clock
+    def drain_all(self) -> None:
+        self._drain()
 
-    def _seal(self, address: int, ctr: int, plaintext: bytes, t: float
-              ) -> tuple[Sealed, float]:
+    def _seal(self, address: int, ctr: int, plaintext: bytes) -> Sealed:
         """Encrypt a line under ``ctr``: count a reused pad input, charge
         the AES latency, and return the sealed line."""
         last = self._last_ctr.get(address)
@@ -152,7 +151,8 @@ class Controller:
             self.otp_reuse += 1
         else:
             self._last_ctr[address] = ctr
-        return Sealed(plaintext, self.otp, address, ctr), t + self._aes_ns
+        self.clock += self._aes_ns
+        return Sealed(plaintext, self.otp, address, ctr)
 
     def _open(self, address: int, ctr: int, stored: bytes | Sealed) -> bytes:
         """Decrypt a stored line under ``ctr``; a line sealed here under
@@ -162,22 +162,21 @@ class Controller:
             return stored.plaintext
         return decrypt_line(bytes(stored), self.otp.generate(address, ctr))
 
-    def _get_counter_line(self, cline: int, t: float) -> tuple[CounterLine, float]:
+    def _get_counter_line(self, cline: int) -> CounterLine:
         line = self.cache.lookup(cline)
         if line is not None:
-            return line, t + self._cache_hit_ns
-        payload, t = self._read_line_raw(cline, t)
-        line = CounterLine.deserialize(payload)
-        t = self._insert_counter(cline, line, t)
-        return line, t
+            self.clock += self._cache_hit_ns
+            return line
+        line = CounterLine.deserialize(self._read_line_raw(cline))
+        self._insert_counter(cline, line)
+        return line
 
-    def _insert_counter(self, cline: int, line: CounterLine, t: float) -> float:
+    def _insert_counter(self, cline: int, line: CounterLine) -> None:
         victim = self.cache.insert(cline, line)
         if victim is not None:
             # Write-back eviction (only reachable without write-through).
             vaddr, vline = victim
-            t = self._enqueue(vaddr, vline.serialize(), COUNTER, t)
-        return t
+            self._enqueue(vaddr, vline.serialize(), COUNTER)
 
     # ------------------------------------------------------------------
     # flush / read / fence
@@ -187,31 +186,29 @@ class Controller:
         """Run the full flush sequence; returns the ack (retire) time."""
         if len(plaintext) != LINE:
             raise ValueError("line payload must be 64 bytes")
-        t = (self.clock if now is None else now) + self._flush_overhead_ns
+        self.clock = (self.clock if now is None else now) + self._flush_overhead_ns
         self.flushes += 1
 
         if not self._encrypted:
-            t = self._enqueue(address, plaintext, DATA, t)
-            self.clock = t
-            return t
+            self._enqueue(address, plaintext, DATA)
+            return self.clock
 
         cline, minor_index = self.map.locate(address)
         # The cached line is bumped in place, which also keeps the cache
         # current; the lookup has already made it most recently used.
-        line, t = self._get_counter_line(cline, t)
+        line = self._get_counter_line(cline)
         if not increment_minor(line, minor_index):
-            t = self.reencrypt_page(address // PAGE, t)
-            line, t = self._get_counter_line(cline, t)
+            self.reencrypt_page(address // PAGE)
+            line = self._get_counter_line(cline)
             increment_minor(line, minor_index)
 
-        sealed, t = self._seal(address, line.counter_value(minor_index),
-                               plaintext, t)
+        sealed = self._seal(address, line.counter_value(minor_index), plaintext)
 
         if not self._write_through:
             # Broken baseline: the counter stays dirty in the cache and
             # only the data entry becomes durable.
             self.cache.mark_dirty(cline)
-            t = self._enqueue(address, sealed, DATA, t)
+            self._enqueue(address, sealed, DATA)
         elif self._use_register:
             queue = self.queue
             hook = self.boundary_hook
@@ -223,16 +220,14 @@ class Controller:
                 hook("reg_store")
                 hook("reg_store")
             if len(queue.entries) + 2 > queue.capacity:
-                t = self._ensure_space(2, t)
+                self._ensure_space(2)
             queue.atomic_append_pair(cline, counter_image, address, sealed)
             if hook is not None:
                 hook("append_pair")
         else:
-            t = self._enqueue(cline, line.serialize(), COUNTER, t)
-            t = self._enqueue(address, sealed, DATA, t)
-
-        self.clock = t
-        return t
+            self._enqueue(cline, line.serialize(), COUNTER)
+            self._enqueue(address, sealed, DATA)
+        return self.clock
 
     def handle_read(self, address: int) -> bytes:
         """Decrypting read; pad generation overlaps the NVM access.
@@ -241,59 +236,55 @@ class Controller:
         overflows, or inside ``from_snapshot``, so no read sees an active
         status register or a half-moved page.
         """
-        t0 = self.clock
         if not self._encrypted:
-            payload, t = self._read_line_raw(address, t0)
-            self.clock = t
-            return payload
+            return self._read_line_raw(address)
 
+        # The counter fetch and the data fetch both start now; the pad is
+        # ready one AES latency after the counter.
+        start = self.clock
         cline, minor_index = self.map.locate(address)
-        line, t_ctr = self._get_counter_line(cline, t0)
-        stored, t_data = self._read_line_raw(address, t0)
-        self.clock = max(t_data, t_ctr + self._aes_ns)
+        line = self._get_counter_line(cline)
+        pad_ready = self.clock + self._aes_ns
+        self.clock = start
+        stored = self._read_line_raw(address)
+        self.clock = max(self.clock, pad_ready)
         return self._open(address, line.counter_value(minor_index), stored)
 
-    def fence(self) -> float:
+    def fence(self) -> None:
         """All prior flushes are acked (queued = durable) by construction."""
         self._boundary("fence")
-        return self.clock
 
-    def flush_counter_cache(self) -> float:
+    def flush_counter_cache(self) -> None:
         """Push every dirty counter line to the queue (write-back modes
         only; a clean-shutdown aid so runs start from a consistent NVM)."""
-        t = self.clock
         for addr, line in self.cache.dirty_entries():
             self.cache.mark_clean(addr)
-            t = self._enqueue(addr, line.serialize(), COUNTER, t)
-        self.clock = t
-        return t
+            self._enqueue(addr, line.serialize(), COUNTER)
 
     # ------------------------------------------------------------------
     # page re-encryption
 
-    def reencrypt_page(self, page: int, t: float) -> float:
+    def reencrypt_page(self, page: int) -> None:
         if self.rsr is not None:
             raise RuntimeError("a page re-encryption is already in flight")
-        cline = self.map.counter_line_address(page)
-        old_line, t = self._get_counter_line(cline, t)
+        old_line = self._get_counter_line(self.map.counter_line_address(page))
         self.rsr = Rsr(page, old_line.major)
         self._boundary("rsr_arm")
-        return self._reencrypt_lines(page, old_line, t)
+        self._reencrypt_lines(page, old_line)
 
-    def resume_reencryption(self, rsr: Rsr) -> float:
+    def resume_reencryption(self, rsr: Rsr) -> None:
         """Finish an interrupted re-encryption from the persisted register.
 
         Old minors for not-yet-done lines come from the durable counter
         line, which keeps them until each line's own counter write lands.
         """
-        t = self.clock
         self.rsr = rsr
-        cline = self.map.counter_line_address(rsr.page_number)
-        durable, t = self._get_counter_line(cline, t)
+        durable = self._get_counter_line(
+            self.map.counter_line_address(rsr.page_number))
         old = CounterLine(rsr.old_major, lanes=durable.lanes)
-        return self._reencrypt_lines(rsr.page_number, old, t)
+        self._reencrypt_lines(rsr.page_number, old)
 
-    def _reencrypt_lines(self, page: int, old: CounterLine, t: float) -> float:
+    def _reencrypt_lines(self, page: int, old: CounterLine) -> None:
         """Move every line not yet done from ``old`` to major + 1, minor 0.
 
         The cache holds the half-moved line itself from the first step on.
@@ -306,14 +297,14 @@ class Controller:
             if rsr.done(i):
                 continue
             address = page * PAGE + i * LINE
-            stored, t = self._read_line_raw(address, t)
-            plain = self._open(address, old.counter_value(i), stored)
+            plain = self._open(address, old.counter_value(i),
+                               self._read_line_raw(address))
             hybrid.set_minor(i, 0)
-            sealed, t = self._seal(address, new_ctr, plain, t)
-            t = self._insert_counter(cline, hybrid, t)
+            sealed = self._seal(address, new_ctr, plain)
+            self._insert_counter(cline, hybrid)
             # The queue append and the done-bit update are one controller
             # action: no crash point separates them.
-            t = self._ensure_space(2, t)
+            self._ensure_space(2)
             self.queue.atomic_append_pair(cline, hybrid.serialize(), address,
                                           sealed)
             rsr = self.rsr = Rsr(page, rsr.old_major, rsr.done_bits | 1 << i)
@@ -321,8 +312,6 @@ class Controller:
         self.rsr = None
         self._boundary("rsr_done")
         self.reencryptions += 1
-        self.clock = t
-        return t
 
     # ------------------------------------------------------------------
     # crash handling

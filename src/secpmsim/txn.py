@@ -123,10 +123,9 @@ def run_transaction(controller: Controller, txn: TxnDescriptor) -> Iterator[str]
     txn.stage = Stage.DONE
 
 
-def execute(controller: Controller, txn: TxnDescriptor) -> float:
+def execute(controller: Controller, txn: TxnDescriptor) -> None:
     for _ in run_transaction(controller, txn):
         pass
-    return controller.clock
 
 
 def recover(snapshot: CrashSnapshot, cfg: Config) -> tuple[Controller, list[int]]:

@@ -5,6 +5,7 @@ echoed in the terminal summary so a full run reads as a checklist.
 Tolerances are pinned in the asserts; analytic counts are exact.
 """
 
+import functools
 import random
 
 import _acceptance_log
@@ -33,8 +34,14 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 
 def run(mode, workload, txn_size, txn_count, **kw):
-    cfg = Config(mode=mode, workload=workload, txn_size=txn_size,
-                 txn_count=txn_count, seed=SEED, **kw)
+    return _run(Config(mode=mode, workload=workload, txn_size=txn_size,
+                       txn_count=txn_count, seed=SEED, **kw))
+
+
+@functools.cache
+def _run(cfg):
+    """Each cell once per session: test 02's cells are a subset of test 06's,
+    and test 08's are test 07's at the default queue length."""
     return run_experiment(cfg)
 
 

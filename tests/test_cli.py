@@ -388,6 +388,24 @@ def test_crashcheck_broken_baseline_is_expected(tmp_path):
     assert any(r["flag"] == "EXPECTED" for r in rows)
 
 
+@pytest.mark.parametrize("mode", ["secpm", "secpm-no-cwr"])
+@pytest.mark.parametrize("scope", ["atomic-write", "reencrypt"])
+def test_crashcheck_without_the_register_expects_the_tear(tmp_path, mode,
+                                                          scope):
+    """Without the staging register a crash between the counter append and
+    the data append tears the line; that configuration promises no
+    consistency, so the tear is EXPECTED and the exit status stays 0."""
+    cfg = tmp_path / "noreg.cfg"
+    cfg.write_text("use_register = false\n")
+    out = tmp_path / "verdicts.csv"
+    assert run_cli("crashcheck", "--config", str(cfg), "--mode", mode,
+                   "--txn-size", "64", "--scope", scope,
+                   "--out", str(out)) == 0
+    flagged = [(r["event"], r["verdict"], r["flag"])
+               for r in read_rows(out) if r["flag"]]
+    assert flagged == [("append", "inconsistent", "EXPECTED")]
+
+
 def test_crashcheck_atomic_write_scope(tmp_path):
     out = tmp_path / "verdicts.csv"
     assert run_cli("crashcheck", "--mode", "secpm",

@@ -33,6 +33,11 @@ def test_mode_flags():
 def test_crash_consistent_modes():
     assert {m.value for m in Mode if m.crash_consistent} == {
         "unsec-pm", "secpm-no-cwr", "secpm"}
+    # A write-through mode keeps its promise only with the staging register.
+    assert {(m.value, r) for m in Mode for r in (True, False)
+            if Config(mode=m.value, use_register=r).crash_consistent} == {
+        ("unsec-pm", True), ("unsec-pm", False), ("secpm-no-cwr", True),
+        ("secpm", True)}
 
 
 @pytest.mark.parametrize("use_register", [True, False])
@@ -137,8 +142,8 @@ def test_read_back_catches_a_line_sealed_under_a_stale_counter(monkeypatch):
     target = 3 * 64
     seal = Controller._seal
 
-    def stale(self, address, ctr, plaintext, t):
-        return seal(self, address, ctr - (address == target), plaintext, t)
+    def stale(self, address, ctr, plaintext):
+        return seal(self, address, ctr - (address == target), plaintext)
 
     monkeypatch.setattr(Controller, "_seal", stale)
     ctrl = make("secpm")
@@ -191,6 +196,25 @@ def test_clock_advances_monotonically():
         stamps.append(ctrl.clock)
     assert stamps == sorted(stamps)
     assert stamps[0] > 0
+
+
+def test_read_overlaps_counter_fetch_and_data_fetch():
+    """At default timing (read 63 ns, AES 40 ns, cache hit 6 ns) a read ends
+    at max(data arrived, counter ready + AES), both fetches starting at the
+    read's start."""
+    def read_cost(ctrl, address):
+        start = ctrl.clock
+        ctrl.handle_read(address)
+        return ctrl.clock - start
+
+    # Page 0's counter line and line 0 share bank 0: the data fetch waits
+    # for the counter fetch, 63 + 63.
+    ctrl = make("secpm")
+    assert ctrl.nvm.bank(ctrl.map.counter_line_address(0)) == ctrl.nvm.bank(0)
+    assert read_cost(ctrl, 0) == 126.0
+    ctrl = make("secpm")
+    assert read_cost(ctrl, 64) == 103.0  # counter miss: 63 + 40
+    assert read_cost(ctrl, 128) == 63.0  # counter hit: max(63, 6 + 40)
 
 
 def test_idle_drain_empties_queue_without_flush_cost():
@@ -250,7 +274,7 @@ def test_second_reencryption_rejected_while_active():
     ctrl = make("secpm")
     ctrl.rsr = Rsr(0, 0)
     with pytest.raises(RuntimeError):
-        ctrl.reencrypt_page(1, 0.0)
+        ctrl.reencrypt_page(1)
 
 
 def test_snapshot_restore_preserves_data():

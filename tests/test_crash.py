@@ -232,10 +232,10 @@ def test_reencrypt_oracle_catches_a_line_left_under_its_old_ciphertext(
     target = 5 * 64
     seal = Controller._seal
 
-    def keep_old_cipher(self, address, ctr, plaintext, t):
+    def keep_old_cipher(self, address, ctr, plaintext):
         if address == target:
             ctr -= 1 << 7  # the counter before the major moved: the old pad
-        return seal(self, address, ctr, plaintext, t)
+        return seal(self, address, ctr, plaintext)
 
     monkeypatch.setattr(Controller, "_seal", keep_old_cipher)
     outcomes = inject(CrashPlan("exhaustive"),
