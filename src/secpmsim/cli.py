@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -85,6 +86,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                        ("--trace-out", args.trace_out)):
         if path and any(cfg.cores != 1 for cfg in cells):
             raise UsageError(f"{flag} supports single-core runs only")
+    _check_out(args.out)
 
     streams = None
     if args.trace_in:
@@ -115,6 +117,20 @@ def cmd_run(args: argparse.Namespace) -> int:
             out.with_name(out.stem + "_normalized" + out.suffix).write_text(
                 normalized)
     return 0
+
+
+def _check_out(path: str | None) -> None:
+    """Reject an ``--out`` path that cannot be written before any work runs,
+    without creating or truncating it: the report is written at the end."""
+    if not path:
+        return
+    out = Path(path)
+    if not out.parent.is_dir():
+        raise UsageError(f"--out {path}: directory {str(out.parent)!r} does"
+                         " not exist")
+    if out.is_dir() or not os.access(out if out.exists() else out.parent,
+                                     os.W_OK):
+        raise UsageError(f"--out {path}: cannot write a report there")
 
 
 def _write_report(args: argparse.Namespace, report: str) -> None:
@@ -171,6 +187,7 @@ def cmd_crashcheck(args: argparse.Namespace) -> int:
     _reject_unread(args, settings)
     base = cells[0]
     plan = _parse_plan(args.crash, base.seed)
+    _check_out(args.out)
 
     make = SCOPES[args.scope]
     try:

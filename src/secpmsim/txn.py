@@ -1,11 +1,12 @@
 """Durable transactions (undo logging) and the recovery procedure.
 
-A transaction runs prepare (log header, old values, end tag; fence),
-mutate (in-place updates; fence), commit (zero the end tag; fence).  A log
-entry is complete iff its end tag matches the transaction id; recovery
-abandons incomplete logs and undoes complete ones.  It reads only the slots
-whose header line is in the durable image, never the unwritten rest of the
-log region.
+A transaction is three fenced epochs, each flushing its lines in order:
+prepare (log header, old values, end tag), mutate (in-place updates),
+commit (zero the end tag).  A log is complete iff its end tag matches the
+transaction id; recovery abandons incomplete logs and undoes complete ones
+in two fenced epochs (old values back in place; zero the end tag).  It
+reads only the slots whose header line is in the durable image, never the
+unwritten rest of the log region.
 
 Log layout, per fixed-size slot:
   line 0              header: magic4 | nregions4 | txn_id8 | 3x(base8, nlines8)
@@ -98,28 +99,23 @@ def run_transaction(controller: Controller, txn: TxnDescriptor) -> Iterator[str]
     if total > controller.cfg.slot_lines - 2:
         raise ValueError("write set too large for the configured log slot")
 
-    txn.stage = Stage.PREPARE
     old_values = [controller.handle_read(addr) for addr, _ in txn.write_set]
-    controller.handle_flush(base, build_header(txn.txn_id, regions))
-    yield "log_header"
-    for i, old in enumerate(old_values):
-        controller.handle_flush(base + (1 + i) * LINE, old)
-        yield "log_old"
     end_addr = base + (1 + total) * LINE
-    controller.handle_flush(end_addr, build_end_tag(txn.txn_id))
-    yield "log_end"
-    controller.fence()
-
-    txn.stage = Stage.MUTATE
-    for addr, payload in txn.write_set:
-        controller.handle_flush(addr, payload)
-        yield "data"
-    controller.fence()
-
-    txn.stage = Stage.COMMIT
-    controller.handle_flush(end_addr, ZERO_LINE)
-    yield "invalidate"
-    controller.fence()
+    epochs = [
+        (Stage.PREPARE,
+         [(base, build_header(txn.txn_id, regions), "log_header")]
+         + [(base + i * LINE, old, "log_old")
+            for i, old in enumerate(old_values, 1)]
+         + [(end_addr, build_end_tag(txn.txn_id), "log_end")]),
+        (Stage.MUTATE, [(addr, line, "data") for addr, line in txn.write_set]),
+        (Stage.COMMIT, [(end_addr, ZERO_LINE, "invalidate")]),
+    ]
+    for stage, flushes in epochs:
+        txn.stage = stage
+        for addr, line, label in flushes:
+            controller.handle_flush(addr, line)
+            yield label
+        controller.fence()
     txn.stage = Stage.DONE
 
 
@@ -149,12 +145,9 @@ def recover(snapshot: CrashSnapshot, cfg: Config) -> tuple[Controller, list[int]
         end_addr = base + (1 + total) * LINE
         if not end_tag_matches(ctrl.handle_read(end_addr), txn_id):
             continue  # incomplete log: abandon
-        idx = 1
-        for rbase, nlines in regions:
-            for j in range(nlines):
-                old = ctrl.handle_read(base + idx * LINE)
-                idx += 1
-                ctrl.handle_flush(rbase + j * LINE, old)
+        targets = [rb + j * LINE for rb, n in regions for j in range(n)]
+        for i, addr in enumerate(targets, 1):
+            ctrl.handle_flush(addr, ctrl.handle_read(base + i * LINE))
         ctrl.fence()
         ctrl.handle_flush(end_addr, ZERO_LINE)
         ctrl.fence()

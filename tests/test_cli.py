@@ -3,6 +3,7 @@ import dataclasses
 
 import pytest
 
+from secpmsim import cli
 from secpmsim.cli import main
 from secpmsim.config import Config, parse_config
 
@@ -304,6 +305,52 @@ def test_trace_transaction_that_cannot_run_is_usage_error(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
     assert not out.exists()
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work ran before --out was checked")
+
+
+@pytest.mark.parametrize("command", ["run", "crashcheck"])
+@pytest.mark.parametrize("missing", [True, False], ids=["missing-dir", "dir"])
+def test_bad_out_fails_before_any_work(tmp_path, capsys, monkeypatch, command,
+                                       missing):
+    """An --out path in a missing directory, or one that is a directory, is
+    a usage error before any sweep cell, crash point or trace write runs.
+    (Unwritable directories go untested: root ignores permission bits.)"""
+    monkeypatch.setattr(cli, "run_experiment", _no_work)
+    monkeypatch.setattr(cli, "inject", _no_work)
+    if missing:
+        out = tmp_path / "missing" / "report.csv"
+        message = f"--out {out}: directory '{out.parent}' does not exist"
+    else:
+        out = tmp_path
+        message = f"--out {out}: cannot write a report there"
+    trace = tmp_path / "trace.txt"
+    extra = ["--trace-out", str(trace)] if command == "run" else []
+    assert run_cli(command, "--mode", "secpm", "--txn-size", "256",
+                   "--out", str(out), *extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert not trace.exists()
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["existing", "new"])
+def test_failing_run_leaves_the_report_alone(tmp_path, capsys, monkeypatch,
+                                             existing):
+    def fail(*args, **kwargs):
+        raise ValueError("cell failed")
+
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    out = tmp_path / "report.csv"
+    if existing:
+        out.write_text("earlier report\n")
+    assert run_cli("run", *FAST, "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: cell failed\n"
+    if existing:
+        assert out.read_text() == "earlier report\n"
+    else:
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [

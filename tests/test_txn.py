@@ -121,6 +121,32 @@ def test_recover_undoes_complete_uncommitted_log():
         assert recovered.handle_read(addr) == value
 
 
+def test_recover_undoes_a_write_set_over_three_regions():
+    """Each old value goes back to the line the header's regions name, in
+    region order, not to a run of lines from the first region's base."""
+    cfg = make_cfg(txn_size=384)
+    ctrl = Controller(cfg)
+
+    def three_regions(seed):
+        rng = random.Random(seed)
+        return [(rbase + j * 64, rng.randbytes(64))
+                for rbase in (0, 8192, 16384) for j in range(2)]
+
+    pre, post = three_regions(11), three_regions(12)
+    execute(ctrl, TxnDescriptor(0, pre, seq=0))
+    txn = TxnDescriptor(1, post, seq=1)
+    assert txn.regions() == [(0, 2), (8192, 2), (16384, 2)]
+    gen = run_transaction(ctrl, txn)
+    for _ in range(1 + 6 + 1 + 6):  # stop after the last data flush
+        next(gen)
+    for addr, value in post:
+        assert ctrl.handle_read(addr) == value
+    recovered, undone = recover(ctrl.snapshot(), cfg)
+    assert undone == [1]
+    for addr, value in pre:
+        assert recovered.handle_read(addr) == value
+
+
 def test_recover_abandons_incomplete_log():
     cfg = make_cfg()
     ctrl = Controller(cfg)
@@ -191,3 +217,42 @@ def test_recovery_reads_do_not_grow_with_log_slots(monkeypatch):
     got, ref = recover(snapshot, cfg), recover_every_slot(snapshot, cfg)
     assert got[1] == ref[1]
     assert got[0].snapshot().store == ref[0].snapshot().store
+
+
+def test_flush_and_fence_order(monkeypatch):
+    """A transaction flushes the header, old values and end tag, fences,
+    flushes the data, fences, zeroes the end tag and fences; recovery of a
+    complete log writes the old values back, fences, zeroes the end tag
+    and fences."""
+    cfg = make_cfg()
+    events, stages = [], []
+    txn = TxnDescriptor(1, write_set(3, seed=9))
+    flush, fence = Controller.handle_flush, Controller.fence
+
+    def recording_flush(self, address, plaintext, now=None):
+        events.append(address)
+        return flush(self, address, plaintext, now)
+
+    def recording_fence(self):
+        events.append("fence")
+        stages.append(txn.stage.value)
+        fence(self)
+
+    monkeypatch.setattr(Controller, "handle_flush", recording_flush)
+    monkeypatch.setattr(Controller, "fence", recording_fence)
+    execute(Controller(cfg), txn)
+    base = cfg.log_slot_base(0, 0)
+    header_to_end = [base + i * 64 for i in range(5)]
+    end = header_to_end[-1]
+    data = [addr for addr, _ in txn.write_set]
+    assert events == header_to_end + ["fence"] + data + ["fence", end, "fence"]
+    assert stages == ["prepare", "mutate", "commit"]
+
+    ctrl = Controller(cfg)
+    gen = run_transaction(ctrl, TxnDescriptor(1, write_set(3, seed=10)))
+    for _ in range(1 + 3 + 1 + 3):  # stop after the last data flush
+        next(gen)
+    events.clear()
+    _, undone = recover(ctrl.snapshot(), cfg)
+    assert undone == [1]
+    assert events == data + ["fence", end, "fence"]
