@@ -17,8 +17,8 @@ from collections import Counter
 from pathlib import Path
 
 from secpmsim import workloads
-from secpmsim.config import (LINE, MODES, WORKLOADS, Config, parse_config,
-                              parse_setting)
+from secpmsim.config import (LINE, MODES, WORKLOADS, Config, Mode,
+                              parse_config, parse_setting)
 from secpmsim.counters import AddressError
 from secpmsim.crash import (SCOPES, CrashPlan, Outcome, PointOutOfRange,
                             Verdict, inject)
@@ -87,6 +87,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         if path and any(cfg.cores != 1 for cfg in cells):
             raise UsageError(f"{flag} supports single-core runs only")
     _check_out(args.out)
+    if args.out and any(cfg.mode == Mode.UNSEC_PM.value for cfg in cells):
+        _check_out(_normalized_out(args.out))  # written for a baseline
 
     streams = None
     if args.trace_in:
@@ -113,10 +115,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.out:
         normalized = emit_normalized_report(all_stats)
         if normalized.count("\n") > 1:
-            out = Path(args.out)
-            out.with_name(out.stem + "_normalized" + out.suffix).write_text(
-                normalized)
+            Path(_normalized_out(args.out)).write_text(normalized)
     return 0
+
+
+def _normalized_out(path: str) -> str:
+    """The normalized report's path, ``<stem>_normalized<suffix>`` beside
+    the ``--out`` report."""
+    out = Path(path)
+    return str(out.with_name(out.stem + "_normalized" + out.suffix))
 
 
 def _check_out(path: str | None) -> None:

@@ -44,10 +44,6 @@ class Mode(Enum):
     def cwr(self) -> bool:
         return self is Mode.SECPM
 
-    @property
-    def crash_consistent(self) -> bool:  # never recovers to a torn state
-        return not self.encrypted or self.write_through
-
 
 MODES = tuple(m.value for m in Mode)
 WORKLOADS = ("array", "queue", "btree", "hashtable", "rbtree")
@@ -102,11 +98,10 @@ class Config:
     @property
     def crash_consistent(self) -> bool:
         """Whether this configuration promises never to recover to a torn
-        state: its mode's promise, which an encrypted write-through mode
-        keeps only by staging counter and data in the register."""
+        state: an unencrypted one does, and an encrypted one only if it
+        writes counters through and stages counter and data in the register."""
         mode = Mode(self.mode)
-        return mode.crash_consistent and (self.use_register
-                                          or not mode.write_through)
+        return not mode.encrypted or (mode.write_through and self.use_register)
 
     @property
     def data_bytes(self) -> int:

@@ -6,7 +6,9 @@ register store and fence, and at each step of a page re-encryption (rsr_arm,
 reencrypt_line, rsr_done); enumerating them is exhaustive.  Crash point -1
 (label ``pre``) denotes a failure before the scenario's first event.
 ``SCOPES`` names the scenarios ``crashcheck`` runs; each judges its lines
-by one rule, ``_classify``, against its pre- and post-image.
+by one rule, ``_classify``, against its pre- and post-image.  ``reencrypt``
+and ``atomic-write`` are one scenario, a crash inside one flush of line 0;
+``atomic-write`` has one earlier write and judges line 0 only.
 """
 
 from __future__ import annotations
@@ -120,7 +122,6 @@ def inject(plan: CrashPlan, factory: Callable[[], Scenario]) -> list[Outcome]:
             except CrashNow as crash:
                 label = crash.label
         snap = ctrl.snapshot()
-        ctrl.boundary_hook = None
         recovered, _ = recover(snap, scenario.cfg)
         verdict, failing = scenario.verify(recovered)
         outcomes.append(Outcome(point, label, scenario.stage(), verdict, failing))
@@ -129,10 +130,6 @@ def inject(plan: CrashPlan, factory: Callable[[], Scenario]) -> list[Outcome]:
 
 # ----------------------------------------------------------------------
 # concrete scenarios
-
-def _payload(rng: random.Random) -> bytes:
-    return rng.randbytes(64)
-
 
 def _classify(recovered: Controller, addrs: list[int], pre: list[bytes],
               post: list[bytes]) -> tuple[Verdict, int | None]:
@@ -163,8 +160,8 @@ class TxnScenario:
     def __post_init__(self) -> None:
         rng = random.Random(self.seed)
         addrs = [i * LINE for i in range(self.n_lines)]
-        self.pre = [_payload(rng) for _ in addrs]
-        self.post = [_payload(rng) for _ in addrs]
+        self.pre = [rng.randbytes(LINE) for _ in addrs]
+        self.post = [rng.randbytes(LINE) for _ in addrs]
         self._addrs = addrs
 
     def fresh(self) -> Controller:
@@ -187,73 +184,64 @@ class TxnScenario:
         return _classify(recovered, self._addrs, self.pre, self.post)
 
 
-@dataclass
-class AtomicWriteScenario:
-    """A logless atomic write of line 0; old or new value must survive."""
-
-    cfg: Config
-    seed: int = 11
-
-    def __post_init__(self) -> None:
-        rng = random.Random(self.seed)
-        self.old = _payload(rng)
-        self.new = _payload(rng)
-
-    def fresh(self) -> Controller:
-        ctrl = Controller(self.cfg)
-        ctrl.handle_flush(0, self.old)
-        ctrl.flush_counter_cache()
-        ctrl.drain_all()
-        return ctrl
-
-    def run(self, ctrl: Controller) -> None:
-        ctrl.handle_flush(0, self.new)
-
-    def stage(self) -> str:
-        return "atomic-write"
-
-    def verify(self, recovered: Controller) -> tuple[Verdict, int | None]:
-        return _classify(recovered, [0], [self.old], [self.new])
-
-
 _PAGE0 = [i * LINE for i in range(LINES_PER_PAGE)]
 
 
 @dataclass
 class ReencryptScenario:
-    """Drive line 0 of page 0 to minor-counter overflow; the triggering
-    flush re-encrypts the whole page.  After any crash, the page must read
-    as it did before that flush (line 0 = ``values[126]``) or after it
-    (line 0 = ``values[127]``); lines 1-63 keep what they held."""
+    """A crash inside one flush of line 0 of page 0, after ``writes`` durable
+    earlier ones; after 127 the flush overflows the minor counter and
+    re-encrypts the page.  The page's first ``lines`` lines must read as
+    before that flush (line 0 = ``values[-2]``) or after it (``values[-1]``);
+    the others keep what they held."""
 
     cfg: Config
     seed: int = 13
+    writes: int = 127
+    lines: int = LINES_PER_PAGE
 
     def __post_init__(self) -> None:
         rng = random.Random(self.seed)
-        self.values = [_payload(rng) for _ in range(128)]
+        self.values = [rng.randbytes(LINE) for _ in range(self.writes + 1)]
 
     def fresh(self) -> Controller:
         ctrl = Controller(self.cfg)
-        for value in self.values[:127]:
+        for value in self.values[:-1]:
             ctrl.handle_flush(0, value)
         ctrl.flush_counter_cache()
         ctrl.drain_all()
-        rest = [ctrl.handle_read(a) for a in _PAGE0[1:]]
-        self.pre = [self.values[126]] + rest
-        self.post = [self.values[127]] + rest
+        rest = [ctrl.handle_read(a) for a in _PAGE0[1:self.lines]]
+        self.pre = [self.values[-2]] + rest
+        self.post = [self.values[-1]] + rest
         return ctrl
 
     def run(self, ctrl: Controller) -> None:
-        ctrl.handle_flush(0, self.values[127])  # overflow -> re-encryption
+        ctrl.handle_flush(0, self.values[-1])  # the checked flush
 
     def stage(self) -> str:
         return "reencrypt"
 
     def verify(self, recovered: Controller) -> tuple[Verdict, int | None]:
-        verdict, failing = _classify(recovered, _PAGE0, self.pre, self.post)
+        verdict, failing = _classify(recovered, _PAGE0[:self.lines],
+                                     self.pre, self.post)
         return (verdict if verdict is Verdict.INCONSISTENT
                 else Verdict.CONSISTENT), failing
+
+
+@dataclass
+class AtomicWriteScenario(ReencryptScenario):
+    """A logless atomic write of line 0 over one durable earlier write;
+    line 0 alone is judged, and must read its old or its new value."""
+
+    seed: int = 11
+    writes: int = 1
+    lines: int = 1
+
+    def stage(self) -> str:
+        return "atomic-write"
+
+    def verify(self, recovered: Controller) -> tuple[Verdict, int | None]:
+        return _classify(recovered, _PAGE0[:self.lines], self.pre, self.post)
 
 
 # Scope name (``crashcheck --scope``) -> scenario for a configuration.

@@ -335,6 +335,23 @@ def test_bad_out_fails_before_any_work(tmp_path, capsys, monkeypatch, command,
     assert not trace.exists()
 
 
+def test_bad_normalized_out_fails_before_any_work(tmp_path, capsys,
+                                                  monkeypatch):
+    """A sweep with an unsec-pm baseline also writes the normalized report
+    beside --out, so a directory at that path is a usage error before any
+    cell runs, and no report is written."""
+    monkeypatch.setattr(cli, "run_experiment", _no_work)
+    out = tmp_path / "r.csv"
+    normalized = tmp_path / "r_normalized.csv"
+    normalized.mkdir()
+    assert run_cli("run", *FAST, "--mode", "unsec-pm,secpm",
+                   "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"error: --out {normalized}: cannot write a report there\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("existing", [True, False], ids=["existing", "new"])
 def test_failing_run_leaves_the_report_alone(tmp_path, capsys, monkeypatch,
                                              existing):

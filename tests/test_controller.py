@@ -31,9 +31,8 @@ def test_mode_flags():
 
 
 def test_crash_consistent_modes():
-    assert {m.value for m in Mode if m.crash_consistent} == {
-        "unsec-pm", "secpm-no-cwr", "secpm"}
-    # A write-through mode keeps its promise only with the staging register.
+    # An encrypted mode keeps its promise only by writing counters through
+    # and staging counter and data in the register.
     assert {(m.value, r) for m in Mode for r in (True, False)
             if Config(mode=m.value, use_register=r).crash_consistent} == {
         ("unsec-pm", True), ("unsec-pm", False), ("secpm-no-cwr", True),
