@@ -8,12 +8,15 @@ tRCD/tCL/tWR = 48/15/300 ns, and a 40 ns AES pipeline.
 
 ``Config`` also owns the address layout: the footprint from address 0, each
 core's undo-log slots right above it, and one counter line per page of both
-from ``COUNTER_REGION_BASE`` on, which the other two must not reach.
+from ``COUNTER_REGION_BASE`` on, which the other two must not reach.  A
+config never changes, so each part of the layout is computed once, on
+first use.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -103,7 +106,7 @@ class Config:
         mode = Mode(self.mode)
         return not mode.encrypted or (mode.write_through and self.use_register)
 
-    @property
+    @functools.cached_property
     def data_bytes(self) -> int:
         """The workload footprint: ``footprint``, or 1 GiB for the array and
         queue workloads and 2 GiB for the others when it is 0."""
@@ -111,12 +114,12 @@ class Config:
             return self.footprint
         return GIB if self.workload in ("array", "queue") else 2 * GIB
 
-    @property
+    @functools.cached_property
     def slot_lines(self) -> int:
         """Lines in one undo-log slot: header, old values and end tag."""
         return self.txn_size // LINE + 2
 
-    @property
+    @functools.cached_property
     def log_headers(self) -> range:
         """The header address of every undo-log slot, in address order:
         each core's ``log_slots`` slots in turn, right above the footprint."""
@@ -128,7 +131,7 @@ class Config:
         """A core's seq-th transaction logs here; slots are reused in turn."""
         return self.log_headers[core * self.log_slots + seq % self.log_slots]
 
-    @property
+    @functools.cached_property
     def mapped_pages(self) -> int:
         """Pages of data and log, which the counter region maps."""
         return -(-self.log_headers.stop // PAGE)

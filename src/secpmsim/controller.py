@@ -12,9 +12,11 @@ NVM store hold the plaintext with the counter it was sealed under, and the
 ciphertext is computed on demand, so the durable image is exactly the
 counter-mode ciphertext.  Every encryption is charged ``aes_ns`` and
 checked for pad reuse in ``_seal``.  A read under the sealing counter gets
-the plaintext back directly; any other read (a line never written, a
+the plaintext back directly, and a line the NVM never held reads as the
+pad for the counter it looked up (zeros XOR pad); any other read (a
 counter lost in a crash, a counter-tracking bug) decrypts the real
-ciphertext under the counter it looked up, as the hardware would.
+ciphertext under that counter, as the hardware would.  An unencrypted
+controller builds no pad engine.
 
 The timing model is coarse and runs on one clock, ``Controller.clock``:
 every step advances it in place by its configured latency, and an append
@@ -42,7 +44,13 @@ from secpmsim.counters import (
 # ``encrypt_line`` is unused here but stays a module global: tracing tools
 # patch both XOR helpers on this module to count XOR work.
 from secpmsim.crypto import OtpEngine, Sealed, decrypt_line, encrypt_line  # noqa: F401
-from secpmsim.nvm import CrashSnapshot, NvmDevice, Rsr, take_crash_snapshot
+from secpmsim.nvm import (
+    ZERO_LINE,
+    CrashSnapshot,
+    NvmDevice,
+    Rsr,
+    take_crash_snapshot,
+)
 from secpmsim.write_queue import (
     COUNTER,
     DATA,
@@ -68,8 +76,10 @@ class Controller:
         self._cache_hit_ns = cfg.cache_hit_ns
         self._aes_ns = cfg.aes_ns
         self._read_ns = cfg.read_ns
-        self.otp = OtpEngine(derive_key(cfg.seed))
-        self._key = self.otp.key
+        self._key = derive_key(cfg.seed)
+        # An unencrypted controller makes no pad, so it builds no engine
+        # and never loads the cipher backend.
+        self.otp = OtpEngine(self._key) if self._encrypted else None
 
         self.map = CounterAddressMap(cfg.mapped_pages)
         self.nvm = NvmDevice(cfg.banks, cfg.t_wr_ns, self._read_ns)
@@ -103,18 +113,22 @@ class Controller:
     def _drain(self, keep: int = 0, until: float = math.inf) -> None:
         """Issue queue heads in FIFO order, each once its bank is free, until
         ``keep`` entries remain or the next issue would come after ``until``;
-        the clock stops at the last issue."""
+        the clock stops at the last issue.  ``boundary_hook`` is read once,
+        as the drain starts."""
         nvm = self.nvm
-        entries = self.queue.entries
+        queue = self.queue
+        entries = queue.entries
+        busy_until = nvm.busy_until
+        bank = nvm.bank
+        hook = self.boundary_hook
         t = self.clock
         while len(entries) > keep:
-            ready = nvm.busy_until[nvm.bank(entries[0].address)]
+            ready = busy_until[bank(entries[0].address)]
             if ready > t:
                 t = ready
             if t > until:
                 break
-            self.queue.drain_one(nvm, t)
-            hook = self.boundary_hook
+            queue.drain_one(nvm, t)
             if hook is not None:
                 hook("drain")
         self.clock = t
@@ -129,9 +143,13 @@ class Controller:
     def _enqueue(self, address: int, payload: bytes | Sealed, origin: Origin
                  ) -> None:
         """Wait for a free slot, queue one line and announce it as durable."""
-        self._ensure_space(1)
-        self.queue.append(WriteQueueEntry(address, payload, origin))
-        self._boundary("append")
+        queue = self.queue
+        if len(queue.entries) >= queue.capacity:
+            self._ensure_space(1)
+        queue.append(WriteQueueEntry(address, payload, origin))
+        hook = self.boundary_hook
+        if hook is not None:
+            hook("append")
 
     def idle_drain(self, duration: float) -> None:
         """Let the queue drain in the background for ``duration`` ns of
@@ -156,11 +174,15 @@ class Controller:
 
     def _open(self, address: int, ctr: int, stored: bytes | Sealed) -> bytes:
         """Decrypt a stored line under ``ctr``; a line sealed here under
-        that very counter and key needs no pad."""
+        that very counter and key needs no pad, and a line the NVM never
+        held (zeros) decrypts to the pad itself."""
         if (type(stored) is Sealed and stored.counter == ctr
                 and stored.address == address and stored.engine.key == self._key):
             return stored.plaintext
-        return decrypt_line(bytes(stored), self.otp.generate(address, ctr))
+        pad = self.otp.generate(address, ctr)
+        if stored is ZERO_LINE:
+            return pad
+        return decrypt_line(bytes(stored), pad)
 
     def _get_counter_line(self, cline: int) -> CounterLine:
         line = self.cache.lookup(cline)

@@ -8,11 +8,14 @@ reencrypt_line, rsr_done); enumerating them is exhaustive.  Crash point -1
 ``SCOPES`` names the scenarios ``crashcheck`` runs; each judges its lines
 by one rule, ``_classify``, against its pre- and post-image.  ``reencrypt``
 and ``atomic-write`` are one scenario, a crash inside one flush of line 0;
-``atomic-write`` has one earlier write and judges line 0 only.
+``atomic-write`` has one earlier write and judges line 0 only.  Each crash
+point builds a new scenario; the random line images a scenario writes are
+drawn once per (seed, count), and every scenario gets its own copy.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -131,6 +134,15 @@ def inject(plan: CrashPlan, factory: Callable[[], Scenario]) -> list[Outcome]:
 # ----------------------------------------------------------------------
 # concrete scenarios
 
+@functools.lru_cache(maxsize=16)
+def _random_lines(seed: int, count: int) -> tuple[bytes, ...]:
+    """The first ``count`` lines ``random.Random(seed)`` draws.  Every crash
+    point builds its scenario anew, so the draws are made once per (seed,
+    count) and each scenario copies them."""
+    rng = random.Random(seed)
+    return tuple(rng.randbytes(LINE) for _ in range(count))
+
+
 def _classify(recovered: Controller, addrs: list[int], pre: list[bytes],
               post: list[bytes]) -> tuple[Verdict, int | None]:
     """ROLLED_BACK if every line reads its pre-image, COMMITTED if every
@@ -158,11 +170,11 @@ class TxnScenario:
     post: list[bytes] = field(init=False)
 
     def __post_init__(self) -> None:
-        rng = random.Random(self.seed)
-        addrs = [i * LINE for i in range(self.n_lines)]
-        self.pre = [rng.randbytes(LINE) for _ in addrs]
-        self.post = [rng.randbytes(LINE) for _ in addrs]
-        self._addrs = addrs
+        n = self.n_lines
+        images = _random_lines(self.seed, 2 * n)
+        self.pre = list(images[:n])
+        self.post = list(images[n:])
+        self._addrs = [i * LINE for i in range(n)]
 
     def fresh(self) -> Controller:
         ctrl = Controller(self.cfg)
@@ -201,8 +213,7 @@ class ReencryptScenario:
     lines: int = LINES_PER_PAGE
 
     def __post_init__(self) -> None:
-        rng = random.Random(self.seed)
-        self.values = [rng.randbytes(LINE) for _ in range(self.writes + 1)]
+        self.values = list(_random_lines(self.seed, self.writes + 1))
 
     def fresh(self) -> Controller:
         ctrl = Controller(self.cfg)

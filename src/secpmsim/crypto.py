@@ -11,6 +11,8 @@ where line_index is the address divided by 64.  The four blocks go through
 one 64-byte ECB call, so a pad costs one AES call.  The seed fits one block
 for line-aligned addresses below 2^61 (the pad domain); any other address
 raises ``ValueError``.  Every address the simulator maps lies below 2^41.
+The cipher backend (``cryptography``) is imported when the first key
+schedule is built, so a run that encrypts nothing never loads it.
 
 The controller stores each encrypted line as a ``Sealed`` value: the
 plaintext with the (key, address, counter) it was encrypted under.  It
@@ -25,8 +27,6 @@ from __future__ import annotations
 
 import functools
 from typing import Callable
-
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from secpmsim.config import LINE
 
@@ -52,6 +52,8 @@ def aes_block_fn(key_bytes: bytes) -> BlockFn:
     """
     if len(key_bytes) != 16:
         raise ValueError("key must be 16 bytes")
+    # Imported on first use: an unencrypted run never loads the backend.
+    from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
     return Cipher(algorithms.AES(key_bytes), modes.ECB()).encryptor().update
 
 

@@ -1,7 +1,8 @@
 """Experiment driver: generate streams, run them through a controller,
 collect stats.  Multi-core runs interleave one flush per core round-robin
 over the shared controller, matching a deterministic (timestamp,
-requester-id) order.
+requester-id) order; once one core is left, it runs its stream to the end
+without taking turns.
 """
 
 from __future__ import annotations
@@ -40,10 +41,13 @@ def run_experiment(cfg: Config, streams: list[list[TxnDescriptor]] | None = None
             yield
 
     ready = deque(steps(stream) for stream in streams)
-    while ready:  # round-robin; a core leaves once its stream ends
+    while len(ready) > 1:  # round-robin; a core leaves once its stream ends
         gen = ready.popleft()
         if next(gen, _DONE) is not _DONE:
             ready.append(gen)
+    for gen in ready:  # the last core runs alone to its end
+        for _ in gen:
+            pass
 
     ctrl.drain_all()
     return collect_stats(ctrl, cfg, latencies)

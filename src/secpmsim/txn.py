@@ -39,7 +39,7 @@ class Stage(Enum):
     DONE = "done"
 
 
-@dataclass
+@dataclass(slots=True)
 class TxnDescriptor:
     txn_id: int
     write_set: list[tuple[int, bytes]]

@@ -8,6 +8,7 @@ import pytest
 from secpmsim import runner
 from secpmsim.config import (
     COUNTER_REGION_BASE,
+    GIB,
     LINE,
     MAX_BANKS,
     PAGE,
@@ -129,3 +130,30 @@ def test_a_built_config_cannot_change():
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.queue_len = 1
     assert cfg == Config()
+
+
+def _layout_from_scratch(cfg):
+    data = cfg.footprint or (GIB if cfg.workload in ("array", "queue")
+                             else 2 * GIB)
+    slot_lines = cfg.txn_size // LINE + 2
+    stride = slot_lines * LINE
+    headers = range(data, data + cfg.cores * cfg.log_slots * stride, stride)
+    return data, slot_lines, headers, -(-headers.stop // PAGE)
+
+
+def test_cached_layout_matches_a_fresh_computation():
+    """Each config computes its layout once; a config made from another by
+    ``dataclasses.replace`` computes its own, from its own fields."""
+    configs = [Config(workload="array", txn_size=256)]
+    for change in ({"workload": "btree"}, {"txn_size": 4096}, {"cores": 3},
+                   {"log_slots": 5}, {"footprint": 1 << 20},
+                   {"workload": "queue", "footprint": 0}):
+        configs.append(dataclasses.replace(configs[-1], **change))
+    for cfg in configs:
+        layout = (cfg.data_bytes, cfg.slot_lines, cfg.log_headers,
+                  cfg.mapped_pages)
+        assert layout == _layout_from_scratch(cfg), cfg
+        # the cache is no field: equality and hashing ignore it
+        fresh = Config(**{f.name: getattr(cfg, f.name)
+                          for f in dataclasses.fields(cfg)})
+        assert fresh == cfg and hash(fresh) == hash(cfg)

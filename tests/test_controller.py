@@ -7,7 +7,8 @@ from _bit_loop import line_from
 from secpmsim.config import PAGE, Config
 from secpmsim.controller import Controller, Mode, Rsr, derive_key
 from secpmsim.counters import CounterLine
-from secpmsim.nvm import ZERO_LINE
+from secpmsim.crypto import decrypt_line
+from secpmsim.nvm import ZERO_LINE, CrashSnapshot
 from secpmsim.txn import TxnDescriptor, execute
 from secpmsim.write_queue import Origin
 
@@ -64,6 +65,26 @@ def test_every_queued_line_is_announced(mode, use_register):
     assert ctrl.reencryptions == (mode != "unsec-pm")
     if mode == "secpm-no-cwt":  # evictions and the final flush queue lines
         assert queue.appended_counter > events["reencrypt_line"]
+
+
+@pytest.mark.parametrize("mode", ["secpm", "secpm-no-cwr", "secpm-no-cwt"])
+def test_a_never_written_line_reads_as_zeros_decrypted(mode):
+    """A line the NVM never held reads as the zero line decrypted under the
+    counter its page holds, also under a durable non-zero counter and next
+    to a line written since."""
+    cfg = Config(mode=mode, workload="array", txn_size=256, txn_count=10)
+    durable = CounterLine(5)
+    durable.set_minor(3, 9)
+    cline = Controller(cfg).map.counter_line_address(0)
+    ctrl = Controller.from_snapshot(
+        cfg, CrashSnapshot({cline: durable.serialize()}))
+    ctrl.handle_flush(64, bytes(range(64)))
+    for address, counter in ((3 * 64, durable.counter_value(3)),
+                             (7 * 64, durable.counter_value(7)),
+                             (PAGE + 64, 0)):
+        assert ctrl.handle_read(address) == decrypt_line(
+            ZERO_LINE, ctrl.otp.generate(address, counter)), address
+    assert ctrl.handle_read(64) == bytes(range(64))
 
 
 def test_derive_key_is_stable_and_seed_dependent():

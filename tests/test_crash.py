@@ -1,6 +1,7 @@
 import collections
 import copy
 import itertools
+import random
 
 import pytest
 from _every_slot_recover import recover_every_slot
@@ -26,6 +27,33 @@ def cfg_for(mode="secpm", **kw):
     kw.setdefault("txn_size", 256)
     kw.setdefault("txn_count", 1)
     return Config(mode=mode, **kw)
+
+
+def _draws(seed, count):
+    rng = random.Random(seed)
+    return [rng.randbytes(64) for _ in range(count)]
+
+
+@pytest.mark.parametrize("make, images, expected", [
+    (lambda: TxnScenario(cfg_for(), n_lines=4, seed=5),
+     lambda s: [s.pre, s.post], [_draws(5, 8)[:4], _draws(5, 8)[4:]]),
+    (lambda: ReencryptScenario(cfg_for(), seed=5, writes=7),
+     lambda s: [s.values], [_draws(5, 8)]),
+    (lambda: AtomicWriteScenario(cfg_for()),
+     lambda s: [s.values], [_draws(11, 2)]),
+], ids=["txn", "reencrypt", "atomic-write"])
+def test_scenarios_of_one_seed_get_their_own_image_lists(make, images,
+                                                          expected):
+    """A scenario's line images are the lines its seed draws, and two
+    scenarios of one seed share no list: changing one scenario's images
+    leaves the next scenario's intact."""
+    first, second = make(), make()
+    assert images(first) == images(second) == expected
+    for a, b in zip(images(first), images(second)):
+        assert type(a) is list and a is not b
+        a[0] = b"changed"
+        a.append(b"appended")
+    assert images(make()) == images(second) == expected
 
 
 def test_plan_exhaustive_includes_pre_point():

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -234,3 +238,28 @@ def test_no_durable_line_holds_its_plaintext(values):
     for i, value in enumerate(values):
         assert store[i * 64] != value and bytes(store[i * 64]) != value
         assert ctrl.handle_read(i * 64) == value
+
+
+_BACKEND_PROBE = """
+import sys
+import secpmsim.cli  # every module of the program
+from secpmsim.config import Config
+from secpmsim.runner import run_experiment
+run_experiment(Config(mode=sys.argv[1], workload="array", txn_size=256,
+                      txn_count=3))
+print("cryptography.hazmat.primitives.ciphers" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("mode, loads", [("unsec-pm", False), ("secpm", True)])
+def test_only_an_encrypted_run_loads_the_cipher_backend(mode, loads):
+    """In a fresh interpreter, an unencrypted run imports no cipher
+    backend; an encrypted one does."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": src if not path else src + os.pathsep + path}
+    out = subprocess.run([sys.executable, "-c", _BACKEND_PROBE, mode],
+                         env=env, capture_output=True, text=True, timeout=120,
+                         check=True)
+    assert out.stdout.strip() == str(loads)
