@@ -26,6 +26,16 @@ fetch and its data fetch: both start at the read's start time, and the
 read ends when the data has arrived and the pad, one AES latency after
 the counter, is ready.  Crash boundaries are announced through
 ``boundary_hook`` after every durability-relevant state change.
+
+A secure flush or read calls each layer once, directly: one ``locate``
+and one counter-cache ``lookup`` (a miss goes to ``_load_counter``); a
+flush then one ``increment_minor`` and one ``serialize`` before queueing
+its two lines, a read the data line's newest queue entry or else one
+``nvm_read``.  The benchmark's probes derive the cache hit rate, the
+merge ratio and the queue depth from these calls, so a shortcut that
+skips one skews those figures without an error;
+``tests/test_layer_calls.py`` pins the counts.  ``NvmDevice.bank`` is the
+bank rule, which ``_drain`` and ``nvm_read`` inline.
 """
 
 from __future__ import annotations
@@ -119,11 +129,12 @@ class Controller:
         queue = self.queue
         entries = queue.entries
         busy_until = nvm.busy_until
-        bank = nvm.bank
+        nbanks = nvm.nbanks
         hook = self.boundary_hook
         t = self.clock
         while len(entries) > keep:
-            ready = busy_until[bank(entries[0].address)]
+            # NvmDevice.bank, inlined.
+            ready = busy_until[entries[0].address // LINE % nbanks]
             if ready > t:
                 t = ready
             if t > until:
@@ -186,9 +197,14 @@ class Controller:
 
     def _get_counter_line(self, cline: int) -> CounterLine:
         line = self.cache.lookup(cline)
-        if line is not None:
-            self.clock += self._cache_hit_ns
-            return line
+        if line is None:
+            return self._load_counter(cline)
+        self.clock += self._cache_hit_ns
+        return line
+
+    def _load_counter(self, cline: int) -> CounterLine:
+        """Counter-cache miss: fetch the counter line (from the queue while
+        it is still queued) and install it in the cache."""
         line = CounterLine.deserialize(self._read_line_raw(cline))
         self._insert_counter(cline, line)
         return line
@@ -218,7 +234,11 @@ class Controller:
         cline, minor_index = self.map.locate(address)
         # The cached line is bumped in place, which also keeps the cache
         # current; the lookup has already made it most recently used.
-        line = self._get_counter_line(cline)
+        line = self.cache.lookup(cline)
+        if line is None:
+            line = self._load_counter(cline)
+        else:
+            self.clock += self._cache_hit_ns
         if not increment_minor(line, minor_index):
             self.reencrypt_page(address // PAGE)
             line = self._get_counter_line(cline)
@@ -258,18 +278,28 @@ class Controller:
         overflows, or inside ``from_snapshot``, so no read sees an active
         status register or a half-moved page.
         """
-        if not self._encrypted:
-            return self._read_line_raw(address)
-
         # The counter fetch and the data fetch both start now; the pad is
-        # ready one AES latency after the counter.
+        # ready one AES latency after the counter.  The counter is fetched
+        # first, so a data line on its bank waits for it.
         start = self.clock
-        cline, minor_index = self.map.locate(address)
-        line = self._get_counter_line(cline)
-        pad_ready = self.clock + self._aes_ns
-        self.clock = start
-        stored = self._read_line_raw(address)
-        self.clock = max(self.clock, pad_ready)
+        encrypted = self._encrypted
+        if encrypted:
+            cline, minor_index = self.map.locate(address)
+            line = self.cache.lookup(cline)
+            if line is None:
+                line = self._load_counter(cline)
+                pad_ready = self.clock + self._aes_ns
+            else:
+                pad_ready = start + self._cache_hit_ns + self._aes_ns
+        queued = self.queue.latest.get(address)
+        if queued is None:
+            stored, t = self.nvm.nvm_read(address, start)
+        else:
+            stored, t = queued.payload, start + self._read_ns
+        if not encrypted:
+            self.clock = t
+            return stored
+        self.clock = pad_ready if pad_ready > t else t  # max(t, pad_ready)
         return self._open(address, line.counter_value(minor_index), stored)
 
     def fence(self) -> None:

@@ -50,8 +50,9 @@ class NvmDevice:
     def nvm_read(self, address: int, now: float
                  ) -> tuple[bytes | Sealed, float]:
         """Read a line, waiting out any in-flight write on the bank."""
-        b = self.bank(address)
-        start = max(now, self.busy_until[b])
+        b = address // LINE % self.nbanks  # self.bank(address), inlined
+        busy = self.busy_until[b]
+        start = busy if busy > now else now  # max(now, busy)
         done = start + self.read_ns
         self.busy_until[b] = done
         return self.store.get(address, ZERO_LINE), done

@@ -218,15 +218,16 @@ def test_clock_advances_monotonically():
     assert stamps[0] > 0
 
 
+def read_cost(ctrl, address):
+    start = ctrl.clock
+    ctrl.handle_read(address)
+    return ctrl.clock - start
+
+
 def test_read_overlaps_counter_fetch_and_data_fetch():
     """At default timing (read 63 ns, AES 40 ns, cache hit 6 ns) a read ends
     at max(data arrived, counter ready + AES), both fetches starting at the
     read's start."""
-    def read_cost(ctrl, address):
-        start = ctrl.clock
-        ctrl.handle_read(address)
-        return ctrl.clock - start
-
     # Page 0's counter line and line 0 share bank 0: the data fetch waits
     # for the counter fetch, 63 + 63.
     ctrl = make("secpm")
@@ -235,6 +236,37 @@ def test_read_overlaps_counter_fetch_and_data_fetch():
     ctrl = make("secpm")
     assert read_cost(ctrl, 64) == 103.0  # counter miss: 63 + 40
     assert read_cost(ctrl, 128) == 63.0  # counter hit: max(63, 6 + 40)
+
+
+def test_a_queued_data_line_reads_in_read_ns_and_waits_for_no_bank():
+    ctrl = make("secpm")
+    ctrl.handle_flush(64, bytes(range(64)))
+    assert 64 in ctrl.queue.latest
+    ctrl.nvm.busy_until[ctrl.nvm.bank(64)] = ctrl.clock + 10_000.0
+    # Counter hit: max(63, 6 + 40).
+    assert read_cost(ctrl, 64) == ctrl.cfg.read_ns == 63.0
+
+
+def test_a_counter_hit_read_waits_for_the_pad_when_aes_is_slow():
+    ctrl = make("secpm", aes_ns=100.0)
+    read_cost(ctrl, 64)  # caches page 0's counter line
+    # Bank 2 is free: data 63 ns, pad 6 + 100 ns.
+    assert read_cost(ctrl, 128) == ctrl.cfg.cache_hit_ns + 100.0 == 106.0
+
+
+def test_a_counter_miss_on_a_queued_counter_line_is_served_from_the_queue():
+    # One one-way set: page 1's counter line evicts page 0's from the cache
+    # while page 0's counter entry is still queued.
+    ctrl = make("secpm", cache_size=64, cache_ways=1)
+    ctrl.handle_flush(0, bytes(range(64)))
+    ctrl.handle_flush(PAGE, bytes(64))
+    cline = ctrl.map.counter_line_address(0)
+    assert ctrl.cache.lookup(cline) is None and cline in ctrl.queue.latest
+    ctrl.nvm.busy_until[ctrl.nvm.bank(cline)] = ctrl.clock + 10_000.0
+    # The counter comes from the queue in 63 ns, the pad 40 ns later; the
+    # never-written data line 64 comes from its free bank in 63 ns.
+    assert read_cost(ctrl, 64) == 103.0
+    assert ctrl.handle_read(0) == bytes(range(64))
 
 
 def test_idle_drain_empties_queue_without_flush_cost():
