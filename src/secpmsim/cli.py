@@ -10,6 +10,7 @@ Precedence: flags > config file > defaults.
 from __future__ import annotations
 
 import argparse
+import io
 import itertools
 import os
 import sys
@@ -20,8 +21,7 @@ from secpmsim import workloads
 from secpmsim.config import (LINE, MODES, WORKLOADS, Config, Mode,
                               parse_config, parse_setting)
 from secpmsim.counters import AddressError
-from secpmsim.crash import (SCOPES, CrashPlan, Outcome, PointOutOfRange,
-                            Verdict, inject)
+from secpmsim.crash import SCOPES, CrashPlan, Outcome, PointOutOfRange, inject
 from secpmsim.runner import run_experiment
 from secpmsim.stats import csv_text, emit_normalized_report, emit_report
 
@@ -48,9 +48,22 @@ def _flag_value(key: str, part: str, text: str, kind: str):
         raise UsageError(f"{_flag(key)} takes {kind}, not {text!r}") from None
 
 
+def _read_text(flag: str, path: str) -> str:
+    """The text of the file a flag names; a file that cannot be read or
+    decoded is a usage error naming the flag and the path."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        reason = exc.strerror or exc
+    except UnicodeDecodeError as exc:
+        reason = exc
+    raise UsageError(f"{flag} {path}: {reason}")
+
+
 def _settings(args: argparse.Namespace) -> dict:
     """The config file's settings with the single-valued flags on top."""
-    settings = parse_config(Path(args.config).read_text()) if args.config else {}
+    settings = (parse_config(_read_text("--config", args.config))
+                if args.config else {})
     for key in ("txn_count", "seed"):
         text = getattr(args, key)
         if text is not None:
@@ -94,10 +107,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.trace_in:
         footprint = min(cfg.data_bytes for cfg in cells)
         max_lines = min(cfg.txn_size for cfg in cells) // LINE
-        with open(args.trace_in) as fh:
-            streams = [workloads.import_trace(fh, seed=cells[0].seed,
-                                              footprint=footprint,
-                                              max_lines=max_lines)]
+        trace = io.StringIO(_read_text("--trace-in", args.trace_in))
+        streams = [workloads.import_trace(trace, seed=cells[0].seed,
+                                          footprint=footprint,
+                                          max_lines=max_lines)]
     if args.trace_out:
         if streams is None:
             specs = {workloads.WorkloadSpec.from_config(cfg) for cfg in cells}
@@ -208,7 +221,7 @@ def cmd_crashcheck(args: argparse.Namespace) -> int:
     rows = []
     for o in outcomes:
         flag = ""
-        if o.verdict is Verdict.INCONSISTENT:
+        if not o.verdict.ok:
             if promised:
                 bad += 1
                 flag = "VIOLATION"

@@ -8,9 +8,10 @@ reencrypt_line, rsr_done); enumerating them is exhaustive.  Crash point -1
 ``SCOPES`` names the scenarios ``crashcheck`` runs; each judges its lines
 by one rule, ``_classify``, against its pre- and post-image.  ``reencrypt``
 and ``atomic-write`` are one scenario, a crash inside one flush of line 0;
-``atomic-write`` has one earlier write and judges line 0 only.  Each crash
-point builds a new scenario; the random line images a scenario writes are
-drawn once per (seed, count), and every scenario gets its own copy.
+``atomic-write`` has one earlier write and judges line 0 only.  One replay
+step, ``_crash_at``, counts a new scenario's boundaries or fails it at one.
+Line images are tuples, drawn once per (seed, count) and shared by every
+scenario of that seed.
 """
 
 from __future__ import annotations
@@ -27,9 +28,7 @@ from secpmsim.txn import TxnDescriptor, execute, recover, run_transaction
 
 
 class CrashNow(Exception):
-    def __init__(self, label: str):
-        super().__init__(label)
-        self.label = label
+    """Raised at the crash point; its one argument is the boundary's label."""
 
 
 class PointOutOfRange(ValueError):
@@ -89,18 +88,32 @@ class Scenario(Protocol):
     def verify(self, recovered: Controller) -> tuple[Verdict, int | None]: ...
 
 
-def count_boundaries(factory: Callable[[], Scenario]) -> int:
-    scenario = factory()
+def _crash_at(scenario: Scenario, point: int | None
+              ) -> tuple[Controller, str, int]:
+    """Build the scenario's controller and run the scenario until boundary
+    ``point`` fails it: -1 fails it before the first event, so nothing
+    runs, and None never does.  Returns the controller, the label of the
+    boundary it failed at ("pre" if none) and the boundaries passed."""
     ctrl = scenario.fresh()
-    count = 0
+    label, passed = "pre", 0
 
-    def hook(label: str) -> None:
-        nonlocal count
-        count += 1
+    def hook(lbl: str) -> None:
+        nonlocal passed
+        if passed == point:
+            raise CrashNow(lbl)
+        passed += 1
 
-    ctrl.boundary_hook = hook
-    scenario.run(ctrl)
-    return count
+    if point != -1:
+        ctrl.boundary_hook = hook
+        try:
+            scenario.run(ctrl)
+        except CrashNow as crash:
+            label = crash.args[0]
+    return ctrl, label, passed
+
+
+def count_boundaries(factory: Callable[[], Scenario]) -> int:
+    return _crash_at(factory(), None)[2]
 
 
 def inject(plan: CrashPlan, factory: Callable[[], Scenario]) -> list[Outcome]:
@@ -108,24 +121,8 @@ def inject(plan: CrashPlan, factory: Callable[[], Scenario]) -> list[Outcome]:
     outcomes = []
     for point in plan.points(n):
         scenario = factory()
-        ctrl = scenario.fresh()
-        seen = 0
-        label = "pre"
-
-        def hook(lbl: str) -> None:
-            nonlocal seen
-            if seen == point:
-                raise CrashNow(lbl)
-            seen += 1
-
-        if point >= 0:
-            ctrl.boundary_hook = hook
-            try:
-                scenario.run(ctrl)
-            except CrashNow as crash:
-                label = crash.label
-        snap = ctrl.snapshot()
-        recovered, _ = recover(snap, scenario.cfg)
+        ctrl, label, _ = _crash_at(scenario, point)
+        recovered, _ = recover(ctrl.snapshot(), scenario.cfg)
         verdict, failing = scenario.verify(recovered)
         outcomes.append(Outcome(point, label, scenario.stage(), verdict, failing))
     return outcomes
@@ -138,17 +135,17 @@ def inject(plan: CrashPlan, factory: Callable[[], Scenario]) -> list[Outcome]:
 def _random_lines(seed: int, count: int) -> tuple[bytes, ...]:
     """The first ``count`` lines ``random.Random(seed)`` draws.  Every crash
     point builds its scenario anew, so the draws are made once per (seed,
-    count) and each scenario copies them."""
+    count) and every scenario of that seed shares them."""
     rng = random.Random(seed)
     return tuple(rng.randbytes(LINE) for _ in range(count))
 
 
-def _classify(recovered: Controller, addrs: list[int], pre: list[bytes],
-              post: list[bytes]) -> tuple[Verdict, int | None]:
+def _classify(recovered: Controller, addrs: list[int], pre: tuple[bytes, ...],
+              post: tuple[bytes, ...]) -> tuple[Verdict, int | None]:
     """ROLLED_BACK if every line reads its pre-image, COMMITTED if every
     line reads its post-image; otherwise INCONSISTENT, with the first
     address that reads neither image (None for a mix of the two)."""
-    values = [recovered.handle_read(a) for a in addrs]
+    values = tuple(map(recovered.handle_read, addrs))
     if values == pre:
         return Verdict.ROLLED_BACK, None
     if values == post:
@@ -166,14 +163,13 @@ class TxnScenario:
     n_lines: int = 4
     seed: int = 7
     txn: TxnDescriptor = field(init=False)
-    pre: list[bytes] = field(init=False)
-    post: list[bytes] = field(init=False)
+    pre: tuple[bytes, ...] = field(init=False)
+    post: tuple[bytes, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         n = self.n_lines
         images = _random_lines(self.seed, 2 * n)
-        self.pre = list(images[:n])
-        self.post = list(images[n:])
+        self.pre, self.post = images[:n], images[n:]
         self._addrs = [i * LINE for i in range(n)]
 
     def fresh(self) -> Controller:
@@ -213,7 +209,7 @@ class ReencryptScenario:
     lines: int = LINES_PER_PAGE
 
     def __post_init__(self) -> None:
-        self.values = list(_random_lines(self.seed, self.writes + 1))
+        self.values = _random_lines(self.seed, self.writes + 1)
 
     def fresh(self) -> Controller:
         ctrl = Controller(self.cfg)
@@ -221,9 +217,9 @@ class ReencryptScenario:
             ctrl.handle_flush(0, value)
         ctrl.flush_counter_cache()
         ctrl.drain_all()
-        rest = [ctrl.handle_read(a) for a in _PAGE0[1:self.lines]]
-        self.pre = [self.values[-2]] + rest
-        self.post = [self.values[-1]] + rest
+        rest = tuple(map(ctrl.handle_read, _PAGE0[1:self.lines]))
+        self.pre = (self.values[-2], *rest)
+        self.post = (self.values[-1], *rest)
         return ctrl
 
     def run(self, ctrl: Controller) -> None:

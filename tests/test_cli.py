@@ -207,6 +207,23 @@ def test_trace_in_rejects_cores_before_opening_the_trace(tmp_path, capsys,
     assert captured.err == "error: --trace-in supports single-core runs only\n"
 
 
+@pytest.mark.parametrize("content", [None, b"\xff\xfeTXN"],
+                         ids=["missing", "not-utf-8"])
+@pytest.mark.parametrize("flag", ["--config", "--trace-in"])
+def test_unreadable_input_file_is_usage_error(tmp_path, capsys, flag,
+                                              content):
+    """A file that is missing or not UTF-8 ends with one error line that
+    names the flag and the path."""
+    path = tmp_path / "input.txt"
+    if content is not None:
+        path.write_bytes(content)
+    assert run_cli("run", *FAST, flag, str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} {path}: ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("txn_id", ["-1", str(1 << 64)])
 def test_trace_id_outside_64_bits_is_usage_error(tmp_path, capsys, txn_id):
     trace = tmp_path / "trace.txt"

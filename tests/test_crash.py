@@ -6,13 +6,14 @@ import random
 import pytest
 from _every_slot_recover import recover_every_slot
 
-from secpmsim import txn
+from secpmsim import crash, txn
 from secpmsim.config import MODES, Config, Mode
 from secpmsim.controller import Controller
 from secpmsim.crash import (
     SCOPES,
     AtomicWriteScenario,
     CrashPlan,
+    PointOutOfRange,
     ReencryptScenario,
     TxnScenario,
     Verdict,
@@ -31,7 +32,7 @@ def cfg_for(mode="secpm", **kw):
 
 def _draws(seed, count):
     rng = random.Random(seed)
-    return [rng.randbytes(64) for _ in range(count)]
+    return tuple(rng.randbytes(64) for _ in range(count))
 
 
 @pytest.mark.parametrize("make, images, expected", [
@@ -42,18 +43,13 @@ def _draws(seed, count):
     (lambda: AtomicWriteScenario(cfg_for()),
      lambda s: [s.values], [_draws(11, 2)]),
 ], ids=["txn", "reencrypt", "atomic-write"])
-def test_scenarios_of_one_seed_get_their_own_image_lists(make, images,
-                                                          expected):
-    """A scenario's line images are the lines its seed draws, and two
-    scenarios of one seed share no list: changing one scenario's images
-    leaves the next scenario's intact."""
-    first, second = make(), make()
-    assert images(first) == images(second) == expected
-    for a, b in zip(images(first), images(second)):
-        assert type(a) is list and a is not b
-        a[0] = b"changed"
-        a.append(b"appended")
-    assert images(make()) == images(second) == expected
+def test_scenario_images_are_tuples_of_the_seeds_draws(make, images,
+                                                        expected):
+    """A scenario's line images are the lines its seed draws, as tuples:
+    scenarios of one seed may share them, for no scenario can change them."""
+    for scenario in (make(), make()):
+        assert images(scenario) == expected
+        assert all(type(image) is tuple for image in images(scenario))
 
 
 def test_plan_exhaustive_includes_pre_point():
@@ -89,25 +85,40 @@ def test_replay_to_same_point_is_deterministic():
     point = count_boundaries(factory) // 2
 
     def snapshot_at(p):
+        return crash._crash_at(factory(), p)[0].snapshot()
+
+    assert snapshot_at(point) == snapshot_at(point)
+
+
+def _scope_cases():
+    """Every scope x mode x queue_len {2, 32} x use_register, as (scope,
+    config); the reencrypt scope runs at 64-byte transactions."""
+    for scope, mode, queue_len, use_register in itertools.product(
+            SCOPES, MODES, [2, 32], [True, False]):
+        yield scope, cfg_for(mode, txn_size=64 if scope == "reencrypt" else 256,
+                             queue_len=queue_len, use_register=use_register)
+
+
+def test_counting_and_crashing_agree_on_the_boundaries():
+    """count_boundaries counts the labels one plain run announces, and a
+    crash at point k reports the k-th of them (-1: "pre"); one past the
+    last point is out of range."""
+    for scope, cfg in _scope_cases():
+        factory = lambda: SCOPES[scope](cfg)
         scenario = factory()
         ctrl = scenario.fresh()
-        seen = 0
-
-        def hook(lbl):
-            nonlocal seen
-            if seen == p:
-                raise RuntimeError("stop")
-            seen += 1
-
-        ctrl.boundary_hook = hook
-        try:
-            scenario.run(ctrl)
-        except RuntimeError:
-            pass
-        return ctrl.snapshot()
-
-    a, b = snapshot_at(point), snapshot_at(point)
-    assert a == b
+        labels = []
+        ctrl.boundary_hook = labels.append
+        scenario.run(ctrl)
+        n = count_boundaries(factory)
+        case = (scope, cfg.mode, cfg.queue_len, cfg.use_register)
+        assert n == len(labels), case
+        for k in (-1, 0, n // 2, n - 1):
+            [outcome] = inject(CrashPlan("at", at=k), factory)
+            assert (outcome.crash_point, outcome.label) == (
+                k, (["pre"] + labels)[k + 1]), (case, k)
+        with pytest.raises(PointOutOfRange):
+            inject(CrashPlan("at", at=n), factory)
 
 
 # Boundaries after which the durable image (store, rsr) is the one before
@@ -123,10 +134,7 @@ def test_snapshots_change_monotonically():
     at every boundary of every scope x mode x queue_len {2, 32} x
     use_register {1, 0}."""
     labels = collections.Counter()
-    for scope, mode, queue_len, use_register in itertools.product(
-            SCOPES, MODES, [2, 32], [True, False]):
-        cfg = cfg_for(mode, txn_size=64 if scope == "reencrypt" else 256,
-                      queue_len=queue_len, use_register=use_register)
+    for scope, cfg in _scope_cases():
         scenario = SCOPES[scope](cfg)
         ctrl = scenario.fresh()
 
@@ -136,7 +144,7 @@ def test_snapshots_change_monotonically():
             nonlocal previous
             current = ctrl.snapshot()
             labels[label] += 1
-            case = (scope, mode, queue_len, use_register, label)
+            case = (scope, cfg.mode, cfg.queue_len, cfg.use_register, label)
             assert label in KEEP_IMAGE | CHANGE_IMAGE, case
             assert (current == previous) == (label in KEEP_IMAGE), case
             assert previous.store.keys() <= current.store.keys(), case
@@ -241,6 +249,65 @@ def test_a_snapshot_keeps_the_register_it_was_taken_with():
         second, _ = txn.recover(snap, cfg)
         assert first.nvm.store == second.nvm.store, (i, label)
         assert snap == kept, (i, label)
+
+
+def _reordering(order):
+    """A Controller that holds each epoch's flushes until ``fence()``, then
+    issues them in ``order(held)``: x86 ``clwb``s between two ``sfence``s
+    may reach the persistence domain in any order."""
+    class Reordering(Controller):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.held = []
+
+        def handle_flush(self, address, plaintext, now=None):
+            self.held.append((address, plaintext))
+            return self.clock
+
+        def fence(self):
+            held, self.held = order(self.held), []
+            for address, plaintext in held:
+                super().handle_flush(address, plaintext)
+            super().fence()
+
+    return Reordering
+
+
+def _txn_outcomes(cfg):
+    return inject(CrashPlan("exhaustive"), lambda: SCOPES["txn"](cfg))
+
+
+def test_flushes_issued_at_the_fence_in_program_order_change_no_outcome(
+        monkeypatch):
+    """Holding an epoch's flushes until its fence moves no boundary, label,
+    stage or verdict of the txn scope, in any mode, queue_len {2, 32} or
+    use_register case."""
+    for mode, queue_len, use_register in itertools.product(
+            MODES, [2, 32], [True, False]):
+        cfg = cfg_for(mode, queue_len=queue_len, use_register=use_register)
+        expected = _txn_outcomes(cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(crash, "Controller", _reordering(list))
+            assert _txn_outcomes(cfg) == expected, (mode, queue_len,
+                                                    use_register)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: no fence between the undo log's "
+                          "old values and its end tag")
+def test_an_epoch_issued_last_flush_first_never_tears(monkeypatch):
+    """An epoch's last flush may reach the persistence domain first; in the
+    prepare epoch that is the end tag, which makes the log look complete
+    before its old values are durable."""
+    monkeypatch.setattr(crash, "Controller",
+                        _reordering(lambda held: held[-1:] + held[:-1]))
+    torn = {}
+    for mode in ("secpm", "secpm-no-cwr", "unsec-pm"):
+        outcomes = _txn_outcomes(cfg_for(mode, queue_len=32,
+                                         use_register=True))
+        torn[mode] = [(o.crash_point, o.stage) for o in outcomes
+                      if o.verdict is Verdict.INCONSISTENT]
+    assert torn == {"secpm": [], "secpm-no-cwr": [], "unsec-pm": []}
 
 
 def test_outcome_csv_fields_are_complete():
