@@ -99,9 +99,10 @@ def cmd_run(args: argparse.Namespace) -> int:
                        ("--trace-out", args.trace_out)):
         if path and any(cfg.cores != 1 for cfg in cells):
             raise UsageError(f"{flag} supports single-core runs only")
-    _check_out(args.out)
+    _check_out("--out", args.out)
     if args.out and any(cfg.mode == Mode.UNSEC_PM.value for cfg in cells):
-        _check_out(_normalized_out(args.out))  # written for a baseline
+        _check_out("--out", _normalized_out(args.out))  # for a baseline
+    _check_out("--trace-out", args.trace_out)
 
     streams = None
     if args.trace_in:
@@ -139,18 +140,19 @@ def _normalized_out(path: str) -> str:
     return str(out.with_name(out.stem + "_normalized" + out.suffix))
 
 
-def _check_out(path: str | None) -> None:
-    """Reject an ``--out`` path that cannot be written before any work runs,
-    without creating or truncating it: the report is written at the end."""
+def _check_out(flag: str, path: str | None) -> None:
+    """Reject an output path that ``flag`` names and that cannot be written
+    before any work runs, without creating or truncating it: the file is
+    written later."""
     if not path:
         return
     out = Path(path)
     if not out.parent.is_dir():
-        raise UsageError(f"--out {path}: directory {str(out.parent)!r} does"
+        raise UsageError(f"{flag} {path}: directory {str(out.parent)!r} does"
                          " not exist")
     if out.is_dir() or not os.access(out if out.exists() else out.parent,
                                      os.W_OK):
-        raise UsageError(f"--out {path}: cannot write a report there")
+        raise UsageError(f"{flag} {path}: cannot write a report there")
 
 
 def _write_report(args: argparse.Namespace, report: str) -> None:
@@ -207,7 +209,7 @@ def cmd_crashcheck(args: argparse.Namespace) -> int:
     _reject_unread(args, settings)
     base = cells[0]
     plan = _parse_plan(args.crash, base.seed)
-    _check_out(args.out)
+    _check_out("--out", args.out)
 
     make = SCOPES[args.scope]
     try:

@@ -35,7 +35,8 @@ its two lines, a read the data line's newest queue entry or else one
 merge ratio and the queue depth from these calls, so a shortcut that
 skips one skews those figures without an error;
 ``tests/test_layer_calls.py`` pins the counts.  ``NvmDevice.bank`` is the
-bank rule, which ``_drain`` and ``nvm_read`` inline.
+bank rule, which ``_drain``, ``NvmDevice.nvm_write`` and ``nvm_read``
+inline.
 """
 
 from __future__ import annotations

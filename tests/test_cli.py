@@ -2,8 +2,9 @@ import csv
 import dataclasses
 
 import pytest
+from _crash_cases import torn_stages
 
-from secpmsim import cli
+from secpmsim import cli, workloads
 from secpmsim.cli import main
 from secpmsim.config import Config, parse_config
 
@@ -325,31 +326,41 @@ def test_trace_transaction_that_cannot_run_is_usage_error(tmp_path, capsys,
 
 
 def _no_work(*args, **kwargs):
-    raise AssertionError("work ran before --out was checked")
+    raise AssertionError("work ran before the output paths were checked")
 
 
-@pytest.mark.parametrize("command", ["run", "crashcheck"])
+@pytest.mark.parametrize("command, flag", [
+    ("run", "--out"), ("run", "--trace-out"), ("crashcheck", "--out")],
+    ids=["run", "run-trace-out", "crashcheck"])
 @pytest.mark.parametrize("missing", [True, False], ids=["missing-dir", "dir"])
 def test_bad_out_fails_before_any_work(tmp_path, capsys, monkeypatch, command,
-                                       missing):
-    """An --out path in a missing directory, or one that is a directory, is
-    a usage error before any sweep cell, crash point or trace write runs.
-    (Unwritable directories go untested: root ignores permission bits.)"""
+                                       flag, missing):
+    """An --out or --trace-out path in a missing directory, or one that is a
+    directory, is a usage error naming the flag before any trace import,
+    sweep cell, crash point or file write runs.  (Unwritable directories go
+    untested: root ignores permission bits.)"""
     monkeypatch.setattr(cli, "run_experiment", _no_work)
+    monkeypatch.setattr(workloads, "import_trace", _no_work)
     monkeypatch.setattr(cli, "inject", _no_work)
     if missing:
-        out = tmp_path / "missing" / "report.csv"
-        message = f"--out {out}: directory '{out.parent}' does not exist"
+        bad = tmp_path / "missing" / "out.txt"
+        message = f"{flag} {bad}: directory '{bad.parent}' does not exist"
     else:
-        out = tmp_path
-        message = f"--out {out}: cannot write a report there"
-    trace = tmp_path / "trace.txt"
-    extra = ["--trace-out", str(trace)] if command == "run" else []
-    assert run_cli(command, "--mode", "secpm", "--txn-size", "256",
-                   "--out", str(out), *extra) == 2
+        bad = tmp_path
+        message = f"{flag} {bad}: cannot write a report there"
+    paths = {"--out": tmp_path / "report.csv",
+             "--trace-out": tmp_path / "trace_out.txt", flag: bad}
+    argv = [command, "--mode", "secpm", "--txn-size", "256",
+            "--out", str(paths["--out"])]
+    if command == "run":
+        trace = tmp_path / "trace.txt"
+        trace.write_text("TXN 0 WRITE 0x0 64\n")
+        argv += ["--trace-in", str(trace),
+                 "--trace-out", str(paths["--trace-out"])]
+    assert run_cli(*argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
-    assert not trace.exists()
+    assert not any(path.exists() for path in paths.values() if path != bad)
 
 
 def test_bad_normalized_out_fails_before_any_work(tmp_path, capsys,
@@ -449,51 +460,39 @@ def test_bad_sweep_list_is_usage_error(tmp_path, capsys, flag, value,
     assert not trace.exists()
 
 
-def test_crashcheck_consistent_mode_passes(tmp_path):
-    out = tmp_path / "verdicts.csv"
-    assert run_cli("crashcheck", "--mode", "secpm",
-                   "--txn-size", "128", "--scope", "txn",
-                   "--out", str(out)) == 0
-    rows = read_rows(out)
-    assert rows and all(r["flag"] != "VIOLATION" for r in rows)
+_FLAG_CASES = [
+    ("secpm", "txn", 128, True),
+    ("secpm-no-cwt", "txn", 128, True),
+    ("secpm", "atomic-write", 64, False),
+    ("secpm-no-cwr", "atomic-write", 64, False),
+    ("secpm", "reencrypt", 64, False),
+    ("secpm-no-cwr", "reencrypt", 64, False),
+    ("secpm", "atomic-write", 64, True),
+]
 
 
-def test_crashcheck_broken_baseline_is_expected(tmp_path):
-    out = tmp_path / "verdicts.csv"
-    # The write-back baseline is allowed to be inconsistent; verdicts are
-    # flagged EXPECTED and the exit status stays 0.
-    assert run_cli("crashcheck", "--mode", "secpm-no-cwt",
-                   "--txn-size", "128", "--scope", "txn",
-                   "--out", str(out)) == 0
-    rows = read_rows(out)
-    assert any(r["flag"] == "EXPECTED" for r in rows)
-
-
-@pytest.mark.parametrize("mode", ["secpm", "secpm-no-cwr"])
-@pytest.mark.parametrize("scope", ["atomic-write", "reencrypt"])
-def test_crashcheck_without_the_register_expects_the_tear(tmp_path, mode,
-                                                          scope):
-    """Without the staging register a crash between the counter append and
-    the data append tears the line; that configuration promises no
-    consistency, so the tear is EXPECTED and the exit status stays 0."""
-    cfg = tmp_path / "noreg.cfg"
-    cfg.write_text("use_register = false\n")
+@pytest.mark.parametrize(
+    "mode, scope, txn_size, use_register", _FLAG_CASES,
+    ids=[f"{scope}-{mode}{'' if reg else '-noreg'}"
+         for mode, scope, _, reg in _FLAG_CASES])
+def test_crashcheck_flags_tears_by_the_table(tmp_path, mode, scope, txn_size,
+                                             use_register):
+    """A configuration that promises consistency never tears, and any other
+    tears only where ``torn_stages`` expects it, so the exit status is 0 and
+    no row is a VIOLATION; exactly the inconsistent rows are EXPECTED, at
+    the table's stages."""
+    cfg = tmp_path / "crash.cfg"
+    cfg.write_text(f"use_register = {str(use_register).lower()}\n")
     out = tmp_path / "verdicts.csv"
     assert run_cli("crashcheck", "--config", str(cfg), "--mode", mode,
-                   "--txn-size", "64", "--scope", scope,
+                   "--txn-size", str(txn_size), "--scope", scope,
                    "--out", str(out)) == 0
-    flagged = [(r["event"], r["verdict"], r["flag"])
-               for r in read_rows(out) if r["flag"]]
-    assert flagged == [("append", "inconsistent", "EXPECTED")]
-
-
-def test_crashcheck_atomic_write_scope(tmp_path):
-    out = tmp_path / "verdicts.csv"
-    assert run_cli("crashcheck", "--mode", "secpm",
-                   "--txn-size", "64", "--scope", "atomic-write",
-                   "--crash", "exhaustive", "--out", str(out)) == 0
-    verdicts = {r["verdict"] for r in read_rows(out)}
-    assert verdicts <= {"rolled-back", "committed"}
+    rows = read_rows(out)
+    assert rows and all(
+        r["flag"] == ("EXPECTED" if r["verdict"] == "inconsistent" else "")
+        for r in rows)
+    assert {r["stage"] for r in rows if r["flag"]} == torn_stages(
+        scope, Config(mode=mode, use_register=use_register))
 
 
 def test_crashcheck_single_point(tmp_path):

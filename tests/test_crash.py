@@ -4,15 +4,17 @@ import itertools
 import random
 
 import pytest
+from _crash_cases import cfg_for, scope_cases, torn_stages
 from _every_slot_recover import recover_every_slot
 
 from secpmsim import crash, txn
-from secpmsim.config import MODES, Config, Mode
+from secpmsim.config import LINES_PER_PAGE, MODES, Mode
 from secpmsim.controller import Controller
 from secpmsim.crash import (
     SCOPES,
     AtomicWriteScenario,
     CrashPlan,
+    Outcome,
     PointOutOfRange,
     ReencryptScenario,
     TxnScenario,
@@ -21,13 +23,6 @@ from secpmsim.crash import (
     inject,
 )
 from secpmsim.nvm import CrashSnapshot
-
-
-def cfg_for(mode="secpm", **kw):
-    kw.setdefault("workload", "array")
-    kw.setdefault("txn_size", 256)
-    kw.setdefault("txn_count", 1)
-    return Config(mode=mode, **kw)
 
 
 def _draws(seed, count):
@@ -75,50 +70,16 @@ def test_plan_unknown_strategy_rejected():
         CrashPlan("fuzz").points(3)
 
 
-def test_count_boundaries_positive():
-    n = count_boundaries(lambda: TxnScenario(cfg_for(), n_lines=2))
-    assert n > 0
-
-
-def test_replay_to_same_point_is_deterministic():
-    factory = lambda: TxnScenario(cfg_for(), n_lines=2)
-    point = count_boundaries(factory) // 2
-
-    def snapshot_at(p):
-        return crash._crash_at(factory(), p)[0].snapshot()
-
-    assert snapshot_at(point) == snapshot_at(point)
-
-
-def _scope_cases():
-    """Every scope x mode x queue_len {2, 32} x use_register, as (scope,
-    config); the reencrypt scope runs at 64-byte transactions."""
-    for scope, mode, queue_len, use_register in itertools.product(
-            SCOPES, MODES, [2, 32], [True, False]):
-        yield scope, cfg_for(mode, txn_size=64 if scope == "reencrypt" else 256,
-                             queue_len=queue_len, use_register=use_register)
-
-
-def test_counting_and_crashing_agree_on_the_boundaries():
-    """count_boundaries counts the labels one plain run announces, and a
-    crash at point k reports the k-th of them (-1: "pre"); one past the
-    last point is out of range."""
-    for scope, cfg in _scope_cases():
-        factory = lambda: SCOPES[scope](cfg)
-        scenario = factory()
-        ctrl = scenario.fresh()
-        labels = []
-        ctrl.boundary_hook = labels.append
-        scenario.run(ctrl)
-        n = count_boundaries(factory)
-        case = (scope, cfg.mode, cfg.queue_len, cfg.use_register)
-        assert n == len(labels), case
-        for k in (-1, 0, n // 2, n - 1):
-            [outcome] = inject(CrashPlan("at", at=k), factory)
-            assert (outcome.crash_point, outcome.label) == (
-                k, (["pre"] + labels)[k + 1]), (case, k)
-        with pytest.raises(PointOutOfRange):
-            inject(CrashPlan("at", at=n), factory)
+def _one_run(scenario):
+    """Run a fresh scenario once and keep the durable image at each of its
+    boundaries, as [(label, stage, snapshot)] from ("pre", ...) on: entry
+    k + 1 is the image a crash at point k leaves."""
+    ctrl = scenario.fresh()
+    taken = [("pre", scenario.stage(), ctrl.snapshot())]
+    ctrl.boundary_hook = lambda label: taken.append(
+        (label, scenario.stage(), ctrl.snapshot()))
+    scenario.run(ctrl)
+    return taken
 
 
 # Boundaries after which the durable image (store, rsr) is the one before
@@ -127,95 +88,81 @@ KEEP_IMAGE = {"reg_store", "drain", "fence"}
 CHANGE_IMAGE = {"append", "append_pair", "reencrypt_line", "rsr_arm", "rsr_done"}
 
 
-def test_snapshots_change_monotonically():
-    """Consecutive crash points differ only by newly-durable lines: a
-    boundary that makes nothing durable leaves the image as it was, every
-    other boundary changes it, and no line ever leaves the store.  Checked
-    at every boundary of every scope x mode x queue_len {2, 32} x
-    use_register {1, 0}."""
-    labels = collections.Counter()
-    for scope, cfg in _scope_cases():
-        scenario = SCOPES[scope](cfg)
-        ctrl = scenario.fresh()
-
-        previous = ctrl.snapshot()
-
-        def hook(label):
-            nonlocal previous
-            current = ctrl.snapshot()
-            labels[label] += 1
-            case = (scope, cfg.mode, cfg.queue_len, cfg.use_register, label)
-            assert label in KEEP_IMAGE | CHANGE_IMAGE, case
-            assert (current == previous) == (label in KEEP_IMAGE), case
-            assert previous.store.keys() <= current.store.keys(), case
-            previous = current
-
-        ctrl.boundary_hook = hook
-        scenario.run(ctrl)
-    assert labels.keys() == KEEP_IMAGE | CHANGE_IMAGE
+def _announced(scope, cfg):
+    """The boundary kinds one run announces, drains aside: a write-through
+    flush through the register stores twice and appends a pair, any other
+    flush appends its lines one by one; only txn fences, and only an
+    encrypted reencrypt scope moves a page."""
+    mode = Mode(cfg.mode)
+    kinds = ({"reg_store", "append_pair"}
+             if mode.write_through and cfg.use_register else {"append"})
+    if scope == "txn":
+        kinds.add("fence")
+    if scope == "reencrypt" and mode.encrypted:
+        kinds |= {"rsr_arm", "reencrypt_line", "rsr_done"}
+    return kinds
 
 
-def test_txn_scenario_secpm_never_inconsistent():
-    # With one log slot the setup and the checked transaction share it.
-    for log_slots in (64, 1):
-        cfg = cfg_for("secpm", log_slots=log_slots)
-        outcomes = inject(CrashPlan("exhaustive"),
-                          lambda: TxnScenario(cfg, n_lines=2))
-        verdicts = collections.Counter(o.verdict for o in outcomes)
-        assert verdicts[Verdict.INCONSISTENT] == 0
-        assert verdicts[Verdict.ROLLED_BACK] > 0
-        assert verdicts[Verdict.COMMITTED] > 0
+@pytest.mark.parametrize("scope, cfg", scope_cases())
+def test_one_run_states_the_crash_claim(scope, cfg):
+    """One run of the scenario yields every crash point's durable image.
+    Each image differs from the one before only by newly durable lines.
+    Recovered and judged, the images give the outcome list ``inject``
+    gives by replaying the scenario to each point.  A configuration that
+    promises consistency never recovers torn; any other tears at the
+    stages of ``torn_stages``."""
+    factory = lambda: SCOPES[scope](cfg)
+    scenario = factory()
+    run = _one_run(scenario)
+    n = len(run) - 1
 
+    for (_, _, before), (label, _, after) in zip(run, run[1:]):
+        assert label in KEEP_IMAGE | CHANGE_IMAGE, label
+        assert (after == before) == (label in KEEP_IMAGE), label
+        assert before.store.keys() <= after.store.keys(), label
+    kinds = collections.Counter(label for label, _, _ in run[1:])
+    assert kinds.keys() - {"drain"} == _announced(scope, cfg)
+    # The queue drains exactly when the run appends more than it holds.
+    appended = kinds["append"] + 2 * (kinds["append_pair"]
+                                      + kinds["reencrypt_line"])
+    assert ("drain" in kinds) == (appended > cfg.queue_len)
+    assert kinds["reencrypt_line"] in (0, LINES_PER_PAGE)
 
-def test_txn_scenario_no_cwr_never_inconsistent():
-    for log_slots in (64, 1):
-        cfg = cfg_for("secpm-no-cwr", log_slots=log_slots)
-        outcomes = inject(CrashPlan("exhaustive"),
-                          lambda: TxnScenario(cfg, n_lines=2))
-        assert all(o.verdict.ok for o in outcomes)
+    outcomes = []
+    for point, (label, stage, image) in enumerate(run, -1):
+        verdict, failing = scenario.verify(txn.recover(image, cfg)[0])
+        outcomes.append(Outcome(point, label, stage, verdict, failing))
+    assert outcomes == inject(CrashPlan("exhaustive"), factory)
+    assert count_boundaries(factory) == n
+    for k in (-1, 0, n // 2, n - 1):
+        assert inject(CrashPlan("at", at=k), factory) == [outcomes[k + 1]]
+        assert crash._crash_at(factory(), k)[0].snapshot() == run[k + 1][2]
+    with pytest.raises(PointOutOfRange):
+        inject(CrashPlan("at", at=n), factory)
+    plan = CrashPlan("random", count=3, seed=2)
+    assert inject(plan, factory) == [outcomes[p + 1] for p in plan.points(n)]
 
-
-def test_txn_scenario_unencrypted_never_inconsistent():
-    for log_slots in (64, 1):
-        cfg = cfg_for("unsec-pm", log_slots=log_slots)
-        outcomes = inject(CrashPlan("exhaustive"),
-                          lambda: TxnScenario(cfg, n_lines=2))
-        assert all(o.verdict.ok for o in outcomes)
-
-
-def test_txn_scenario_write_back_baseline_breaks():
-    """Without write-through, a crash can strand a counter update in the
-    volatile cache: data in persistence, counter lost, line undecryptable.
-    Crashes during prepare must still recover (the log is self-contained);
-    the damage appears in mutate/commit."""
-    outcomes = inject(CrashPlan("exhaustive"),
-                      lambda: TxnScenario(cfg_for("secpm-no-cwt"), n_lines=4))
-    bad_stages = {o.stage for o in outcomes if o.verdict is Verdict.INCONSISTENT}
-    assert "mutate" in bad_stages
-    assert "commit" in bad_stages
-    assert "prepare" not in bad_stages
-
-
-def test_atomic_write_register_prevents_tearing():
-    with_reg = inject(
-        CrashPlan("exhaustive"),
-        lambda: AtomicWriteScenario(cfg_for("secpm", use_register=True)))
-    assert all(o.verdict.ok for o in with_reg)
-
-    without = inject(
-        CrashPlan("exhaustive"),
-        lambda: AtomicWriteScenario(cfg_for("secpm", use_register=False)))
-    torn = [o for o in without if o.verdict is Verdict.INCONSISTENT]
-    assert len(torn) >= 1
-    assert torn[0].failing_address == 0
-
-
-def test_reencryption_survives_all_crash_points():
-    outcomes = inject(CrashPlan("exhaustive"),
-                      lambda: ReencryptScenario(cfg_for("secpm", txn_size=64)))
-    assert all(o.verdict is Verdict.CONSISTENT for o in outcomes)
-    # The sweep covers every per-line boundary of the 64-line page.
-    assert sum(1 for o in outcomes if o.label == "reencrypt_line") >= 64
+    stages = {"prepare", "mutate", "commit"} if scope == "txn" else {scope}
+    assert {o.stage for o in outcomes} == stages
+    assert outcomes[0].verdict.ok
+    torn = [o for o in outcomes if not o.verdict.ok]
+    if cfg.crash_consistent:
+        assert not torn
+    assert {o.stage for o in torn} == torn_stages(scope, cfg)
+    if not torn:  # the run passes from the pre-image to the post-image
+        assert {o.verdict for o in outcomes} == (
+            {Verdict.CONSISTENT} if scope == "reencrypt"
+            else {Verdict.ROLLED_BACK, Verdict.COMMITTED})
+        return
+    # A tear starts at the append that leaves a line durable without its
+    # counter, or the counter without its line, and lasts until the next
+    # append joins them; a counter kept in the write-back cache never does.
+    assert {o.failing_address for o in torn} == {0}
+    start = torn[0].crash_point + 1
+    later = [o.label for o in outcomes[start + 1:]]
+    end = (len(outcomes) if cfg.mode == Mode.SECPM_NO_CWT.value
+           else start + 1 + later.index("append"))
+    assert outcomes[start].label == "append" and torn == outcomes[start:end]
 
 
 def test_a_snapshot_keeps_the_register_it_was_taken_with():
@@ -225,16 +172,11 @@ def test_a_snapshot_keeps_the_register_it_was_taken_with():
     Recovering any image twice gives the same store and leaves the image
     as it was."""
     cfg = cfg_for("secpm", txn_size=64)
-    scenario = ReencryptScenario(cfg)
-    ctrl = scenario.fresh()
-    taken = [("pre", ctrl.snapshot())]
-    ctrl.boundary_hook = lambda label: taken.append((label, ctrl.snapshot()))
-    scenario.run(ctrl)
-
-    labels = [label for label, _ in taken]
+    taken = _one_run(ReencryptScenario(cfg))
+    labels = [label for label, _, _ in taken]
     arm, done = labels.index("rsr_arm"), labels.index("rsr_done")
     moved = 0
-    for i, (label, snap) in enumerate(taken):
+    for i, (label, _, snap) in enumerate(taken):
         moved += label == "reencrypt_line"
         if arm <= i < done:
             assert snap.rsr.page_number == 0, (i, label)
@@ -243,7 +185,7 @@ def test_a_snapshot_keeps_the_register_it_was_taken_with():
             assert snap.rsr is None, (i, label)
     assert moved == 64
 
-    for i, (label, snap) in enumerate(taken):
+    for i, (label, _, snap) in enumerate(taken):
         kept = CrashSnapshot(dict(snap.store), copy.copy(snap.rsr))
         first, _ = txn.recover(snap, cfg)
         second, _ = txn.recover(snap, cfg)
@@ -293,8 +235,8 @@ def test_flushes_issued_at_the_fence_in_program_order_change_no_outcome(
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 3: no fence between the undo log's "
-                          "old values and its end tag")
+                   reason="the undo log has no fence between its old "
+                          "values and its end tag")
 def test_an_epoch_issued_last_flush_first_never_tears(monkeypatch):
     """An epoch's last flush may reach the persistence domain first; in the
     prepare epoch that is the end tag, which makes the log look complete
@@ -308,14 +250,6 @@ def test_an_epoch_issued_last_flush_first_never_tears(monkeypatch):
         torn[mode] = [(o.crash_point, o.stage) for o in outcomes
                       if o.verdict is Verdict.INCONSISTENT]
     assert torn == {"secpm": [], "secpm-no-cwr": [], "unsec-pm": []}
-
-
-def test_outcome_csv_fields_are_complete():
-    outcomes = inject(CrashPlan("random", count=3, seed=2),
-                      lambda: TxnScenario(cfg_for("secpm"), n_lines=2))
-    for o in outcomes:
-        assert o.stage in ("prepare", "mutate", "commit", "done")
-        assert isinstance(o.label, str)
 
 
 def test_reencrypt_oracle_catches_a_line_left_under_its_old_ciphertext(
@@ -356,18 +290,6 @@ def test_reencrypt_scope_builds_two_controllers_per_point(monkeypatch):
     assert len(built) == 1 + 2 * len(outcomes)
 
 
-@pytest.mark.parametrize("scope", ["atomic-write", "reencrypt"])
-def test_write_back_baseline_starts_from_a_durable_counter(scope):
-    """secpm-no-cwt recovers from a crash before the scope's own write; its
-    failure is the last append, which leaves the new counter in the cache."""
-    outcomes = inject(CrashPlan("exhaustive"),
-                      lambda: SCOPES[scope](cfg_for("secpm-no-cwt")))
-    assert outcomes[0].verdict.ok
-    assert [(o.label, o.verdict) for o in outcomes if not o.verdict.ok] == [
-        ("append", Verdict.INCONSISTENT)]
-    assert outcomes[-1].failing_address == 0
-
-
 @pytest.mark.parametrize("scope", SCOPES)
 def test_outcomes_do_not_depend_on_the_key(scope):
     """Config.seed only picks the encryption key, and no verdict reads a
@@ -391,7 +313,8 @@ def test_recover_matches_the_every_slot_scan(scope, mode):
     boundary of every queue_len {2, 32} x use_register x log_slots
     {1, 3, 64} case, both undo the same transactions, leave the same store
     and give the same verdict.  One run of the scenario yields every
-    point's image, the one ``inject`` replays up to."""
+    point's image, the one ``inject`` replays up to; an image equal to the
+    one before it is not recovered again."""
     undid = False
     for queue_len, use_register, log_slots in itertools.product(
             [2, 32], [True, False], [1, 3, 64]):
@@ -399,11 +322,11 @@ def test_recover_matches_the_every_slot_scan(scope, mode):
                       queue_len=queue_len, use_register=use_register,
                       log_slots=log_slots)
         scenario = SCOPES[scope](cfg)
-        ctrl = scenario.fresh()
-        images = [ctrl.snapshot()]
-        ctrl.boundary_hook = lambda label: images.append(ctrl.snapshot())
-        scenario.run(ctrl)
-        for point, snapshot in enumerate(images, -1):
+        checked = None
+        for point, (_, _, snapshot) in enumerate(_one_run(scenario), -1):
+            if snapshot == checked:  # an equal image recovers alike
+                continue
+            checked = snapshot
             case = (queue_len, use_register, log_slots, point)
             got, undone = txn.recover(snapshot, cfg)
             ref, ref_undone = recover_every_slot(snapshot, cfg)
@@ -434,12 +357,8 @@ def _nested_recovery_points(monkeypatch, scenario, cfg):
                     (label, self.snapshot()))
 
     monkeypatch.setattr(txn, "Controller", Hooked)
-    ctrl = scenario.fresh()
-    images = [ctrl.snapshot()]
-    ctrl.boundary_hook = lambda label: images.append(ctrl.snapshot())
-    scenario.run(ctrl)
     count = 0
-    for point, image in enumerate(images, -1):
+    for point, (_, _, image) in enumerate(_one_run(scenario), -1):
         nested.clear()
         hooking = True
         recovered, _ = txn.recover(image, cfg)
