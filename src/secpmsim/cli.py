@@ -99,10 +99,13 @@ def cmd_run(args: argparse.Namespace) -> int:
                        ("--trace-out", args.trace_out)):
         if path and any(cfg.cores != 1 for cfg in cells):
             raise UsageError(f"{flag} supports single-core runs only")
-    _check_out("--out", args.out)
+    outputs = [("--out", args.out)]
     if args.out and any(cfg.mode == Mode.UNSEC_PM.value for cfg in cells):
-        _check_out("--out", _normalized_out(args.out))  # for a baseline
-    _check_out("--trace-out", args.trace_out)
+        outputs.append(("--out's normalized report",
+                        _normalized_out(args.out)))
+    outputs.append(("--trace-out", args.trace_out))
+    _check_paths([("--config", args.config), ("--trace-in", args.trace_in)],
+                 outputs)
 
     streams = None
     if args.trace_in:
@@ -140,12 +143,10 @@ def _normalized_out(path: str) -> str:
     return str(out.with_name(out.stem + "_normalized" + out.suffix))
 
 
-def _check_out(flag: str, path: str | None) -> None:
+def _check_out(flag: str, path: str) -> None:
     """Reject an output path that ``flag`` names and that cannot be written
     before any work runs, without creating or truncating it: the file is
     written later."""
-    if not path:
-        return
     out = Path(path)
     if not out.parent.is_dir():
         raise UsageError(f"{flag} {path}: directory {str(out.parent)!r} does"
@@ -153,6 +154,24 @@ def _check_out(flag: str, path: str | None) -> None:
     if out.is_dir() or not os.access(out if out.exists() else out.parent,
                                      os.W_OK):
         raise UsageError(f"{flag} {path}: cannot write a report there")
+
+
+def _check_paths(inputs: list[tuple[str, str | None]],
+                 outputs: list[tuple[str, str | None]]) -> None:
+    """Check every output with ``_check_out``, and reject one that names the
+    same file as an input or an earlier output: no output may replace the
+    config or trace a report came from, or another output.  Each pair is
+    (what names the path, path)."""
+    named = {Path(path).resolve(): f"{flag} {path}"
+             for flag, path in inputs if path}
+    for flag, path in outputs:
+        if not path:
+            continue
+        _check_out(flag, path)
+        name, key = f"{flag} {path}", Path(path).resolve()
+        if key in named:
+            raise UsageError(f"{named[key]} and {name} name the same file")
+        named[key] = name
 
 
 def _write_report(args: argparse.Namespace, report: str) -> None:
@@ -209,7 +228,7 @@ def cmd_crashcheck(args: argparse.Namespace) -> int:
     _reject_unread(args, settings)
     base = cells[0]
     plan = _parse_plan(args.crash, base.seed)
-    _check_out("--out", args.out)
+    _check_paths([("--config", args.config)], [("--out", args.out)])
 
     make = SCOPES[args.scope]
     try:
