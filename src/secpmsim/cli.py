@@ -62,8 +62,12 @@ def _read_text(flag: str, path: str) -> str:
 
 def _settings(args: argparse.Namespace) -> dict:
     """The config file's settings with the single-valued flags on top."""
-    settings = (parse_config(_read_text("--config", args.config))
-                if args.config else {})
+    settings = {}
+    if args.config:
+        try:
+            settings = parse_config(_read_text("--config", args.config))
+        except ValueError as exc:
+            raise UsageError(f"--config {args.config}: {exc}") from None
     for key in ("txn_count", "seed"):
         text = getattr(args, key)
         if text is not None:

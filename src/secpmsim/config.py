@@ -186,8 +186,9 @@ _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
 
 
 def parse_config(text: str) -> dict[str, object]:
-    """The settings of a flat config text, typed; a later line for a key
-    overrides an earlier one."""
+    """The settings of a flat config text, typed; ``#`` starts a comment,
+    and a later line for a key overrides an earlier one.  An error names
+    its line: ``line N: ...``."""
     settings = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -196,7 +197,10 @@ def parse_config(text: str) -> dict[str, object]:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        settings[key] = parse_setting(key, value)
+        try:
+            settings[key] = parse_setting(key, value)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return settings
 
 

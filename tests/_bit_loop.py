@@ -1,8 +1,10 @@
 """Reference counter-line codec: one 7-bit minor at a time.
 
-Tests build a line from a plain list of minors through this loop, so the
-packed ``CounterLine`` is checked against a layout it does not share code
-with.
+This is the one reference for a counter line.  Three properties in
+``test_counters.py`` check the packed ``CounterLine`` against it, a layout
+it shares no code with: ``test_packed_line_matches_list_reference``,
+``test_deserialize_matches_bit_loop`` and
+``test_serialize_rejects_out_of_range_minor_like_bit_loop``.
 """
 
 from types import SimpleNamespace

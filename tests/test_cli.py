@@ -84,13 +84,25 @@ def test_config_round_trip():
     text = "".join(f"{f.name} = {getattr(cfg, f.name)}\n"
                    for f in dataclasses.fields(cfg))
     assert Config(**parse_config(text)) == cfg
+    # Comments and blank lines are skipped; a later line for a key wins.
+    noisy = ("# a run\n\nseed = 3  # overridden below\n   \n" + text
+             + "queue_len = 8\nqueue_len = 64 # the last line wins\n")
+    assert Config(**parse_config(noisy)) == cfg
 
 
 def test_config_parse_errors():
-    with pytest.raises(ValueError):
-        parse_config("nonsense")
-    with pytest.raises(ValueError):
-        parse_config("no_such_key = 1")
+    for text, line in [
+            ("nonsense", "line 1: expected 'key = value'"),
+            ("# comment\n\nseed = 1\nno_such_key = 1",
+             "line 4: unknown config key 'no_such_key'"),
+            ("seed = 1  # fine\nseed = x", "line 2: seed must be an integer,"
+             " not 'x'"),
+            ("\nuse_register = maybe",
+             "line 2: use_register must be 1/0, true/false, yes/no or on/off,"
+             " not 'maybe'")]:
+        with pytest.raises(ValueError) as exc:
+            parse_config(text)
+        assert str(exc.value) == line
 
 
 # Bad input: (commands, arguments, the error line after "error: ", and
@@ -102,6 +114,7 @@ MISALIGNED = {"t.txt": "TXN 0 WRITE 0x20 64"}
 PAST_LAST = "at:9999"  # inject rejects it after counting the boundaries
 PLAN = "--crash must be exhaustive, random:N (N >= 1) or at:K"
 FINITE, SAME = "must be non-negative and finite", "name the same file"
+LINE1 = "--config c.cfg: line 1: "  # before a line that does not parse
 
 
 def _cfg(text):
@@ -136,7 +149,7 @@ BAD_INPUT = [
     # Config values: see also CONFIG_VALUES.
     (BOTH, "--config c.cfg", "banks must be at most 65536, not 65537",
      _cfg("banks = 65537")),
-    (BOTH, "--config c.cfg", "line 1: expected 'key = value'",
+    (BOTH, "--config c.cfg", f"{LINE1}expected 'key = value'",
      _cfg("nonsense")),
     (RUN, "--workload hashtable --txn-size 1024,4096 --config c.cfg",
      "footprint must be 0 or a multiple of 4096 of at least 4 * txn_size ="
@@ -296,13 +309,13 @@ CONFIG_VALUES = [
     # 2 TiB: data at 1 TiB and up would overwrite the counter lines.
     ("footprint", "2199023255552", "footprint and cores * log_slots log slots"
      " end at 0x20000012000, past the counter region at 0x10000000000"),
-    ("use_register", "maybe", "use_register must be 1/0, true/false, yes/no"
-     " or on/off, not 'maybe'"),
-    ("banks", "x", "banks must be an integer, not 'x'"),
-    ("cpu_ghz", "abc", "cpu_ghz must be a number, not 'abc'"),
-    ("txn_size", "1.5", "txn_size must be an integer, not '1.5'"),
+    ("use_register", "maybe", f"{LINE1}use_register must be 1/0, true/false,"
+     " yes/no or on/off, not 'maybe'"),
+    ("banks", "x", f"{LINE1}banks must be an integer, not 'x'"),
+    ("cpu_ghz", "abc", f"{LINE1}cpu_ghz must be a number, not 'abc'"),
+    ("txn_size", "1.5", f"{LINE1}txn_size must be an integer, not '1.5'"),
     # Removed knobs that gated nothing.
-    *[(key, value, f"unknown config key {key!r}") for key, value in [
+    *[(key, value, f"{LINE1}unknown config key {key!r}") for key, value in [
         ("capacity", "1"), ("t_cwd_ns", "13"), ("t_faw_ns", "9999"),
         ("t_wtr_ns", "7.5")]],
 ]

@@ -1,9 +1,21 @@
+"""Counter lines against the bit loop of ``_bit_loop.py``, the counter
+cache against ``EagerCounterCache``, and what neither reference models."""
+
 import random
 import tracemalloc
+from collections import OrderedDict
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from _bit_loop import line_from, minors_of
+from _bit_loop import (
+    line_from,
+    minors_of,
+    reference_deserialize,
+    reference_serialize,
+)
 from secpmsim.counters import (
     MINOR_MAX,
     AddressError,
@@ -15,47 +27,77 @@ from secpmsim.counters import (
 
 BASE = 1 << 40
 
+minor_lists = st.lists(st.integers(min_value=0, max_value=MINOR_MAX),
+                       min_size=64, max_size=64)
+line_steps = st.lists(
+    st.tuples(st.sampled_from(["increment", "set", "serialize",
+                               "deserialize"]),
+              st.integers(min_value=0, max_value=63),
+              st.sampled_from([0, MINOR_MAX - 1, MINOR_MAX])
+              | st.integers(min_value=0, max_value=MINOR_MAX)),
+    max_size=200)
 
-def test_counter_line_serializes_to_64_bytes():
-    line = line_from(5, [i % 128 for i in range(64)])
-    raw = line.serialize()
-    assert len(raw) == 64
-    assert CounterLine.deserialize(raw) == line
+
+@given(major=st.integers(min_value=0, max_value=(1 << 64) - 1),
+       steps=line_steps)
+@example(major=(1 << 64) - 1,
+         steps=[("set", i, MINOR_MAX) for i in range(64)]
+         + [("serialize", 0, 0), ("increment", 3, 0), ("deserialize", 0, 0)])
+@example(major=0, steps=[("serialize", 0, 0), ("deserialize", 0, 0),
+                         ("increment", 7, 0)])
+@settings(max_examples=150, deadline=None)
+def test_packed_line_matches_list_reference(major, steps):
+    """Random edits of a packed line agree with a plain list of minors
+    serialized by the bit loop."""
+    line = CounterLine(major=major)
+    ref = SimpleNamespace(major=major, minors=[0] * 64)
+    for op, i, value in steps:
+        if op == "increment":
+            if ref.minors[i] == MINOR_MAX:
+                assert increment_minor(line, i) is False
+            else:
+                assert increment_minor(line, i) is True
+                ref.minors[i] += 1
+        elif op == "set":
+            line.set_minor(i, value)
+            ref.minors[i] = value
+        elif op == "serialize":
+            assert line.serialize() == reference_serialize(ref)
+        else:
+            line = CounterLine.deserialize(reference_serialize(ref))
+        assert (line.major, minors_of(line)) == (ref.major, ref.minors)
+        assert line.counter_value(i) == (ref.major << 7) | ref.minors[i]
+    assert reference_deserialize(line.serialize()) == (ref.major, ref.minors)
 
 
-def test_serialize_round_trip_extremes():
-    line = line_from((1 << 64) - 1, [MINOR_MAX] * 64)
-    assert CounterLine.deserialize(line.serialize()) == line
-    zero = CounterLine()
-    assert zero.serialize() == b"\0" * 64
+@given(raw=st.binary(min_size=64, max_size=64))
+def test_deserialize_matches_bit_loop(raw):
+    line = CounterLine.deserialize(raw)
+    assert (line.major, minors_of(line)) == reference_deserialize(raw)
+
+
+@given(minors=minor_lists, index=st.integers(min_value=0, max_value=63),
+       bad=st.sampled_from([-1, 128, 255]) | st.integers(max_value=-1)
+       | st.integers(min_value=MINOR_MAX + 1))
+@example(minors=[0] * 64, index=0, bad=-1)
+@example(minors=[0] * 64, index=31, bad=128)
+@example(minors=[MINOR_MAX] * 64, index=63, bad=255)
+def test_serialize_rejects_out_of_range_minor_like_bit_loop(minors, index, bad):
+    """A minor the bit loop cannot serialize never gets into a line."""
+    bad_minors = list(minors)
+    bad_minors[index] = bad
+    with pytest.raises(ValueError):
+        reference_serialize(SimpleNamespace(major=0, minors=bad_minors))
+    line = line_from(0, minors)
+    with pytest.raises(ValueError):
+        line.set_minor(index, bad)
+    assert line.serialize() == reference_serialize(SimpleNamespace(
+        major=0, minors=minors))
 
 
 def test_deserialize_rejects_wrong_length():
     with pytest.raises(ValueError):
         CounterLine.deserialize(b"\0" * 63)
-
-
-def test_counter_value_is_concatenation():
-    line = CounterLine(major=3)
-    line.set_minor(10, 5)
-    assert line.counter_value(10) == (3 << 7) | 5
-
-
-def test_increment_minor_bumps_in_place():
-    line = CounterLine(major=4)
-    assert increment_minor(line, 7) is True
-    assert minors_of(line) == [1 if i == 7 else 0 for i in range(64)]
-    assert line.major == 4
-    line.set_minor(7, MINOR_MAX)
-    image = line.serialize()
-    assert increment_minor(line, 7) is False
-    assert line.serialize() == image  # overflow leaves the line untouched
-
-
-def test_increment_overflow_signals_page():
-    line = line_from(0, [MINOR_MAX] * 64)
-    assert increment_minor(line, 3) is False
-    assert minors_of(line) == [MINOR_MAX] * 64
 
 
 def test_increment_rejects_bad_index():
@@ -86,71 +128,85 @@ def test_counter_region_is_disjoint():
     assert 100 * 4096 <= BASE  # the data region ends below the counter region
 
 
-def test_cache_hit_miss_counting():
-    cache = CounterCache(capacity_bytes=64 * 16, ways=4)
-    assert cache.lookup(BASE) is None
-    cache.insert(BASE, CounterLine(major=1))
-    hit = cache.lookup(BASE)
-    assert hit is not None and hit.major == 1
-    assert (cache.hits, cache.misses) == (1, 1)
-
-
-def test_cache_lru_eviction_order():
-    cache = CounterCache(capacity_bytes=64 * 2, ways=2)  # one set, two ways
-    cache.insert(0, CounterLine(major=0))
-    cache.insert(64, CounterLine(major=1))
-    cache.lookup(0)  # 0 becomes most recent
-    cache.insert(128, CounterLine(major=2))  # evicts 64
-    assert cache.lookup(64) is None
-    assert cache.lookup(0) is not None
-    assert cache.lookup(128) is not None
-
-
-def test_cache_clean_eviction_drops_silently():
-    cache = CounterCache(capacity_bytes=64 * 2, ways=2)
-    cache.insert(0, CounterLine())
-    cache.insert(64, CounterLine())
-    assert cache.insert(128, CounterLine()) is None  # clean victim dropped
-
-
-def test_cache_dirty_eviction_surfaces_victim():
-    cache = CounterCache(capacity_bytes=64 * 2, ways=2)
-    cache.insert(0, CounterLine(major=9))
-    cache.mark_dirty(0)
-    cache.insert(64, CounterLine())
-    victim = cache.insert(128, CounterLine())
-    assert victim is not None
-    vaddr, vline = victim
-    assert vaddr == 0 and vline.major == 9
-
-
-def test_cache_reinsert_updates_in_place():
-    cache = CounterCache(capacity_bytes=64 * 8, ways=8)
-    cache.insert(0, CounterLine(major=1))
-    cache.insert(0, CounterLine(major=2))
-    assert cache.lookup(0).major == 2
-
-
-def test_cache_capacity_never_exceeded():
-    cache = CounterCache(capacity_bytes=64 * 32, ways=4)
-    rng = random.Random(1)
-    for _ in range(500):
-        cache.insert(rng.randrange(256) * 64, CounterLine())
-    assert all(len(s) <= cache.ways for s in cache._sets.values())
-
-
-def test_cache_mark_clean():
-    cache = CounterCache(capacity_bytes=64 * 2, ways=2)
-    cache.insert(0, CounterLine())
-    cache.mark_dirty(0)
-    assert cache.dirty_entries() == [(0, CounterLine())]
-    cache.mark_clean(0)
-    assert cache.dirty_entries() == []
-
-
 def test_cache_rejects_tiny_capacity():
     with pytest.raises(ValueError):
         CounterCache(capacity_bytes=64, ways=8)
+
+
+class EagerCounterCache:
+    """Reference cache: every set allocated up front, dirty lines found by
+    scanning all sets in index order."""
+
+    def __init__(self, nsets, ways):
+        self.nsets, self.ways = nsets, ways
+        self.sets = [OrderedDict() for _ in range(nsets)]
+        self.hits = self.misses = 0
+
+    def lookup(self, address):
+        s = self.sets[(address // 64) % self.nsets]
+        if address not in s:
+            self.misses += 1
+            return None
+        s.move_to_end(address)
+        self.hits += 1
+        return s[address][0]
+
+    def insert(self, address, line, dirty):
+        s = self.sets[(address // 64) % self.nsets]
+        if address in s:
+            s[address] = (line, dirty)
+            s.move_to_end(address)
+            return None
+        victim = None
+        if len(s) >= self.ways:
+            vaddr, (vline, vdirty) = s.popitem(last=False)
+            if vdirty:
+                victim = (vaddr, vline)
+        s[address] = (line, dirty)
+        return victim
+
+    def dirty_entries(self):
+        return [(a, line) for s in self.sets
+                for a, (line, d) in s.items() if d]
+
+    def mark(self, address, dirty):
+        s = self.sets[(address // 64) % self.nsets]
+        if address in s:
+            s[address] = (s[address][0], dirty)
+
+
+@given(seed=st.integers(min_value=0, max_value=1 << 16),
+       nsets=st.integers(min_value=1, max_value=4),
+       ways=st.integers(min_value=1, max_value=4))
+@settings(max_examples=60, deadline=None)
+def test_cache_matches_eager_reference(seed, nsets, ways):
+    cache = CounterCache(capacity_bytes=64 * nsets * ways, ways=ways)
+    ref = EagerCounterCache(nsets, ways)
+    rng = random.Random(seed)
+    for step in range(300):
+        addr = rng.randrange(4 * nsets * ways) * 64
+        op = rng.choice(["insert", "insert", "lookup", "write", "clean",
+                         "dirty"])
+        if op == "insert":
+            line, dirty = CounterLine(major=step), rng.random() < 0.5
+            assert cache.insert(addr, line) == ref.insert(addr, line, dirty)
+            if dirty:
+                cache.mark_dirty(addr)
+        elif op in ("lookup", "write"):
+            line = cache.lookup(addr)
+            assert line is ref.lookup(addr)
+            if op == "write" and line is not None:
+                # A write-back flush: lookup, bump, then mark dirty.
+                increment_minor(line, step % 64)
+                cache.mark_dirty(addr)
+                ref.mark(addr, True)
+        elif op == "clean":
+            cache.mark_clean(addr)
+            ref.mark(addr, False)
+        else:
+            assert cache.dirty_entries() == ref.dirty_entries()
+        assert (cache.hits, cache.misses) == (ref.hits, ref.misses)
+    assert cache.dirty_entries() == ref.dirty_entries()
 
 
 def test_new_cache_sees_nothing_of_a_used_one():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secpmsim.config import COUNTER_REGION_BASE, PAGE, Config
@@ -23,22 +23,12 @@ from secpmsim.crypto import (
 
 KEY = bytes(range(16))
 REFERENCE = OtpEngine(KEY)
+lines = st.binary(min_size=64, max_size=64)
 
 
 @pytest.fixture()
 def otp():
     return OtpEngine(KEY)
-
-
-def test_pad_is_64_bytes(otp):
-    assert len(otp.generate(0, 0)) == 64
-    assert len(otp.generate((1 << 61) - 64, (1 << 71) - 1)) == 64
-
-
-def test_pad_deterministic(otp):
-    assert otp.generate(0x1000, 42) == otp.generate(0x1000, 42)
-    # A second engine with the same key agrees.
-    assert OtpEngine(KEY).generate(0x1000, 42) == otp.generate(0x1000, 42)
 
 
 def test_pad_changes_with_counter_and_address(otp):
@@ -88,17 +78,36 @@ def pad_on_a_fresh_cipher(addr, ctr):
         for i in range(4))
 
 
+# The line index, counter and block number fields abut in the seed: each
+# case carries into, or sits at the edge of, a neighbouring field.
+TOP_CTR = (1 << 71) - 1
+FIELD_BOUNDARIES = [(64, 0), (0, 1 << 70), (0, TOP_CTR), (0, 1), (0, 0),
+                    ((1 << 61) - 64, TOP_CTR), ((1 << 61) - 128, TOP_CTR)]
+
+
+def at_field_boundaries(test):
+    """``test`` with every FIELD_BOUNDARIES case as an explicit example."""
+    for addr, ctr in FIELD_BOUNDARIES:
+        test = example(addr=addr, ctr=ctr)(test)
+    return test
+
+
+@given(addr=st.integers(min_value=0, max_value=(1 << 55) - 1).map(
+           lambda index: index * 64),
+       ctr=st.integers(min_value=0, max_value=TOP_CTR))
+@at_field_boundaries
+def test_pad_is_the_fresh_cipher_pad(addr, ctr):
+    """Over the whole pad domain an engine's pad is the reference pad."""
+    assert REFERENCE.generate(addr, ctr) == pad_on_a_fresh_cipher(addr, ctr)
+
+
 def test_pads_stay_apart_across_field_boundaries(otp):
-    """The line index, counter and block number fields abut in the seed, so
-    carrying into a neighbouring field must not reproduce any pad block."""
-    top_ctr = (1 << 71) - 1
-    cases = [(64, 0), (0, 1 << 70), (0, top_ctr), (0, 1), (0, 0),
-             ((1 << 61) - 64, top_ctr), ((1 << 61) - 128, top_ctr)]
-    blocks = [pad[i:i + 16] for pad in (otp.generate(*c) for c in cases)
+    """Carrying into a neighbouring seed field must not reproduce any pad
+    block."""
+    blocks = [pad[i:i + 16]
+              for pad in (otp.generate(*c) for c in FIELD_BOUNDARIES)
               for i in range(0, 64, 16)]
     assert len(set(blocks)) == len(blocks)
-    for addr, ctr in cases:
-        assert otp.generate(addr, ctr) == pad_on_a_fresh_cipher(addr, ctr)
 
 
 outside_pad_domain = st.one_of(
@@ -129,42 +138,15 @@ def test_largest_accepted_layout_stays_inside_pad_domain(otp):
     assert len(otp.generate(top, (1 << 71) - 1)) == 64
 
 
-def test_xor_identity_and_involution(otp):
-    pad = otp.generate(0, 7)
-    assert encrypt_line(bytes(64), pad) == pad
-    plain = bytes(range(64))
-    assert decrypt_line(encrypt_line(plain, pad), pad) == plain
-
-
-def test_xor_linearity(otp):
-    pad = otp.generate(0, 9)
-    x = bytes(64)
-    y = bytes([1] + [0] * 63)
-    cx = encrypt_line(x, pad)
-    cy = encrypt_line(y, pad)
-    diff = [i for i in range(64) if cx[i] != cy[i]]
-    assert diff == [0]
-
-
-def test_wrong_pad_garbles(otp):
-    plain = bytes(range(64))
-    cipher = encrypt_line(plain, otp.generate(0, 1))
-    assert decrypt_line(cipher, otp.generate(0, 2)) != plain
+@given(plain=lines, pad=lines)
+def test_encryption_is_bytewise_xor(plain, pad):
+    xor = bytes(a ^ b for a, b in zip(plain, pad))
+    assert encrypt_line(plain, pad) == decrypt_line(plain, pad) == xor
 
 
 def test_xor_lines_rejects_short_input():
     with pytest.raises(ValueError):
         xor_lines(b"ab", bytes(64))
-
-
-def test_round_trip_random_lines(otp):
-    rng = random.Random(0)
-    for _ in range(200):
-        plain = rng.randbytes(64)
-        addr = rng.randrange(1 << 30) * 64
-        ctr = rng.randrange(1 << 71)
-        pad = otp.generate(addr, ctr)
-        assert decrypt_line(encrypt_line(plain, pad), pad) == plain
 
 
 # Sealing and opening draw from small pools, so that the seal's own
@@ -173,7 +155,6 @@ CONTROLLER_KEY = derive_key(0)
 seal_keys = st.sampled_from([CONTROLLER_KEY, KEY])
 seal_addresses = st.sampled_from([0, 64, 4096, (1 << 40) * 64])
 seal_counters = st.sampled_from([0, 1, 127, 1 << 7, (1 << 71) - 1])
-lines = st.binary(min_size=64, max_size=64)
 REFERENCE_ENGINES = {k: OtpEngine(k) for k in (CONTROLLER_KEY, KEY)}
 
 
