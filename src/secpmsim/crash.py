@@ -8,10 +8,17 @@ reencrypt_line, rsr_done); enumerating them is exhaustive.  Crash point -1
 ``SCOPES`` names the scenarios ``crashcheck`` runs; each judges its lines
 by one rule, ``_classify``, against its pre- and post-image.  ``reencrypt``
 and ``atomic-write`` are one scenario, a crash inside one flush of line 0;
-``atomic-write`` has one earlier write and judges line 0 only.  One replay
-step, ``_crash_at``, counts a new scenario's boundaries or fails it at one.
-Line images are tuples, drawn once per (seed, count) and shared by every
-scenario of that seed.
+``atomic-write`` has one earlier write and judges line 0 only.
+
+A pass (``inject`` or ``count_boundaries``) sets its scenario up once:
+``fresh`` runs, on one controller, all that comes before the checked run's
+first boundary and so is the same at every crash point: the pre-image
+transaction and the checked transaction's reads of its old values, or the
+earlier flushes of line 0.  Each crash point then starts a new scenario of
+the same factory from that set-up (``start``) and replays its checked run
+from an exact copy of the set-up controller (``_crash_at``).  Line images
+are tuples, drawn once per (seed, count) and shared by every scenario of
+that seed.
 """
 
 from __future__ import annotations
@@ -80,21 +87,26 @@ class Outcome:
 
 
 class Scenario(Protocol):
+    """``fresh`` sets the scenario up on a new controller and returns it,
+    ready to ``run``; ``start(setup)`` readies a new scenario to run on a
+    copy of the controller that ``setup.fresh()`` returned."""
+
     cfg: Config
 
     def fresh(self) -> Controller: ...
+    def start(self, setup: Scenario) -> None: ...
     def run(self, ctrl: Controller) -> None: ...
     def stage(self) -> str: ...
     def verify(self, recovered: Controller) -> tuple[Verdict, int | None]: ...
 
 
-def _crash_at(scenario: Scenario, point: int | None
+def _crash_at(scenario: Scenario, setup: Controller, point: int | None
               ) -> tuple[Controller, str, int]:
-    """Build the scenario's controller and run the scenario until boundary
-    ``point`` fails it: -1 fails it before the first event, so nothing
-    runs, and None never does.  Returns the controller, the label of the
-    boundary it failed at ("pre" if none) and the boundaries passed."""
-    ctrl = scenario.fresh()
+    """Copy the set-up controller ``setup`` and run the scenario on the copy
+    until boundary ``point`` fails it: -1 fails it before the first event,
+    so nothing runs, and None never does.  Returns the copy, the label of
+    the boundary it failed at ("pre" if none) and the boundaries passed."""
+    ctrl = Controller.copy_of(setup)
     label, passed = "pre", 0
 
     def hook(lbl: str) -> None:
@@ -112,16 +124,29 @@ def _crash_at(scenario: Scenario, point: int | None
     return ctrl, label, passed
 
 
+def _set_up(factory: Callable[[], Scenario]
+            ) -> tuple[Scenario, Controller, int]:
+    """Start a pass: one scenario from ``factory``, its set-up controller,
+    and the boundaries a run from a copy of that controller passes."""
+    scenario = factory()
+    setup = scenario.fresh()
+    return scenario, setup, _crash_at(scenario, setup, None)[2]
+
+
 def count_boundaries(factory: Callable[[], Scenario]) -> int:
-    return _crash_at(factory(), None)[2]
+    return _set_up(factory)[2]
 
 
 def inject(plan: CrashPlan, factory: Callable[[], Scenario]) -> list[Outcome]:
-    n = count_boundaries(factory)
+    """Crash a new scenario from ``factory`` at each point of ``plan``.
+    ``factory`` is called once to set the pass up and count its boundaries,
+    then once per point."""
+    first, setup, n = _set_up(factory)
     outcomes = []
     for point in plan.points(n):
         scenario = factory()
-        ctrl, label, _ = _crash_at(scenario, point)
+        scenario.start(first)
+        ctrl, label, _ = _crash_at(scenario, setup, point)
         recovered, _ = recover(ctrl.snapshot(), scenario.cfg)
         verdict, failing = scenario.verify(recovered)
         outcomes.append(Outcome(point, label, scenario.stage(), verdict, failing))
@@ -134,7 +159,7 @@ def inject(plan: CrashPlan, factory: Callable[[], Scenario]) -> list[Outcome]:
 @functools.lru_cache(maxsize=16)
 def _random_lines(seed: int, count: int) -> tuple[bytes, ...]:
     """The first ``count`` lines ``random.Random(seed)`` draws.  Every crash
-    point builds its scenario anew, so the draws are made once per (seed,
+    point builds its own scenario, so the draws are made once per (seed,
     count) and every scenario of that seed shares them."""
     rng = random.Random(seed)
     return tuple(rng.randbytes(LINE) for _ in range(count))
@@ -171,15 +196,20 @@ class TxnScenario:
         images = _random_lines(self.seed, 2 * n)
         self.pre, self.post = images[:n], images[n:]
         self._addrs = [i * LINE for i in range(n)]
+        self.txn = TxnDescriptor(1, list(zip(self._addrs, self.post)), seq=1)
 
     def fresh(self) -> Controller:
+        """Write the pre-image durably, then read the lines the checked
+        transaction logs: those reads come before its first boundary."""
         ctrl = Controller(self.cfg)
-        setup = TxnDescriptor(0, list(zip(self._addrs, self.pre)))
-        execute(ctrl, setup)
+        execute(ctrl, TxnDescriptor(0, list(zip(self._addrs, self.pre))))
         ctrl.flush_counter_cache()  # leave write-back baselines consistent
         ctrl.drain_all()
-        self.txn = TxnDescriptor(1, list(zip(self._addrs, self.post)), seq=1)
+        self.txn.old_values = list(map(ctrl.handle_read, self._addrs))
         return ctrl
+
+    def start(self, setup: "TxnScenario") -> None:
+        self.txn.old_values = setup.txn.old_values
 
     def run(self, ctrl: Controller) -> None:
         for _ in run_transaction(ctrl, self.txn):
@@ -212,6 +242,8 @@ class ReencryptScenario:
         self.values = _random_lines(self.seed, self.writes + 1)
 
     def fresh(self) -> Controller:
+        """Make the earlier writes durable and read the page's other lines
+        back as they are before the checked flush."""
         ctrl = Controller(self.cfg)
         for value in self.values[:-1]:
             ctrl.handle_flush(0, value)
@@ -221,6 +253,10 @@ class ReencryptScenario:
         self.pre = (self.values[-2], *rest)
         self.post = (self.values[-1], *rest)
         return ctrl
+
+    def start(self, setup: "ReencryptScenario") -> None:
+        """Take the images the set-up read back."""
+        self.pre, self.post = setup.pre, setup.post
 
     def run(self, ctrl: Controller) -> None:
         ctrl.handle_flush(0, self.values[-1])  # the checked flush

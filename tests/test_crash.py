@@ -1,5 +1,6 @@
 import collections
 import copy
+import enum
 import itertools
 import random
 
@@ -8,8 +9,9 @@ from _crash_cases import cfg_for, scope_cases, torn_stages
 from _every_slot_recover import recover_every_slot
 
 from secpmsim import crash, txn
-from secpmsim.config import LINES_PER_PAGE, MODES, Mode
+from secpmsim.config import LINES_PER_PAGE, MODES, Config, Mode
 from secpmsim.controller import Controller
+from secpmsim.counters import CounterAddressMap
 from secpmsim.crash import (
     SCOPES,
     AtomicWriteScenario,
@@ -22,7 +24,9 @@ from secpmsim.crash import (
     count_boundaries,
     inject,
 )
-from secpmsim.nvm import CrashSnapshot
+from secpmsim.crypto import Sealed
+from secpmsim.nvm import CrashSnapshot, Rsr
+from secpmsim.write_queue import WriteQueueEntry
 
 
 def _draws(seed, count):
@@ -70,11 +74,15 @@ def test_plan_unknown_strategy_rejected():
         CrashPlan("fuzz").points(3)
 
 
-def _one_run(scenario):
+def _one_run(scenario, own_reads=False):
     """Run a fresh scenario once and keep the durable image at each of its
     boundaries, as [(label, stage, snapshot)] from ("pre", ...) on: entry
-    k + 1 is the image a crash at point k leaves."""
+    k + 1 is the image a crash at point k leaves.  With ``own_reads``, a
+    txn scenario's transaction reads its old values again itself, after
+    the set-up has read them."""
     ctrl = scenario.fresh()
+    if own_reads:
+        scenario.txn.old_values = None
     taken = [("pre", scenario.stage(), ctrl.snapshot())]
     ctrl.boundary_hook = lambda label: taken.append(
         (label, scenario.stage(), ctrl.snapshot()))
@@ -134,9 +142,14 @@ def test_one_run_states_the_crash_claim(scope, cfg):
         outcomes.append(Outcome(point, label, stage, verdict, failing))
     assert outcomes == inject(CrashPlan("exhaustive"), factory)
     assert count_boundaries(factory) == n
+    first = factory()
+    setup = first.fresh()
     for k in (-1, 0, n // 2, n - 1):
         assert inject(CrashPlan("at", at=k), factory) == [outcomes[k + 1]]
-        assert crash._crash_at(factory(), k)[0].snapshot() == run[k + 1][2]
+        point = factory()
+        point.start(first)
+        assert (crash._crash_at(point, setup, k)[0].snapshot()
+                == run[k + 1][2])
     with pytest.raises(PointOutOfRange):
         inject(CrashPlan("at", at=n), factory)
     plan = CrashPlan("random", count=3, seed=2)
@@ -274,9 +287,22 @@ def test_reencrypt_oracle_catches_a_line_left_under_its_old_ciphertext(
         (Verdict.INCONSISTENT, target)}
 
 
+@pytest.mark.parametrize("scope, cfg",
+                         [case for case in scope_cases() if case.values[0] == "txn"])
+def test_reading_the_old_values_is_no_crash_point(scope, cfg):
+    """A txn set-up reads the lines its transaction logs, so that no crash
+    point replays those reads.  Reading them announces no boundary and
+    makes nothing durable: a transaction that reads them again itself
+    gives the same run, image by image."""
+    assert (_one_run(SCOPES[scope](cfg), own_reads=True)
+            == _one_run(SCOPES[scope](cfg)))
+
+
 def test_reencrypt_scope_builds_two_controllers_per_point(monkeypatch):
-    """One to run the scenario and one to recover it; none to find the
-    expected page."""
+    """A pass builds one controller to set the scenario up and one copy of
+    it to count the boundaries; each point, one copy to run and one
+    controller to recover, and none to find the expected page.  A second
+    pass builds as many, so no set-up outlives its pass."""
     built = []
     init = Controller.__init__
 
@@ -285,9 +311,106 @@ def test_reencrypt_scope_builds_two_controllers_per_point(monkeypatch):
         built.append(self)
 
     monkeypatch.setattr(Controller, "__init__", counting_init)
-    outcomes = inject(CrashPlan("exhaustive"),
-                      lambda: ReencryptScenario(cfg_for("secpm", txn_size=64)))
-    assert len(built) == 1 + 2 * len(outcomes)
+    for _ in range(2):
+        built.clear()
+        outcomes = inject(
+            CrashPlan("exhaustive"),
+            lambda: ReencryptScenario(cfg_for("secpm", txn_size=64)))
+        assert len(built) == 2 + 2 * len(outcomes)
+
+
+# Values that a controller copy shares with its original: none changes
+# after it is built.
+SHARED = (type(None), bool, int, float, str, bytes, enum.Enum, Config,
+          CounterAddressMap, Rsr, Sealed, WriteQueueEntry)
+
+
+def _fields(obj):
+    """Every attribute of ``obj``: its ``vars()`` and the ``__slots__`` of
+    its classes."""
+    names = set(getattr(obj, "__dict__", ()))
+    for cls in type(obj).__mro__:
+        slots = cls.__dict__.get("__slots__", ())
+        names.update([slots] if isinstance(slots, str) else slots)
+    return names
+
+
+def _assert_same_state(orig, dup, path="ctrl"):
+    """``dup`` holds ``orig``'s state, field by field and in order (a
+    cache set's order is its recency order), and shares with it nothing
+    but ``SHARED`` values and functions.  A controller's ``flushes`` is
+    the exception: ``dup``'s is 0."""
+    assert type(dup) is type(orig), path
+    if isinstance(orig, SHARED) or callable(orig):
+        assert dup is orig or dup == orig, path
+        return
+    assert dup is not orig, path
+    if isinstance(orig, dict):
+        assert list(dup) == list(orig), path
+        for key, value in orig.items():
+            _assert_same_state(value, dup[key], f"{path}[{key!r}]")
+    elif isinstance(orig, (list, collections.deque)):
+        assert len(dup) == len(orig), path
+        for i, (a, b) in enumerate(zip(orig, dup)):
+            _assert_same_state(a, b, f"{path}[{i}]")
+    elif isinstance(orig, set):
+        assert dup == orig, path
+    else:
+        fields = _fields(orig)
+        assert fields and _fields(dup) == fields, path
+        if isinstance(orig, Controller):
+            # a copy counts only the flushes it handles itself
+            assert dup.flushes == 0, path
+            fields -= {"flushes"}
+        for name in sorted(fields):
+            _assert_same_state(getattr(orig, name), getattr(dup, name),
+                               f"{path}.{name}")
+
+
+# The controller fields that Controller(cfg) derives from the config alone;
+# every other field of a controller and of its layers is state.
+FROM_CONFIG = {"cfg", "mode", "_encrypted", "_write_through", "_use_register",
+               "_flush_overhead_ns", "_cache_hit_ns", "_aes_ns", "_read_ns",
+               "_key", "otp", "map"}
+
+
+def _bump_numbers(ctrl):
+    """Move every numeric state field, counters included, off its value."""
+    for obj in (ctrl, ctrl.nvm, ctrl.cache, ctrl.queue):
+        for name in _fields(obj) - (FROM_CONFIG if obj is ctrl else set()):
+            value = getattr(obj, name)
+            if type(value) in (int, float):
+                setattr(obj, name, value + 1)
+
+
+@pytest.mark.parametrize("scope, cfg", scope_cases())
+def test_a_copy_holds_the_set_up_state_and_shares_none_of_it(scope, cfg):
+    """A copy of a controller equals it in every field of every layer:
+    store, bank times, cache sets in recency order, dirty lines, queue
+    entries, the newest entry per address and every counter but
+    ``flushes``, whatever value each holds; a copy starts ``flushes`` at 0.
+    That holds for the set-up controller and at every boundary of a run
+    from it.  The copy shares no mutable container, so running the
+    scenario to its end on a copy leaves the set-up controller as it
+    was."""
+    scenario = SCOPES[scope](cfg)
+    setup = scenario.fresh()
+    setup_flushes = setup.flushes
+    kept = Controller.copy_of(setup)
+    _assert_same_state(setup, kept)
+    marked = Controller.copy_of(setup)
+    _bump_numbers(marked)
+    _assert_same_state(marked, Controller.copy_of(marked))
+
+    ctrl = Controller.copy_of(setup)
+    ctrl.boundary_hook = lambda label: _assert_same_state(
+        ctrl, Controller.copy_of(ctrl))
+    scenario.run(ctrl)
+    ctrl.drain_all()
+    scenario.verify(ctrl)
+    assert ctrl.snapshot() != setup.snapshot()
+    assert ctrl.flushes > 0 and setup.flushes == setup_flushes
+    _assert_same_state(setup, kept)
 
 
 @pytest.mark.parametrize("scope", SCOPES)
