@@ -98,7 +98,11 @@ def _sweep_cells(args: argparse.Namespace, settings: dict) -> list[Config]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cells = _sweep_cells(args, _settings(args))
+    settings = _settings(args)
+    cells = _sweep_cells(args, settings)
+    if args.trace_in:
+        _reject_unread(args, settings, ("txn_count",), "run --trace-in",
+                       "the trace sets the transactions")
     for flag, path in (("--trace-in", args.trace_in),
                        ("--trace-out", args.trace_out)):
         if path and any(cfg.cores != 1 for cfg in cells):
@@ -210,17 +214,18 @@ def _parse_plan(text: str, seed: int) -> CrashPlan:
 _UNREAD_BY_CRASHCHECK = ("workload", "cores", "txn_count")
 
 
-def _reject_unread(args: argparse.Namespace, settings: dict) -> None:
-    """A flag or config key that crashcheck would ignore is a usage error."""
-    for key in _UNREAD_BY_CRASHCHECK:
+def _reject_unread(args: argparse.Namespace, settings: dict, keys: tuple,
+                   command: str, why: str) -> None:
+    """A flag or config key of ``keys`` that ``command`` would ignore is a
+    usage error; ``why`` ends its error line."""
+    for key in keys:
         if getattr(args, key) is not None:
             name = _flag(key)
         elif key in settings:
             name = f"config key {key!r}"
         else:
             continue
-        raise UsageError(f"crashcheck does not read {name}: no crash scope"
-                         " uses it")
+        raise UsageError(f"{command} does not read {name}: {why}")
 
 
 def cmd_crashcheck(args: argparse.Namespace) -> int:
@@ -229,7 +234,8 @@ def cmd_crashcheck(args: argparse.Namespace) -> int:
     if len(cells) != 1:
         raise UsageError(f"crashcheck checks one configuration; the comma "
                          f"lists give {len(cells)}")
-    _reject_unread(args, settings)
+    _reject_unread(args, settings, _UNREAD_BY_CRASHCHECK, "crashcheck",
+                   "no crash scope uses it")
     base = cells[0]
     plan = _parse_plan(args.crash, base.seed)
     _check_paths([("--config", args.config)], [("--out", args.out)])
@@ -297,7 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run workloads and emit stats CSV")
     common(run_p)
-    run_p.add_argument("--trace-in", dest="trace_in")
+    run_p.add_argument("--trace-in", dest="trace_in",
+                       help="replay this trace; it sets the transactions,"
+                            " so --txn-count is rejected")
     run_p.add_argument("--trace-out", dest="trace_out")
     run_p.set_defaults(func=cmd_run)
 

@@ -2,8 +2,11 @@
 recovers to a torn state.
 
 ``scope_cases`` gives every scope x mode x queue_len {2, 32} x
-use_register, and each txn case again at ``log_slots = 1``, where the
-setup transaction and the checked one share the log slot.  ``torn_stages``
+use_register at the default 64 log slots, and each txn case again at
+``log_slots = 1``, where the set-up transaction and the checked one share
+the log slot, and at ``log_slots = 3``, where they log to slots 0 and 1
+and slot 2 stays unwritten: recovery skips it, and the every-slot
+reference of ``_every_slot_recover.py`` reads it.  ``torn_stages``
 is the table; the crash matrix of ``test_crash.py`` and the ``crashcheck``
 tests of ``test_cli.py`` both judge against it.
 """
@@ -35,8 +38,10 @@ def scope_cases():
         case = f"{scope}-{mode}-q{queue_len}-{'reg' if use_register else 'noreg'}"
         yield pytest.param(scope, cfg, id=case)
         if scope == "txn":
-            yield pytest.param(scope, dataclasses.replace(cfg, log_slots=1),
-                               id=case + "-slots1")
+            for log_slots in (1, 3):
+                yield pytest.param(
+                    scope, dataclasses.replace(cfg, log_slots=log_slots),
+                    id=f"{case}-slots{log_slots}")
 
 
 def torn_stages(scope, cfg):

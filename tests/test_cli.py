@@ -1,5 +1,7 @@
 import csv
 import dataclasses
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,9 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-FAST = ["--txn-count", "20", "--workload", "array", "--txn-size", "256"]
+# A trace replay's flags: the trace sets the transactions.
+REPLAY = ["--workload", "array", "--txn-size", "256"]
+FAST = ["--txn-count", "20", *REPLAY]
 
 
 def read_rows(path):
@@ -59,7 +63,7 @@ def test_run_trace_round_trip(tmp_path):
     assert run_cli("run", *FAST, "--mode", "secpm", "--seed", "2",
                    "--trace-out", str(trace), "--out", str(out1)) == 0
     assert trace.read_text().startswith("TXN ")
-    assert run_cli("run", *FAST, "--mode", "secpm", "--seed", "2",
+    assert run_cli("run", *REPLAY, "--mode", "secpm", "--seed", "2",
                    "--trace-in", str(trace), "--out", str(out2)) == 0
     writes = {r["metric"]: r["value"] for r in read_rows(out2)}
     assert int(writes["data_writes"]) > 0
@@ -158,6 +162,12 @@ BAD_INPUT = [
     (RUN, "--workload hashtable --txn-size 1073741824",
      "footprint = 0 gives hashtable its default 2147483648 bytes, below"
      " 4 * txn_size = 4294967296"),
+    # A trace sets the transactions.
+    *[(RUN, f"--trace-in t.txt {args}", f"run --trace-in does not read {name}:"
+       " the trace sets the transactions", {**TRACE, **files})
+      for args, name, files in [
+          ("--txn-count 9", "--txn-count", {}),
+          ("--config c.cfg", "config key 'txn_count'", _cfg("txn_count = 9"))]],
     # Input files.
     *[(commands, f"{flag} {name}", f"{flag} {name}: ...", files)
       for commands, flag, name in [(BOTH, "--config", "c.cfg"),
@@ -363,11 +373,11 @@ ACCEPTED = [
     ("--workload array --txn-count 0", {}),
     ("--workload hashtable --txn-size 1024,2048 --txn-count 5 --config c.cfg",
      _cfg("footprint = 8192")),
-    ("--workload array --txn-count 20 --txn-size 256 --trace-in t.txt",
+    ("--workload array --txn-size 256 --trace-in t.txt",
      {"t.txt": f"TXN {(1 << 64) - 1} WRITE 0x0 64\nTXN 0 WRITE 0x40 64"}),
     # Every input and output its own file, in one directory.
     ("--config c.cfg --mode unsec-pm,secpm --trace-in t.txt --out r.csv"
-     " --trace-out o.txt", {**_cfg("txn_count = 5"), **TRACE}),
+     " --trace-out o.txt", {**_cfg("seed = 1"), **TRACE}),
 ]
 
 
@@ -389,13 +399,13 @@ def test_trace_out_writes_the_stream_that_ran(tmp_path):
     first, second = tmp_path / "first.txt", tmp_path / "second.txt"
     assert run_cli("run", *FAST, "--out", str(tmp_path / "a.csv"),
                    "--trace-out", str(first)) == 0
-    assert run_cli("run", *FAST, "--out", str(tmp_path / "b.csv"),
+    assert run_cli("run", *REPLAY, "--out", str(tmp_path / "b.csv"),
                    "--trace-in", str(first), "--trace-out", str(second)) == 0
     assert second.read_bytes() == first.read_bytes()
     assert first.read_text().count("\n") >= 20
     written = "TXN 7 WRITE 0x1000 128\nTXN 3 WRITE 0x0 64\n"
     first.write_text(written)
-    assert run_cli("run", *FAST, "--workload", "array,queue", "--out",
+    assert run_cli("run", *REPLAY, "--workload", "array,queue", "--out",
                    str(tmp_path / "c.csv"), "--trace-in", str(first),
                    "--trace-out", str(second)) == 0
     assert second.read_text() == written
@@ -427,6 +437,17 @@ def test_help_still_prints_and_exits_zero(capsys):
     assert exc.value.code == 0
     assert "--scope" in capsys.readouterr().out
 
+
+def test_python_m_secpmsim_runs_the_cli():
+    """``python -m secpmsim`` runs the same front end and exits with its
+    status."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-m", "secpmsim", "crashcheck",
+                          "--scope", "atomic-write", "--mode", "secpm"],
+                         cwd=src, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[0] == (
+        "crash_point,event,stage,verdict,failing_address,flag")
 
 
 _FLAG_CASES = [

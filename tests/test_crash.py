@@ -3,6 +3,7 @@ import copy
 import enum
 import itertools
 import random
+import types
 
 import pytest
 from _crash_cases import cfg_for, scope_cases, torn_stages
@@ -51,43 +52,93 @@ def test_scenario_images_are_tuples_of_the_seeds_draws(make, images,
         assert all(type(image) is tuple for image in images(scenario))
 
 
-def test_plan_exhaustive_includes_pre_point():
-    assert CrashPlan("exhaustive").points(3) == [-1, 0, 1, 2]
-
-
-def test_plan_at_validates_range():
-    assert CrashPlan("at", at=1).points(3) == [1]
-    with pytest.raises(ValueError):
-        CrashPlan("at", at=3).points(3)
-
-
-def test_plan_random_is_seeded_subset():
-    plan = CrashPlan("random", count=4, seed=1)
-    pts = plan.points(50)
-    assert len(pts) == 4 and pts == sorted(set(pts))
-    assert pts == CrashPlan("random", count=4, seed=1).points(50)
-    assert all(-1 <= p < 50 for p in pts)
-
-
 def test_plan_unknown_strategy_rejected():
     with pytest.raises(ValueError):
         CrashPlan("fuzz").points(3)
 
 
-def _one_run(scenario, own_reads=False):
-    """Run a fresh scenario once and keep the durable image at each of its
+def _one_run(scenario, setup=None, at_boundary=None):
+    """Run a scenario once and keep the durable image at each of its
     boundaries, as [(label, stage, snapshot)] from ("pre", ...) on: entry
-    k + 1 is the image a crash at point k leaves.  With ``own_reads``, a
-    txn scenario's transaction reads its old values again itself, after
-    the set-up has read them."""
-    ctrl = scenario.fresh()
-    if own_reads:
-        scenario.txn.old_values = None
+    k + 1 is the image a crash at point k leaves.  The run is on a copy of
+    ``setup``, a set-up controller of the scope, as every replay of
+    ``inject`` is, or on a new set-up without one; ``at_boundary(ctrl)``
+    runs after each image is kept."""
+    ctrl = scenario.fresh() if setup is None else Controller.copy_of(setup)
     taken = [("pre", scenario.stage(), ctrl.snapshot())]
-    ctrl.boundary_hook = lambda label: taken.append(
-        (label, scenario.stage(), ctrl.snapshot()))
+
+    def hook(label):
+        taken.append((label, scenario.stage(), ctrl.snapshot()))
+        if at_boundary:
+            at_boundary(ctrl)
+
+    ctrl.boundary_hook = hook
     scenario.run(ctrl)
     return taken
+
+
+# Values that a controller copy shares with its original: none changes
+# after it is built.
+SHARED = (type(None), bool, int, float, str, bytes, enum.Enum, Config,
+          CounterAddressMap, Rsr, Sealed, WriteQueueEntry)
+
+
+def _fields(obj):
+    """Every attribute of ``obj``: its ``vars()`` and the ``__slots__`` of
+    its classes."""
+    names = set(getattr(obj, "__dict__", ()))
+    for cls in type(obj).__mro__:
+        slots = cls.__dict__.get("__slots__", ())
+        names.update([slots] if isinstance(slots, str) else slots)
+    return names
+
+
+def _assert_same_state(orig, dup, path="ctrl"):
+    """``dup`` holds ``orig``'s state, field by field and in order (a
+    cache set's order is its recency order), and shares with it nothing
+    but ``SHARED`` values and functions.  A controller's ``flushes`` is
+    the exception: ``dup``'s is 0."""
+    assert type(dup) is type(orig), path
+    if isinstance(orig, SHARED) or callable(orig):
+        assert dup is orig or dup == orig, path
+        return
+    assert dup is not orig, path
+    if isinstance(orig, dict):
+        assert list(dup) == list(orig), path
+        for key, value in orig.items():
+            _assert_same_state(value, dup[key], f"{path}[{key!r}]")
+    elif isinstance(orig, (list, collections.deque)):
+        assert len(dup) == len(orig), path
+        for i, (a, b) in enumerate(zip(orig, dup)):
+            _assert_same_state(a, b, f"{path}[{i}]")
+    elif isinstance(orig, set):
+        assert dup == orig, path
+    else:
+        fields = _fields(orig)
+        assert fields and _fields(dup) == fields, path
+        if isinstance(orig, Controller):
+            # a copy counts only the flushes it handles itself
+            assert dup.flushes == 0, path
+            fields -= {"flushes"}
+        for name in sorted(fields):
+            _assert_same_state(getattr(orig, name), getattr(dup, name),
+                               f"{path}.{name}")
+
+
+# The controller fields that Controller(cfg) derives from the config alone;
+# every other field of a controller and of its layers is state.
+FROM_CONFIG = {"cfg", "mode", "_encrypted", "_write_through", "_use_register",
+               "_flush_overhead_ns", "_cache_hit_ns", "_aes_ns", "_read_ns",
+               "_key", "otp", "map"}
+
+
+def _bump_numbers(ctrl):
+    """Move every numeric state field, counters included, off its value."""
+    for obj in (ctrl, ctrl.nvm, ctrl.cache, ctrl.queue):
+        for name in _fields(obj) - (FROM_CONFIG if obj is ctrl else set()):
+            value = getattr(obj, name)
+            if type(value) in (int, float):
+                setattr(obj, name, value + 1)
 
 
 # Boundaries after which the durable image (store, rsr) is the one before
@@ -111,17 +162,73 @@ def _announced(scope, cfg):
     return kinds
 
 
-@pytest.mark.parametrize("scope, cfg", scope_cases())
-def test_one_run_states_the_crash_claim(scope, cfg):
-    """One run of the scenario yields every crash point's durable image.
-    Each image differs from the one before only by newly durable lines.
-    Recovered and judged, the images give the outcome list ``inject``
-    gives by replaying the scenario to each point.  A configuration that
-    promises consistency never recovers torn; any other tears at the
-    stages of ``torn_stages``."""
+# One pass per crash case: every case once, and its txn cases again, share
+# the ``crash_pass`` of that case.
+CASES = [pytest.param(case.values, id=case.id) for case in scope_cases()]
+TXN_CASES = [case for case in CASES if case.values[0][0] == "txn"]
+
+
+@pytest.fixture(scope="module")
+def crash_pass(request):
+    """One set-up and one run of a case's scenario, shared by the tests of
+    that case.  The run is on a copy of the set-up controller, as every
+    replay of ``inject`` is, and ``replays`` holds (k, image) for the image
+    ``crash._crash_at`` leaves from that set-up at each point k of -1, 0,
+    n/2 and n-1.  On the way, each controller copy is compared with what it
+    copies: the set-up, the set-up with every numeric field moved, the
+    running controller at every boundary, and the set-up again after the
+    run and the replays; ``copies`` names each comparison and
+    ``copy_faults`` each one that found a field apart."""
+    scope, cfg = request.param
     factory = lambda: SCOPES[scope](cfg)
     scenario = factory()
-    run = _one_run(scenario)
+    setup = scenario.fresh()
+    setup_flushes = setup.flushes
+    copies, copy_faults = [], []
+
+    def compare(where, orig, dup):
+        copies.append(where)
+        try:
+            _assert_same_state(orig, dup)
+        except AssertionError as fault:
+            copy_faults.append(f"{where}: {fault}")
+
+    kept = Controller.copy_of(setup)
+    compare("set-up", setup, kept)
+    marked = Controller.copy_of(setup)
+    _bump_numbers(marked)
+    compare("numbers moved", marked, Controller.copy_of(marked))
+    run = _one_run(scenario, setup, lambda ctrl: compare(
+        f"boundary {len(copies) - 2}", ctrl, Controller.copy_of(ctrl)))
+    n = len(run) - 1
+    replays = []
+    for k in (-1, 0, n // 2, n - 1):
+        point = factory()
+        point.start(scenario)
+        replays.append((k, crash._crash_at(point, setup, k)[0].snapshot()))
+    compare("set-up after the replays", setup, kept)
+    if setup.flushes != setup_flushes:
+        copy_faults.append("the set-up counted a copy's flushes")
+    return types.SimpleNamespace(scope=scope, cfg=cfg, factory=factory,
+                                 scenario=scenario, setup=setup, run=run,
+                                 replays=replays, copies=copies,
+                                 copy_faults=copy_faults)
+
+
+@pytest.mark.parametrize("crash_pass", CASES, indirect=True)
+def test_one_run_states_the_crash_claim(crash_pass):
+    """One set-up and one run of the scenario state the crash claim.
+
+    Each image differs from the one before only by newly durable lines.
+    Recovered, each gives the store, undone list and verdict of
+    ``recover_every_slot``, and judged, the outcome list ``inject`` gives
+    by replaying the scenario to each point; a replay from the set-up
+    leaves the run's image.  A random plan's points are sorted, distinct,
+    in range and the same each time.  A configuration that promises
+    consistency never recovers torn; any other tears at the stages of
+    ``torn_stages``."""
+    scope, cfg, factory = crash_pass.scope, crash_pass.cfg, crash_pass.factory
+    scenario, run = crash_pass.scenario, crash_pass.run
     n = len(run) - 1
 
     for (_, _, before), (label, _, after) in zip(run, run[1:]):
@@ -136,24 +243,35 @@ def test_one_run_states_the_crash_claim(scope, cfg):
     assert ("drain" in kinds) == (appended > cfg.queue_len)
     assert kinds["reencrypt_line"] in (0, LINES_PER_PAGE)
 
-    outcomes = []
+    outcomes, undid, checked = [], False, None
     for point, (label, stage, image) in enumerate(run, -1):
-        verdict, failing = scenario.verify(txn.recover(image, cfg)[0])
+        recovered, undone = txn.recover(image, cfg)
+        if image != checked:  # an equal image recovers alike
+            checked = image
+            ref, ref_undone = recover_every_slot(image, cfg)
+            assert undone == ref_undone, point
+            assert recovered.snapshot().store == ref.snapshot().store, point
+            assert scenario.verify(recovered) == scenario.verify(ref), point
+            undid = undid or bool(undone)
+        verdict, failing = scenario.verify(recovered)
         outcomes.append(Outcome(point, label, stage, verdict, failing))
+    # The txn scope undoes a complete log at some crash point wherever its
+    # log lines decrypt after a crash: unencrypted or written through.
+    m = Mode(cfg.mode)
+    assert undid == (scope == "txn" and (not m.encrypted or m.write_through))
     assert outcomes == inject(CrashPlan("exhaustive"), factory)
     assert count_boundaries(factory) == n
-    first = factory()
-    setup = first.fresh()
-    for k in (-1, 0, n // 2, n - 1):
+    assert [k for k, _ in crash_pass.replays] == [-1, 0, n // 2, n - 1]
+    for k, image in crash_pass.replays:
         assert inject(CrashPlan("at", at=k), factory) == [outcomes[k + 1]]
-        point = factory()
-        point.start(first)
-        assert (crash._crash_at(point, setup, k)[0].snapshot()
-                == run[k + 1][2])
+        assert image == run[k + 1][2]
     with pytest.raises(PointOutOfRange):
         inject(CrashPlan("at", at=n), factory)
     plan = CrashPlan("random", count=3, seed=2)
-    assert inject(plan, factory) == [outcomes[p + 1] for p in plan.points(n)]
+    points = plan.points(n)
+    assert points == sorted(set(points)) == plan.points(n)
+    assert len(points) == min(3, n + 1) and -1 <= points[0] and points[-1] < n
+    assert inject(plan, factory) == [outcomes[p + 1] for p in points]
 
     stages = {"prepare", "mutate", "commit"} if scope == "txn" else {scope}
     assert {o.stage for o in outcomes} == stages
@@ -176,6 +294,30 @@ def test_one_run_states_the_crash_claim(scope, cfg):
     end = (len(outcomes) if cfg.mode == Mode.SECPM_NO_CWT.value
            else start + 1 + later.index("append"))
     assert outcomes[start].label == "append" and torn == outcomes[start:end]
+
+
+@pytest.mark.parametrize("crash_pass", CASES, indirect=True)
+def test_a_copy_holds_the_set_up_state_and_shares_none_of_it(crash_pass):
+    """A copy of a controller equals it in every field of every layer:
+    store, bank times, cache sets in recency order, dirty lines, queue
+    entries, the newest entry per address and every counter but
+    ``flushes``, whatever value each holds; a copy starts ``flushes`` at 0.
+    That holds for the set-up controller and at every boundary of the
+    case's pass.  The copy shares no mutable container, so the run and the
+    replays, each on a copy, leave the set-up controller as it was."""
+    assert len(crash_pass.copies) == len(crash_pass.run) + 2
+    assert crash_pass.copy_faults == []
+
+
+@pytest.mark.parametrize("crash_pass", TXN_CASES, indirect=True)
+def test_reading_the_old_values_is_no_crash_point(crash_pass):
+    """A txn set-up reads the lines its transaction logs, so that no crash
+    point replays those reads.  Reading them announces no boundary and
+    makes nothing durable: a scenario not started has no old values and
+    reads them itself, and from the same set-up it gives the pass's run,
+    image by image."""
+    assert (_one_run(crash_pass.factory(), crash_pass.setup)
+            == crash_pass.run)
 
 
 def test_a_snapshot_keeps_the_register_it_was_taken_with():
@@ -287,17 +429,6 @@ def test_reencrypt_oracle_catches_a_line_left_under_its_old_ciphertext(
         (Verdict.INCONSISTENT, target)}
 
 
-@pytest.mark.parametrize("scope, cfg",
-                         [case for case in scope_cases() if case.values[0] == "txn"])
-def test_reading_the_old_values_is_no_crash_point(scope, cfg):
-    """A txn set-up reads the lines its transaction logs, so that no crash
-    point replays those reads.  Reading them announces no boundary and
-    makes nothing durable: a transaction that reads them again itself
-    gives the same run, image by image."""
-    assert (_one_run(SCOPES[scope](cfg), own_reads=True)
-            == _one_run(SCOPES[scope](cfg)))
-
-
 def test_reencrypt_scope_builds_two_controllers_per_point(monkeypatch):
     """A pass builds one controller to set the scenario up and one copy of
     it to count the boundaries; each point, one copy to run and one
@@ -319,100 +450,6 @@ def test_reencrypt_scope_builds_two_controllers_per_point(monkeypatch):
         assert len(built) == 2 + 2 * len(outcomes)
 
 
-# Values that a controller copy shares with its original: none changes
-# after it is built.
-SHARED = (type(None), bool, int, float, str, bytes, enum.Enum, Config,
-          CounterAddressMap, Rsr, Sealed, WriteQueueEntry)
-
-
-def _fields(obj):
-    """Every attribute of ``obj``: its ``vars()`` and the ``__slots__`` of
-    its classes."""
-    names = set(getattr(obj, "__dict__", ()))
-    for cls in type(obj).__mro__:
-        slots = cls.__dict__.get("__slots__", ())
-        names.update([slots] if isinstance(slots, str) else slots)
-    return names
-
-
-def _assert_same_state(orig, dup, path="ctrl"):
-    """``dup`` holds ``orig``'s state, field by field and in order (a
-    cache set's order is its recency order), and shares with it nothing
-    but ``SHARED`` values and functions.  A controller's ``flushes`` is
-    the exception: ``dup``'s is 0."""
-    assert type(dup) is type(orig), path
-    if isinstance(orig, SHARED) or callable(orig):
-        assert dup is orig or dup == orig, path
-        return
-    assert dup is not orig, path
-    if isinstance(orig, dict):
-        assert list(dup) == list(orig), path
-        for key, value in orig.items():
-            _assert_same_state(value, dup[key], f"{path}[{key!r}]")
-    elif isinstance(orig, (list, collections.deque)):
-        assert len(dup) == len(orig), path
-        for i, (a, b) in enumerate(zip(orig, dup)):
-            _assert_same_state(a, b, f"{path}[{i}]")
-    elif isinstance(orig, set):
-        assert dup == orig, path
-    else:
-        fields = _fields(orig)
-        assert fields and _fields(dup) == fields, path
-        if isinstance(orig, Controller):
-            # a copy counts only the flushes it handles itself
-            assert dup.flushes == 0, path
-            fields -= {"flushes"}
-        for name in sorted(fields):
-            _assert_same_state(getattr(orig, name), getattr(dup, name),
-                               f"{path}.{name}")
-
-
-# The controller fields that Controller(cfg) derives from the config alone;
-# every other field of a controller and of its layers is state.
-FROM_CONFIG = {"cfg", "mode", "_encrypted", "_write_through", "_use_register",
-               "_flush_overhead_ns", "_cache_hit_ns", "_aes_ns", "_read_ns",
-               "_key", "otp", "map"}
-
-
-def _bump_numbers(ctrl):
-    """Move every numeric state field, counters included, off its value."""
-    for obj in (ctrl, ctrl.nvm, ctrl.cache, ctrl.queue):
-        for name in _fields(obj) - (FROM_CONFIG if obj is ctrl else set()):
-            value = getattr(obj, name)
-            if type(value) in (int, float):
-                setattr(obj, name, value + 1)
-
-
-@pytest.mark.parametrize("scope, cfg", scope_cases())
-def test_a_copy_holds_the_set_up_state_and_shares_none_of_it(scope, cfg):
-    """A copy of a controller equals it in every field of every layer:
-    store, bank times, cache sets in recency order, dirty lines, queue
-    entries, the newest entry per address and every counter but
-    ``flushes``, whatever value each holds; a copy starts ``flushes`` at 0.
-    That holds for the set-up controller and at every boundary of a run
-    from it.  The copy shares no mutable container, so running the
-    scenario to its end on a copy leaves the set-up controller as it
-    was."""
-    scenario = SCOPES[scope](cfg)
-    setup = scenario.fresh()
-    setup_flushes = setup.flushes
-    kept = Controller.copy_of(setup)
-    _assert_same_state(setup, kept)
-    marked = Controller.copy_of(setup)
-    _bump_numbers(marked)
-    _assert_same_state(marked, Controller.copy_of(marked))
-
-    ctrl = Controller.copy_of(setup)
-    ctrl.boundary_hook = lambda label: _assert_same_state(
-        ctrl, Controller.copy_of(ctrl))
-    scenario.run(ctrl)
-    ctrl.drain_all()
-    scenario.verify(ctrl)
-    assert ctrl.snapshot() != setup.snapshot()
-    assert ctrl.flushes > 0 and setup.flushes == setup_flushes
-    _assert_same_state(setup, kept)
-
-
 @pytest.mark.parametrize("scope", SCOPES)
 def test_outcomes_do_not_depend_on_the_key(scope):
     """Config.seed only picks the encryption key, and no verdict reads a
@@ -426,41 +463,6 @@ def test_outcomes_do_not_depend_on_the_key(scope):
     assert Controller(cfg_for(seed=0)).otp.generate(0, 0) != (
         Controller(cfg_for(seed=1)).otp.generate(0, 0))
     assert outcomes(0) == outcomes(1)
-
-
-@pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("scope", SCOPES)
-def test_recover_matches_the_every_slot_scan(scope, mode):
-    """recover reads only the log slots in the durable image; the reference
-    reads all cores * log_slots of them.  At crash point -1 and at every
-    boundary of every queue_len {2, 32} x use_register x log_slots
-    {1, 3, 64} case, both undo the same transactions, leave the same store
-    and give the same verdict.  One run of the scenario yields every
-    point's image, the one ``inject`` replays up to; an image equal to the
-    one before it is not recovered again."""
-    undid = False
-    for queue_len, use_register, log_slots in itertools.product(
-            [2, 32], [True, False], [1, 3, 64]):
-        cfg = cfg_for(mode, txn_size=64 if scope == "reencrypt" else 256,
-                      queue_len=queue_len, use_register=use_register,
-                      log_slots=log_slots)
-        scenario = SCOPES[scope](cfg)
-        checked = None
-        for point, (_, _, snapshot) in enumerate(_one_run(scenario), -1):
-            if snapshot == checked:  # an equal image recovers alike
-                continue
-            checked = snapshot
-            case = (queue_len, use_register, log_slots, point)
-            got, undone = txn.recover(snapshot, cfg)
-            ref, ref_undone = recover_every_slot(snapshot, cfg)
-            assert undone == ref_undone, case
-            assert got.snapshot().store == ref.snapshot().store, case
-            assert scenario.verify(got) == scenario.verify(ref), case
-            undid = undid or bool(undone)
-    # The txn scope undoes a complete log at some crash point wherever its
-    # log lines decrypt after a crash: unencrypted or written through.
-    m = Mode(mode)
-    assert undid == (scope == "txn" and (not m.encrypted or m.write_through))
 
 
 def _nested_recovery_points(monkeypatch, scenario, cfg):

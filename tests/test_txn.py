@@ -93,34 +93,6 @@ def test_oversized_write_set_rejected():
         list(run_transaction(ctrl, txn))
 
 
-def test_recover_clean_state_undoes_nothing():
-    ctrl = Controller(make_cfg())
-    execute(ctrl, TxnDescriptor(1, write_set(4, seed=2)))
-    _, undone = recover(ctrl.snapshot(), ctrl.cfg)
-    assert undone == []
-
-
-def test_recover_undoes_complete_uncommitted_log():
-    cfg = make_cfg()
-    ctrl = Controller(cfg)
-    pre = write_set(4, seed=3)
-    post = write_set(4, seed=4)
-    execute(ctrl, TxnDescriptor(0, pre, seq=0))
-    # Stop the second transaction right after its last data flush: the log
-    # is complete and the end tag is live, so recovery must roll it back.
-    gen = run_transaction(ctrl, TxnDescriptor(1, post, seq=1))
-    seen_data = 0
-    for label in gen:
-        if label == "data":
-            seen_data += 1
-            if seen_data == len(post):
-                break
-    recovered, undone = recover(ctrl.snapshot(), cfg)
-    assert undone == [1]
-    for addr, value in pre:
-        assert recovered.handle_read(addr) == value
-
-
 def test_recover_undoes_a_write_set_over_three_regions():
     """Each old value goes back to the line the header's regions name, in
     region order, not to a run of lines from the first region's base."""
@@ -145,35 +117,6 @@ def test_recover_undoes_a_write_set_over_three_regions():
     assert undone == [1]
     for addr, value in pre:
         assert recovered.handle_read(addr) == value
-
-
-def test_recover_abandons_incomplete_log():
-    cfg = make_cfg()
-    ctrl = Controller(cfg)
-    pre = write_set(4, seed=5)
-    execute(ctrl, TxnDescriptor(0, pre, seq=0))
-    gen = run_transaction(ctrl, TxnDescriptor(1, write_set(4, seed=6), seq=1))
-    next(gen)  # header only; no old values, no end tag
-    recovered, undone = recover(ctrl.snapshot(), cfg)
-    assert undone == []
-    for addr, value in pre:
-        assert recovered.handle_read(addr) == value
-
-
-def test_recovery_is_idempotent():
-    cfg = make_cfg()
-    ctrl = Controller(cfg)
-    pre = write_set(4, seed=7)
-    execute(ctrl, TxnDescriptor(0, pre, seq=0))
-    gen = run_transaction(ctrl, TxnDescriptor(1, write_set(4, seed=8), seq=1))
-    for _ in range(7):  # through mutate
-        next(gen)
-    recovered, undone = recover(ctrl.snapshot(), cfg)
-    assert undone == [1]
-    again, undone2 = recover(recovered.snapshot(), cfg)
-    assert undone2 == []
-    for addr, value in pre:
-        assert again.handle_read(addr) == value
 
 
 def test_recovery_reads_do_not_grow_with_log_slots(monkeypatch):
