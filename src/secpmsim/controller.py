@@ -379,21 +379,3 @@ class Controller:
         if snap.rsr is not None:
             ctrl.resume_reencryption(snap.rsr)
         return ctrl
-
-    @classmethod
-    def copy_of(cls, other: "Controller") -> "Controller":
-        """A controller in ``other``'s exact state, every counter included
-        but ``flushes``, which counts only the flushes the copy handles.  It
-        shares nothing mutable with ``other``: running one leaves the other
-        as it was."""
-        ctrl = cls(other.cfg)
-        ctrl.nvm = other.nvm.copy()
-        ctrl.cache = other.cache.copy()
-        ctrl.queue = other.queue.copy()
-        ctrl.rsr = other.rsr
-        ctrl.clock = other.clock
-        ctrl.reencryptions = other.reencryptions
-        ctrl.otp_reuse = other.otp_reuse
-        ctrl._last_ctr = other._last_ctr.copy()
-        ctrl.boundary_hook = other.boundary_hook
-        return ctrl

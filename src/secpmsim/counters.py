@@ -125,20 +125,6 @@ class CounterCache:
         self.hits = 0
         self.misses = 0
 
-    def copy(self) -> "CounterCache":
-        """An equal cache that shares no mutable state with this one: each
-        resident line is copied, since a flush bumps it in place, and each
-        set keeps its recency order."""
-        dup = CounterCache(self.nsets * self.ways * LINE, self.ways)
-        dup._sets = {index: OrderedDict(
-                         (a, CounterLine(line.major, lanes=line.lanes))
-                         for a, line in s.items())
-                     for index, s in self._sets.items()}
-        dup._dirty = self._dirty.copy()
-        dup.hits = self.hits
-        dup.misses = self.misses
-        return dup
-
     def lookup(self, address: int) -> CounterLine | None:
         s = self._sets.get((address // LINE) % self.nsets)
         line = None if s is None else s.get(address)

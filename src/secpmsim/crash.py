@@ -1,5 +1,6 @@
-"""Crash injection: replay a deterministic scenario, fail it at chosen
-durability boundaries, snapshot the durable state, recover, and classify.
+"""Crash injection: run a deterministic scenario once, keep the durable
+state at every durability boundary, then recover and classify the state a
+crash at each chosen boundary leaves.
 
 Boundaries are announced by the controller after every queue append, drain,
 register store and fence, and at each step of a page re-encryption (rsr_arm,
@@ -10,15 +11,15 @@ by one rule, ``_classify``, against its pre- and post-image.  ``reencrypt``
 and ``atomic-write`` are one scenario, a crash inside one flush of line 0;
 ``atomic-write`` has one earlier write and judges line 0 only.
 
-A pass (``inject`` or ``count_boundaries``) sets its scenario up once:
-``fresh`` runs, on one controller, all that comes before the checked run's
-first boundary and so is the same at every crash point: the pre-image
-transaction and the checked transaction's reads of its old values, or the
-earlier flushes of line 0.  Each crash point then starts a new scenario of
-the same factory from that set-up (``start``) and replays its checked run
-from an exact copy of the set-up controller (``_crash_at``).  Line images
-are tuples, drawn once per (seed, count) and shared by every scenario of
-that seed.
+A pass (``inject`` or ``count_boundaries``) sets its scenario up once
+(``fresh``: the pre-image transaction, or the earlier flushes of line 0)
+and runs the checked transaction or flush once on that controller,
+snapshotting the durable image at each boundary (``boundary_images``).  A
+boundary that leaves the image as it was (a register store, a drain, a
+fence) keeps the earlier snapshot object, so a pass holds each distinct
+image once and ``inject`` judges it once; every point still recovers its
+own image.  Line images are tuples, drawn once per (seed, count) and
+shared by every scenario of that seed.
 """
 
 from __future__ import annotations
@@ -31,11 +32,8 @@ from typing import Callable, Protocol
 
 from secpmsim.config import LINE, LINES_PER_PAGE, Config
 from secpmsim.controller import Controller
+from secpmsim.nvm import CrashSnapshot
 from secpmsim.txn import TxnDescriptor, execute, recover, run_transaction
-
-
-class CrashNow(Exception):
-    """Raised at the crash point; its one argument is the boundary's label."""
 
 
 class PointOutOfRange(ValueError):
@@ -88,68 +86,57 @@ class Outcome:
 
 class Scenario(Protocol):
     """``fresh`` sets the scenario up on a new controller and returns it,
-    ready to ``run``; ``start(setup)`` readies a new scenario to run on a
-    copy of the controller that ``setup.fresh()`` returned."""
+    ready to ``run`` once."""
 
     cfg: Config
 
     def fresh(self) -> Controller: ...
-    def start(self, setup: Scenario) -> None: ...
     def run(self, ctrl: Controller) -> None: ...
     def stage(self) -> str: ...
     def verify(self, recovered: Controller) -> tuple[Verdict, int | None]: ...
 
 
-def _crash_at(scenario: Scenario, setup: Controller, point: int | None
-              ) -> tuple[Controller, str, int]:
-    """Copy the set-up controller ``setup`` and run the scenario on the copy
-    until boundary ``point`` fails it: -1 fails it before the first event,
-    so nothing runs, and None never does.  Returns the copy, the label of
-    the boundary it failed at ("pre" if none) and the boundaries passed."""
-    ctrl = Controller.copy_of(setup)
-    label, passed = "pre", 0
+def boundary_images(scenario: Scenario
+                    ) -> list[tuple[str, str, CrashSnapshot]]:
+    """Set the scenario up and run it once, keeping (label, stage, durable
+    image) at each boundary from ("pre", ...) on: entry k + 1 is the image
+    a crash at point k leaves.  An image equal to the one before it is kept
+    as that same object, so the list holds each distinct image once."""
+    ctrl = scenario.fresh()
+    taken = [("pre", scenario.stage(), ctrl.snapshot())]
 
-    def hook(lbl: str) -> None:
-        nonlocal passed
-        if passed == point:
-            raise CrashNow(lbl)
-        passed += 1
+    def hook(label: str) -> None:
+        image = ctrl.snapshot()
+        if image == taken[-1][2]:
+            image = taken[-1][2]
+        taken.append((label, scenario.stage(), image))
 
-    if point != -1:
-        ctrl.boundary_hook = hook
-        try:
-            scenario.run(ctrl)
-        except CrashNow as crash:
-            label = crash.args[0]
-    return ctrl, label, passed
-
-
-def _set_up(factory: Callable[[], Scenario]
-            ) -> tuple[Scenario, Controller, int]:
-    """Start a pass: one scenario from ``factory``, its set-up controller,
-    and the boundaries a run from a copy of that controller passes."""
-    scenario = factory()
-    setup = scenario.fresh()
-    return scenario, setup, _crash_at(scenario, setup, None)[2]
+    ctrl.boundary_hook = hook
+    scenario.run(ctrl)
+    return taken
 
 
 def count_boundaries(factory: Callable[[], Scenario]) -> int:
-    return _set_up(factory)[2]
+    return len(boundary_images(factory())) - 1
 
 
 def inject(plan: CrashPlan, factory: Callable[[], Scenario]) -> list[Outcome]:
-    """Crash a new scenario from ``factory`` at each point of ``plan``.
-    ``factory`` is called once to set the pass up and count its boundaries,
-    then once per point."""
-    first, setup, n = _set_up(factory)
-    outcomes = []
-    for point in plan.points(n):
-        scenario = factory()
-        scenario.start(first)
-        ctrl, label, _ = _crash_at(scenario, setup, point)
-        recovered, _ = recover(ctrl.snapshot(), scenario.cfg)
-        verdict, failing = scenario.verify(recovered)
-        outcomes.append(Outcome(point, label, scenario.stage(), verdict, failing))
+    """Crash a scenario from ``factory`` at each point of ``plan``: run it
+    once (``boundary_images``), then recover each point's image and judge
+    it.  Recovery and verdict depend on the image alone, so an image that
+    is the one judged last keeps its verdict.  ``factory`` is called once
+    for the run, then once per point before that point's recovery, so a
+    caller can time each point between calls."""
+    scenario = factory()
+    taken = boundary_images(scenario)
+    outcomes, judged, verdict = [], None, None
+    for point in plan.points(len(taken) - 1):
+        label, stage, image = taken[point + 1]
+        factory()
+        recovered, _ = recover(image, scenario.cfg)
+        if image is not judged:
+            judged, verdict = image, scenario.verify(recovered)
+        outcomes.append(Outcome(point, label, stage, *verdict))
     return outcomes
 
 
@@ -199,17 +186,12 @@ class TxnScenario:
         self.txn = TxnDescriptor(1, list(zip(self._addrs, self.post)), seq=1)
 
     def fresh(self) -> Controller:
-        """Write the pre-image durably, then read the lines the checked
-        transaction logs: those reads come before its first boundary."""
+        """Write the pre-image durably."""
         ctrl = Controller(self.cfg)
         execute(ctrl, TxnDescriptor(0, list(zip(self._addrs, self.pre))))
         ctrl.flush_counter_cache()  # leave write-back baselines consistent
         ctrl.drain_all()
-        self.txn.old_values = list(map(ctrl.handle_read, self._addrs))
         return ctrl
-
-    def start(self, setup: "TxnScenario") -> None:
-        self.txn.old_values = setup.txn.old_values
 
     def run(self, ctrl: Controller) -> None:
         for _ in run_transaction(ctrl, self.txn):
@@ -253,10 +235,6 @@ class ReencryptScenario:
         self.pre = (self.values[-2], *rest)
         self.post = (self.values[-1], *rest)
         return ctrl
-
-    def start(self, setup: "ReencryptScenario") -> None:
-        """Take the images the set-up read back."""
-        self.pre, self.post = setup.pre, setup.post
 
     def run(self, ctrl: Controller) -> None:
         ctrl.handle_flush(0, self.values[-1])  # the checked flush

@@ -32,15 +32,6 @@ class NvmDevice:
         self.store: dict[int, bytes | Sealed] = {}
         self.writes = 0
 
-    def copy(self) -> "NvmDevice":
-        """An equal device that shares no mutable state with this one; the
-        stored lines are immutable and shared."""
-        dup = NvmDevice(self.nbanks, self.t_wr_ns, self.read_ns)
-        dup.busy_until = self.busy_until.copy()
-        dup.store = self.store.copy()
-        dup.writes = self.writes
-        return dup
-
     def bank(self, address: int) -> int:
         return (address // LINE) % self.nbanks
 

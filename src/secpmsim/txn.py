@@ -46,10 +46,6 @@ class TxnDescriptor:
     seq: int = 0  # the transaction's position on its core
     core: int = 0
     stage: Stage = field(default=Stage.PREPARE)
-    # The write set's lines as they read before the transaction, for its
-    # undo log; None until read.  A crash pass reads them once, in its
-    # set-up, and every crash point's replay logs them.
-    old_values: list[bytes] | None = None
 
     def regions(self) -> list[tuple[int, int]]:
         """Group the write set into contiguous (base, nlines) runs."""
@@ -103,9 +99,7 @@ def run_transaction(controller: Controller, txn: TxnDescriptor) -> Iterator[str]
     if total > controller.cfg.slot_lines - 2:
         raise ValueError("write set too large for the configured log slot")
 
-    old_values = txn.old_values
-    if old_values is None:
-        old_values = [controller.handle_read(addr) for addr, _ in txn.write_set]
+    old_values = [controller.handle_read(addr) for addr, _ in txn.write_set]
     end_addr = base + (1 + total) * LINE
     epochs = [
         (Stage.PREPARE,

@@ -54,18 +54,6 @@ class WriteQueue:
         self.appended_counter = 0
         self.merged = 0
 
-    def copy(self) -> "WriteQueue":
-        """An equal queue that shares no mutable state with this one; its
-        entries are never changed once queued, so both queues hold the
-        same entry objects, and ``latest`` still indexes the copy's own."""
-        dup = WriteQueue(self.capacity, self.cwr_enabled)
-        dup.entries = self.entries.copy()
-        dup.latest = self.latest.copy()
-        dup.appended_data = self.appended_data
-        dup.appended_counter = self.appended_counter
-        dup.merged = self.merged
-        return dup
-
     def __len__(self) -> int:
         return len(self.entries)
 

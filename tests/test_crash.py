@@ -1,6 +1,5 @@
 import collections
 import copy
-import enum
 import itertools
 import random
 import types
@@ -10,9 +9,8 @@ from _crash_cases import cfg_for, scope_cases, torn_stages
 from _every_slot_recover import recover_every_slot
 
 from secpmsim import crash, txn
-from secpmsim.config import LINES_PER_PAGE, MODES, Config, Mode
+from secpmsim.config import LINES_PER_PAGE, MODES, Mode
 from secpmsim.controller import Controller
-from secpmsim.counters import CounterAddressMap
 from secpmsim.crash import (
     SCOPES,
     AtomicWriteScenario,
@@ -25,9 +23,7 @@ from secpmsim.crash import (
     count_boundaries,
     inject,
 )
-from secpmsim.crypto import Sealed
-from secpmsim.nvm import CrashSnapshot, Rsr
-from secpmsim.write_queue import WriteQueueEntry
+from secpmsim.nvm import CrashSnapshot
 
 
 def _draws(seed, count):
@@ -57,88 +53,32 @@ def test_plan_unknown_strategy_rejected():
         CrashPlan("fuzz").points(3)
 
 
-def _one_run(scenario, setup=None, at_boundary=None):
-    """Run a scenario once and keep the durable image at each of its
-    boundaries, as [(label, stage, snapshot)] from ("pre", ...) on: entry
-    k + 1 is the image a crash at point k leaves.  The run is on a copy of
-    ``setup``, a set-up controller of the scope, as every replay of
-    ``inject`` is, or on a new set-up without one; ``at_boundary(ctrl)``
-    runs after each image is kept."""
-    ctrl = scenario.fresh() if setup is None else Controller.copy_of(setup)
-    taken = [("pre", scenario.stage(), ctrl.snapshot())]
-
-    def hook(label):
-        taken.append((label, scenario.stage(), ctrl.snapshot()))
-        if at_boundary:
-            at_boundary(ctrl)
-
-    ctrl.boundary_hook = hook
-    scenario.run(ctrl)
-    return taken
+class CrashNow(Exception):
+    """Raised at the crash point; its one argument is the boundary's label."""
 
 
-# Values that a controller copy shares with its original: none changes
-# after it is built.
-SHARED = (type(None), bool, int, float, str, bytes, enum.Enum, Config,
-          CounterAddressMap, Rsr, Sealed, WriteQueueEntry)
+def _replay(factory, point):
+    """The replay oracle: set a new scenario of ``factory`` up, run it until
+    boundary ``point`` fails it (-1 fails it before its first event, so
+    nothing runs), then recover the image it leaves and judge it."""
+    scenario = factory()
+    ctrl = scenario.fresh()
+    label, passed = "pre", 0
 
+    def hook(lbl):
+        nonlocal passed
+        if passed == point:
+            raise CrashNow(lbl)
+        passed += 1
 
-def _fields(obj):
-    """Every attribute of ``obj``: its ``vars()`` and the ``__slots__`` of
-    its classes."""
-    names = set(getattr(obj, "__dict__", ()))
-    for cls in type(obj).__mro__:
-        slots = cls.__dict__.get("__slots__", ())
-        names.update([slots] if isinstance(slots, str) else slots)
-    return names
-
-
-def _assert_same_state(orig, dup, path="ctrl"):
-    """``dup`` holds ``orig``'s state, field by field and in order (a
-    cache set's order is its recency order), and shares with it nothing
-    but ``SHARED`` values and functions.  A controller's ``flushes`` is
-    the exception: ``dup``'s is 0."""
-    assert type(dup) is type(orig), path
-    if isinstance(orig, SHARED) or callable(orig):
-        assert dup is orig or dup == orig, path
-        return
-    assert dup is not orig, path
-    if isinstance(orig, dict):
-        assert list(dup) == list(orig), path
-        for key, value in orig.items():
-            _assert_same_state(value, dup[key], f"{path}[{key!r}]")
-    elif isinstance(orig, (list, collections.deque)):
-        assert len(dup) == len(orig), path
-        for i, (a, b) in enumerate(zip(orig, dup)):
-            _assert_same_state(a, b, f"{path}[{i}]")
-    elif isinstance(orig, set):
-        assert dup == orig, path
-    else:
-        fields = _fields(orig)
-        assert fields and _fields(dup) == fields, path
-        if isinstance(orig, Controller):
-            # a copy counts only the flushes it handles itself
-            assert dup.flushes == 0, path
-            fields -= {"flushes"}
-        for name in sorted(fields):
-            _assert_same_state(getattr(orig, name), getattr(dup, name),
-                               f"{path}.{name}")
-
-
-# The controller fields that Controller(cfg) derives from the config alone;
-# every other field of a controller and of its layers is state.
-FROM_CONFIG = {"cfg", "mode", "_encrypted", "_write_through", "_use_register",
-               "_flush_overhead_ns", "_cache_hit_ns", "_aes_ns", "_read_ns",
-               "_key", "otp", "map"}
-
-
-def _bump_numbers(ctrl):
-    """Move every numeric state field, counters included, off its value."""
-    for obj in (ctrl, ctrl.nvm, ctrl.cache, ctrl.queue):
-        for name in _fields(obj) - (FROM_CONFIG if obj is ctrl else set()):
-            value = getattr(obj, name)
-            if type(value) in (int, float):
-                setattr(obj, name, value + 1)
+    if point != -1:
+        ctrl.boundary_hook = hook
+        try:
+            scenario.run(ctrl)
+        except CrashNow as crash_now:
+            label = crash_now.args[0]
+    recovered, _ = txn.recover(ctrl.snapshot(), scenario.cfg)
+    return Outcome(point, label, scenario.stage(), *scenario.verify(recovered))
 
 
 # Boundaries after which the durable image (store, rsr) is the one before
@@ -162,78 +102,44 @@ def _announced(scope, cfg):
     return kinds
 
 
-# One pass per crash case: every case once, and its txn cases again, share
-# the ``crash_pass`` of that case.
+# One pass per crash case: the tests of a case share its ``crash_pass``.
 CASES = [pytest.param(case.values, id=case.id) for case in scope_cases()]
 TXN_CASES = [case for case in CASES if case.values[0][0] == "txn"]
 
 
 @pytest.fixture(scope="module")
 def crash_pass(request):
-    """One set-up and one run of a case's scenario, shared by the tests of
-    that case.  The run is on a copy of the set-up controller, as every
-    replay of ``inject`` is, and ``replays`` holds (k, image) for the image
-    ``crash._crash_at`` leaves from that set-up at each point k of -1, 0,
-    n/2 and n-1.  On the way, each controller copy is compared with what it
-    copies: the set-up, the set-up with every numeric field moved, the
-    running controller at every boundary, and the set-up again after the
-    run and the replays; ``copies`` names each comparison and
-    ``copy_faults`` each one that found a field apart."""
+    """One set-up and one run of a case's scenario, with the durable image
+    at each of its boundaries, shared by the tests of that case."""
     scope, cfg = request.param
     factory = lambda: SCOPES[scope](cfg)
     scenario = factory()
-    setup = scenario.fresh()
-    setup_flushes = setup.flushes
-    copies, copy_faults = [], []
-
-    def compare(where, orig, dup):
-        copies.append(where)
-        try:
-            _assert_same_state(orig, dup)
-        except AssertionError as fault:
-            copy_faults.append(f"{where}: {fault}")
-
-    kept = Controller.copy_of(setup)
-    compare("set-up", setup, kept)
-    marked = Controller.copy_of(setup)
-    _bump_numbers(marked)
-    compare("numbers moved", marked, Controller.copy_of(marked))
-    run = _one_run(scenario, setup, lambda ctrl: compare(
-        f"boundary {len(copies) - 2}", ctrl, Controller.copy_of(ctrl)))
-    n = len(run) - 1
-    replays = []
-    for k in (-1, 0, n // 2, n - 1):
-        point = factory()
-        point.start(scenario)
-        replays.append((k, crash._crash_at(point, setup, k)[0].snapshot()))
-    compare("set-up after the replays", setup, kept)
-    if setup.flushes != setup_flushes:
-        copy_faults.append("the set-up counted a copy's flushes")
     return types.SimpleNamespace(scope=scope, cfg=cfg, factory=factory,
-                                 scenario=scenario, setup=setup, run=run,
-                                 replays=replays, copies=copies,
-                                 copy_faults=copy_faults)
+                                 scenario=scenario,
+                                 run=crash.boundary_images(scenario))
 
 
 @pytest.mark.parametrize("crash_pass", CASES, indirect=True)
 def test_one_run_states_the_crash_claim(crash_pass):
     """One set-up and one run of the scenario state the crash claim.
 
-    Each image differs from the one before only by newly durable lines.
-    Recovered, each gives the store, undone list and verdict of
-    ``recover_every_slot``, and judged, the outcome list ``inject`` gives
-    by replaying the scenario to each point; a replay from the set-up
-    leaves the run's image.  A random plan's points are sorted, distinct,
-    in range and the same each time.  A configuration that promises
-    consistency never recovers torn; any other tears at the stages of
-    ``torn_stages``."""
+    Each image differs from the one before only by newly durable lines,
+    and an image equal to the one before is that same object.  Recovered,
+    each gives the store, undone list and verdict of
+    ``recover_every_slot``, and judged at every point, the outcome list
+    that ``inject`` gives and that the replay oracle gives by setting the
+    scenario up again and running it to each point.  A random plan's
+    points are sorted, distinct, in range and the same each time.  A
+    configuration that promises consistency never recovers torn; any other
+    tears at the stages of ``torn_stages``."""
     scope, cfg, factory = crash_pass.scope, crash_pass.cfg, crash_pass.factory
     scenario, run = crash_pass.scenario, crash_pass.run
     n = len(run) - 1
 
     for (_, _, before), (label, _, after) in zip(run, run[1:]):
         assert label in KEEP_IMAGE | CHANGE_IMAGE, label
-        assert (after == before) == (label in KEEP_IMAGE), label
+        kept = label in KEEP_IMAGE
+        assert (after == before) == (after is before) == kept, label
         assert before.store.keys() <= after.store.keys(), label
     kinds = collections.Counter(label for label, _, _ in run[1:])
     assert kinds.keys() - {"drain"} == _announced(scope, cfg)
@@ -246,7 +152,7 @@ def test_one_run_states_the_crash_claim(crash_pass):
     outcomes, undid, checked = [], False, None
     for point, (label, stage, image) in enumerate(run, -1):
         recovered, undone = txn.recover(image, cfg)
-        if image != checked:  # an equal image recovers alike
+        if image is not checked:  # an equal image recovers alike
             checked = image
             ref, ref_undone = recover_every_slot(image, cfg)
             assert undone == ref_undone, point
@@ -260,11 +166,10 @@ def test_one_run_states_the_crash_claim(crash_pass):
     m = Mode(cfg.mode)
     assert undid == (scope == "txn" and (not m.encrypted or m.write_through))
     assert outcomes == inject(CrashPlan("exhaustive"), factory)
+    assert outcomes == [_replay(factory, k) for k in range(-1, n)]
     assert count_boundaries(factory) == n
-    assert [k for k, _ in crash_pass.replays] == [-1, 0, n // 2, n - 1]
-    for k, image in crash_pass.replays:
+    for k in (-1, 0, n // 2, n - 1):
         assert inject(CrashPlan("at", at=k), factory) == [outcomes[k + 1]]
-        assert image == run[k + 1][2]
     with pytest.raises(PointOutOfRange):
         inject(CrashPlan("at", at=n), factory)
     plan = CrashPlan("random", count=3, seed=2)
@@ -272,6 +177,12 @@ def test_one_run_states_the_crash_claim(crash_pass):
     assert points == sorted(set(points)) == plan.points(n)
     assert len(points) == min(3, n + 1) and -1 <= points[0] and points[-1] < n
     assert inject(plan, factory) == [outcomes[p + 1] for p in points]
+    # Every other point, from each end: each judged image follows one the
+    # pass skipped, so no verdict may carry over a skipped boundary.
+    for first in (-1, 0):
+        every_other = types.SimpleNamespace(
+            points=lambda n, first=first: list(range(first, n, 2)))
+        assert inject(every_other, factory) == outcomes[first + 1::2]
 
     stages = {"prepare", "mutate", "commit"} if scope == "txn" else {scope}
     assert {o.stage for o in outcomes} == stages
@@ -297,27 +208,46 @@ def test_one_run_states_the_crash_claim(crash_pass):
 
 
 @pytest.mark.parametrize("crash_pass", CASES, indirect=True)
-def test_a_copy_holds_the_set_up_state_and_shares_none_of_it(crash_pass):
-    """A copy of a controller equals it in every field of every layer:
-    store, bank times, cache sets in recency order, dirty lines, queue
-    entries, the newest entry per address and every counter but
-    ``flushes``, whatever value each holds; a copy starts ``flushes`` at 0.
-    That holds for the set-up controller and at every boundary of the
-    case's pass.  The copy shares no mutable container, so the run and the
-    replays, each on a copy, leave the set-up controller as it was."""
-    assert len(crash_pass.copies) == len(crash_pass.run) + 2
-    assert crash_pass.copy_faults == []
+def test_a_pass_recovers_every_point_and_judges_each_image_once(
+        crash_pass, monkeypatch):
+    """An exhaustive pass recovers the image of every crash point, and
+    judges each distinct image once: the pre-image and the image after
+    each boundary that changes it.  The matrix judges every point and
+    finds the same outcomes, so reusing a verdict loses nothing."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(crash, "recover", counted("recover", crash.recover))
+    kind = type(crash_pass.scenario)
+    monkeypatch.setattr(kind, "verify", counted("verify", kind.verify))
+    outcomes = inject(CrashPlan("exhaustive"), crash_pass.factory)
+    changes = sum(label in CHANGE_IMAGE for label, _, _ in crash_pass.run)
+    assert calls == {"recover": len(outcomes), "verify": 1 + changes}
 
 
 @pytest.mark.parametrize("crash_pass", TXN_CASES, indirect=True)
 def test_reading_the_old_values_is_no_crash_point(crash_pass):
-    """A txn set-up reads the lines its transaction logs, so that no crash
-    point replays those reads.  Reading them announces no boundary and
-    makes nothing durable: a scenario not started has no old values and
-    reads them itself, and from the same set-up it gives the pass's run,
-    image by image."""
-    assert (_one_run(crash_pass.factory(), crash_pass.setup)
-            == crash_pass.run)
+    """A transaction reads the lines it logs before its first flush, and a
+    read is no crash point.  From a new set-up, reading those lines
+    announces no boundary, gives the pre-image and leaves the durable
+    image the pass starts from; the run that then reads them again gives
+    the pass's boundaries and images."""
+    scenario = crash_pass.factory()
+    ctrl = scenario.fresh()
+    taken = []
+    ctrl.boundary_hook = lambda label: taken.append(
+        (label, scenario.stage(), ctrl.snapshot()))
+    old = tuple(ctrl.handle_read(addr) for addr, _ in scenario.txn.write_set)
+    assert taken == []
+    assert old == scenario.pre
+    assert ctrl.snapshot() == crash_pass.run[0][2]
+    scenario.run(ctrl)
+    assert taken == crash_pass.run[1:]
 
 
 def test_a_snapshot_keeps_the_register_it_was_taken_with():
@@ -327,7 +257,7 @@ def test_a_snapshot_keeps_the_register_it_was_taken_with():
     Recovering any image twice gives the same store and leaves the image
     as it was."""
     cfg = cfg_for("secpm", txn_size=64)
-    taken = _one_run(ReencryptScenario(cfg))
+    taken = crash.boundary_images(ReencryptScenario(cfg))
     labels = [label for label, _, _ in taken]
     arm, done = labels.index("rsr_arm"), labels.index("rsr_done")
     moved = 0
@@ -429,11 +359,11 @@ def test_reencrypt_oracle_catches_a_line_left_under_its_old_ciphertext(
         (Verdict.INCONSISTENT, target)}
 
 
-def test_reencrypt_scope_builds_two_controllers_per_point(monkeypatch):
-    """A pass builds one controller to set the scenario up and one copy of
-    it to count the boundaries; each point, one copy to run and one
-    controller to recover, and none to find the expected page.  A second
-    pass builds as many, so no set-up outlives its pass."""
+def test_reencrypt_scope_builds_one_controller_to_run_and_one_per_point(
+        monkeypatch):
+    """A pass builds one controller to set the scenario up and run it, then
+    one recovered controller per point, and none to find the expected
+    page.  A second pass builds as many, so no set-up outlives its pass."""
     built = []
     init = Controller.__init__
 
@@ -447,7 +377,7 @@ def test_reencrypt_scope_builds_two_controllers_per_point(monkeypatch):
         outcomes = inject(
             CrashPlan("exhaustive"),
             lambda: ReencryptScenario(cfg_for("secpm", txn_size=64)))
-        assert len(built) == 2 + 2 * len(outcomes)
+        assert len(built) == 1 + len(outcomes)
 
 
 @pytest.mark.parametrize("scope", SCOPES)
@@ -483,7 +413,7 @@ def _nested_recovery_points(monkeypatch, scenario, cfg):
 
     monkeypatch.setattr(txn, "Controller", Hooked)
     count = 0
-    for point, (_, _, image) in enumerate(_one_run(scenario), -1):
+    for point, (_, _, image) in enumerate(crash.boundary_images(scenario), -1):
         nested.clear()
         hooking = True
         recovered, _ = txn.recover(image, cfg)
