@@ -36,7 +36,8 @@ merge ratio and the queue depth from these calls, so a shortcut that
 skips one skews those figures without an error;
 ``tests/test_layer_calls.py`` pins the counts.  ``NvmDevice.bank`` is the
 bank rule, which ``_drain``, ``NvmDevice.nvm_write`` and ``nvm_read``
-inline.
+inline; an unencrypted flush inlines ``_enqueue`` the same way, and makes
+one queue ``append`` and no other layer call.
 """
 
 from __future__ import annotations
@@ -154,7 +155,8 @@ class Controller:
 
     def _enqueue(self, address: int, payload: bytes | Sealed, origin: Origin
                  ) -> None:
-        """Wait for a free slot, queue one line and announce it as durable."""
+        """Wait for a free slot, queue one line and announce it as durable.
+        ``handle_flush``'s unencrypted branch does this step inline."""
         queue = self.queue
         if len(queue.entries) >= queue.capacity:
             self._ensure_space(1)
@@ -229,7 +231,14 @@ class Controller:
         self.flushes += 1
 
         if not self._encrypted:
-            self._enqueue(address, plaintext, DATA)
+            # Controller._enqueue, inlined.
+            queue = self.queue
+            if len(queue.entries) >= queue.capacity:
+                self._ensure_space(1)
+            queue.append(WriteQueueEntry(address, plaintext, DATA))
+            hook = self.boundary_hook
+            if hook is not None:
+                hook("append")
             return self.clock
 
         cline, minor_index = self.map.locate(address)
@@ -305,7 +314,9 @@ class Controller:
 
     def fence(self) -> None:
         """All prior flushes are acked (queued = durable) by construction."""
-        self._boundary("fence")
+        hook = self.boundary_hook
+        if hook is not None:
+            hook("fence")
 
     def flush_counter_cache(self) -> None:
         """Push every dirty counter line to the queue (write-back modes

@@ -19,6 +19,7 @@ at most three contiguous regions so the header stays one line.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator
@@ -30,6 +31,7 @@ from secpmsim.nvm import ZERO_LINE, CrashSnapshot
 HEADER_MAGIC = b"SPLG"
 END_MAGIC = b"SPLGEND1"
 MAX_REGIONS = 3
+_HEADER = struct.Struct(">4sIQ6Q")
 
 
 class Stage(Enum):
@@ -39,38 +41,51 @@ class Stage(Enum):
     DONE = "done"
 
 
+# The members as module globals, as ``write_queue`` keeps ``DATA`` and
+# ``COUNTER``: a global load is cheaper than an Enum class attribute.
+PREPARE = Stage.PREPARE
+MUTATE = Stage.MUTATE
+COMMIT = Stage.COMMIT
+DONE = Stage.DONE
+
+
 @dataclass(slots=True)
 class TxnDescriptor:
     txn_id: int
     write_set: list[tuple[int, bytes]]
     seq: int = 0  # the transaction's position on its core
     core: int = 0
-    stage: Stage = field(default=Stage.PREPARE)
+    stage: Stage = field(default=PREPARE)
 
     def regions(self) -> list[tuple[int, int]]:
         """Group the write set into contiguous (base, nlines) runs."""
         runs: list[tuple[int, int]] = []
+        base = count = 0
         for addr, _ in self.write_set:
-            if runs and addr == runs[-1][0] + runs[-1][1] * LINE:
-                runs[-1] = (runs[-1][0], runs[-1][1] + 1)
+            if count and addr == base + count * LINE:
+                count += 1
             else:
-                runs.append((addr, 1))
+                if count:
+                    runs.append((base, count))
+                base, count = addr, 1
+        if count:
+            runs.append((base, count))
         if len(runs) > MAX_REGIONS:
             raise ValueError(f"write set spans {len(runs)} regions (max {MAX_REGIONS})")
         return runs
 
 
 def build_header(txn_id: int, regions: list[tuple[int, int]]) -> bytes:
-    padded = regions + [(0, 0)] * (MAX_REGIONS - len(regions))
-    flat = [x for pair in padded for x in pair]
-    return HEADER_MAGIC + struct.pack(">IQ6Q", len(regions), txn_id, *flat)
+    flat = [x for pair in regions for x in pair]
+    flat += [0] * (2 * MAX_REGIONS - len(flat))
+    return _HEADER.pack(HEADER_MAGIC, len(regions), txn_id, *flat)
 
 
 def parse_header(raw: bytes) -> tuple[int, list[tuple[int, int]]] | None:
     """Returns (txn_id, regions) or None for a garbage/absent header."""
     if raw[:4] != HEADER_MAGIC:
         return None
-    nregions, txn_id, *flat = struct.unpack(">IQ6Q", raw[4:])
+    _, nregions, txn_id, *flat = _HEADER.unpack(raw)
     if not 1 <= nregions <= MAX_REGIONS:
         return None
     regions = []
@@ -93,35 +108,68 @@ def end_tag_matches(raw: bytes, txn_id: int) -> bool:
 def run_transaction(controller: Controller, txn: TxnDescriptor) -> Iterator[str]:
     """Execute one durable transaction, yielding after each flush so that
     multiple requesters can interleave at flush granularity."""
-    base = controller.cfg.log_slot_base(txn.core, txn.seq)
+    cfg = controller.cfg
+    base = cfg.log_slot_base(txn.core, txn.seq)
+    write_set = txn.write_set
     regions = txn.regions()
-    total = len(txn.write_set)
-    if total > controller.cfg.slot_lines - 2:
+    if len(write_set) > cfg.slot_lines - 2:
         raise ValueError("write set too large for the configured log slot")
+    handle_flush = controller.handle_flush
+    fence = controller.fence
 
-    old_values = [controller.handle_read(addr) for addr, _ in txn.write_set]
-    end_addr = base + (1 + total) * LINE
-    epochs = [
-        (Stage.PREPARE,
-         [(base, build_header(txn.txn_id, regions), "log_header")]
-         + [(base + i * LINE, old, "log_old")
-            for i, old in enumerate(old_values, 1)]
-         + [(end_addr, build_end_tag(txn.txn_id), "log_end")]),
-        (Stage.MUTATE, [(addr, line, "data") for addr, line in txn.write_set]),
-        (Stage.COMMIT, [(end_addr, ZERO_LINE, "invalidate")]),
-    ]
-    for stage, flushes in epochs:
-        txn.stage = stage
-        for addr, line, label in flushes:
-            controller.handle_flush(addr, line)
-            yield label
-        controller.fence()
-    txn.stage = Stage.DONE
+    old_values = [controller.handle_read(addr) for addr, _ in write_set]
+    txn.stage = PREPARE
+    handle_flush(base, build_header(txn.txn_id, regions))
+    yield "log_header"
+    addr = base
+    for old in old_values:
+        addr += LINE
+        handle_flush(addr, old)
+        yield "log_old"
+    end_addr = addr + LINE
+    handle_flush(end_addr, build_end_tag(txn.txn_id))
+    yield "log_end"
+    fence()
+
+    txn.stage = MUTATE
+    for addr, line in write_set:
+        handle_flush(addr, line)
+        yield "data"
+    fence()
+
+    txn.stage = COMMIT
+    handle_flush(end_addr, ZERO_LINE)
+    yield "invalidate"
+    fence()
+    txn.stage = DONE
 
 
 def execute(controller: Controller, txn: TxnDescriptor) -> None:
     for _ in run_transaction(controller, txn):
         pass
+
+
+def written_headers(store: dict[int, object], headers: range) -> list[int]:
+    """The addresses in ``headers`` that ``store`` holds, in address order.
+
+    One sort of the stored addresses, then one bisect per log slot that
+    holds a line: the first stored address at or above a slot's base is
+    its header if the slot has one.  The cost follows the stored lines,
+    never the number of slots."""
+    keys = sorted(store)
+    start, stop, step = headers.start, headers.stop, headers.step
+    found: list[int] = []
+    i = bisect_left(keys, start)
+    n = len(keys)
+    while i < n:
+        addr = keys[i]
+        if addr >= stop:
+            break
+        base = addr - (addr - start) % step
+        if addr == base:
+            found.append(addr)
+        i = bisect_left(keys, base + step, i + 1)
+    return found
 
 
 def recover(snapshot: CrashSnapshot, cfg: Config) -> tuple[Controller, list[int]]:
@@ -133,8 +181,7 @@ def recover(snapshot: CrashSnapshot, cfg: Config) -> tuple[Controller, list[int]
     ``log_slots``."""
     ctrl = Controller.from_snapshot(cfg, snapshot)
     undone: list[int] = []
-    headers = cfg.log_headers
-    for base in sorted(a for a in snapshot.store if a in headers):
+    for base in written_headers(snapshot.store, cfg.log_headers):
         parsed = parse_header(ctrl.handle_read(base))
         if parsed is None:
             continue

@@ -15,8 +15,9 @@ from secpmsim import controller as controller_module
 from secpmsim.config import Config
 from secpmsim.controller import Controller
 from secpmsim.counters import CounterAddressMap, CounterCache, CounterLine
+from secpmsim.crypto import OtpEngine
 from secpmsim.nvm import NvmDevice
-from secpmsim.write_queue import WriteQueue
+from secpmsim.write_queue import DATA, WriteQueue
 
 # (owner, attribute, name) of every counted function.  ``increment_minor``
 # is counted where the controller looks it up, as the benchmark does.
@@ -29,6 +30,7 @@ TARGETS = [
     (WriteQueue, "append", "append"),
     (WriteQueue, "cwr_merge", "cwr_merge"),
     (NvmDevice, "nvm_read", "nvm_read"),
+    (OtpEngine, "generate", "generate"),
 ]
 
 
@@ -77,3 +79,36 @@ def test_one_read_calls_each_layer_once(calls, queued):
     assert calls["locate"] == 1 and calls["lookup"] == 1
     assert calls["nvm_read"] == (0 if queued else 1)
     assert sum(calls.values()) == 2 + calls["nvm_read"]
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["room", "full"])
+def test_one_unencrypted_flush_appends_once(calls, monkeypatch, full):
+    """An unencrypted flush queues its line with one ``append`` and calls
+    no counter, merge or pad function.  A full queue first drains to half
+    its capacity, announcing each drain, and then announces the append."""
+    cfg = Config(mode="unsec-pm", workload="array", txn_size=256,
+                 txn_count=10, queue_len=2)
+    ctrl = Controller(cfg)
+    ctrl.handle_flush(0, bytes(64))
+    if full:
+        ctrl.handle_flush(4096, bytes(64))
+    assert len(ctrl.queue) == (2 if full else 1)
+    depths, labels = [], []
+    append = WriteQueue.append
+
+    def depth_at_append(queue, entry):
+        depths.append(len(queue.entries))
+        return append(queue, entry)
+
+    monkeypatch.setattr(WriteQueue, "append", depth_at_append)
+    ctrl.boundary_hook = labels.append
+    calls.clear()
+    ctrl.handle_flush(64, bytes(range(64)))
+    assert calls["append"] == 1 and depths == [1]
+    bypassed = ("locate", "lookup", "increment_minor", "serialize",
+                "atomic_append_pair", "cwr_merge", "generate")
+    assert {name: calls[name] for name in bypassed} == dict.fromkeys(bypassed, 0)
+    assert labels == ["drain"] * full + ["append"]
+    entry = ctrl.queue.entries[-1]
+    assert (entry.address, entry.payload, entry.origin) == (
+        64, bytes(range(64)), DATA)

@@ -15,6 +15,7 @@ from secpmsim.txn import (
     parse_header,
     recover,
     run_transaction,
+    written_headers,
 )
 
 
@@ -30,11 +31,27 @@ def write_set(n, seed=0, base=0):
     return [(base + i * 64, rng.randbytes(64)) for i in range(n)]
 
 
+def three_regions(seed):
+    rng = random.Random(seed)
+    return [(rbase + j * 64, rng.randbytes(64))
+            for rbase in (0, 8192, 16384) for j in range(2)]
+
+
 def test_header_round_trip():
     regions = [(0, 4), (4096, 1)]
     raw = build_header(77, regions)
     assert len(raw) == 64
     assert parse_header(raw) == (77, regions)
+
+
+def test_header_bytes():
+    """magic | nregions | txn_id | (base, nlines) x 3, big-endian, unused
+    regions zero."""
+    assert build_header(77, [(0, 4), (4096, 1)]) == bytes.fromhex(
+        "53504c47" "00000002" "000000000000004d"
+        "0000000000000000" "0000000000000004"
+        "0000000000001000" "0000000000000001"
+        "0000000000000000" "0000000000000000")
 
 
 def test_parse_header_rejects_garbage():
@@ -57,6 +74,10 @@ def test_regions_groups_contiguous_runs():
     assert txn.regions() == [(0, 4)]
     scattered = TxnDescriptor(0, [(0, bytes(64)), (4096, bytes(64))])
     assert scattered.regions() == [(0, 1), (4096, 1)]
+    # A run that breaks restarts as a new region, even at the line right
+    # after the first run.
+    restarted = TxnDescriptor(0, [(a, bytes(64)) for a in (0, 64, 4096, 128)])
+    assert restarted.regions() == [(0, 2), (4096, 1), (128, 1)]
 
 
 def test_regions_rejects_too_many_runs():
@@ -65,12 +86,30 @@ def test_regions_rejects_too_many_runs():
         TxnDescriptor(0, ws).regions()
 
 
-def test_transaction_stage_sequence():
-    ctrl = Controller(make_cfg())
-    txn = TxnDescriptor(1, write_set(4))
-    labels = list(run_transaction(ctrl, txn))
-    assert labels == ["log_header"] + ["log_old"] * 4 + ["log_end"] + \
-        ["data"] * 4 + ["invalidate"]
+@pytest.mark.parametrize("ws", [write_set(1), write_set(4), three_regions(0)],
+                         ids=["1-line", "4-line", "3-region"])
+def test_transaction_stage_sequence(ws):
+    """The old values are read first, all in the prepare stage; then every
+    yield comes after one flush, with the stage of its epoch."""
+    ctrl = Controller(make_cfg(txn_size=384))
+    txn = TxnDescriptor(1, ws)
+    steps = []
+    handle_read = ctrl.handle_read
+
+    def recording_read(address):
+        steps.append(("read", txn.stage))
+        return handle_read(address)
+
+    ctrl.handle_read = recording_read
+    for label in run_transaction(ctrl, txn):
+        steps.append((label, txn.stage))
+    n = len(ws)
+    assert steps == ([("read", Stage.PREPARE)] * n
+                     + [("log_header", Stage.PREPARE)]
+                     + [("log_old", Stage.PREPARE)] * n
+                     + [("log_end", Stage.PREPARE)]
+                     + [("data", Stage.MUTATE)] * n
+                     + [("invalidate", Stage.COMMIT)])
     assert txn.stage is Stage.DONE
 
 
@@ -98,12 +137,6 @@ def test_recover_undoes_a_write_set_over_three_regions():
     region order, not to a run of lines from the first region's base."""
     cfg = make_cfg(txn_size=384)
     ctrl = Controller(cfg)
-
-    def three_regions(seed):
-        rng = random.Random(seed)
-        return [(rbase + j * 64, rng.randbytes(64))
-                for rbase in (0, 8192, 16384) for j in range(2)]
-
     pre, post = three_regions(11), three_regions(12)
     execute(ctrl, TxnDescriptor(0, pre, seq=0))
     txn = TxnDescriptor(1, post, seq=1)
@@ -199,3 +232,40 @@ def test_flush_and_fence_order(monkeypatch):
     _, undone = recover(ctrl.snapshot(), cfg)
     assert undone == [1]
     assert events == data + ["fence", end, "fence"]
+
+
+@pytest.mark.parametrize("cores", [1, 2, 4])
+@pytest.mark.parametrize("log_slots", [1, 3, 64, 65536])
+def test_written_headers_is_the_header_filter(cores, log_slots):
+    """Over the durable image at every boundary of interleaved transactions
+    on every core, and over images with no log line, ``written_headers``
+    returns what filtering every stored address by ``log_headers`` returns;
+    also with every other written header taken out, so some slots hold
+    lines but no header."""
+    cfg = make_cfg(cores=cores, log_slots=log_slots, queue_len=4)
+    headers = cfg.log_headers
+    ctrl = Controller(cfg)
+    images = [ctrl.snapshot()]
+    ctrl.handle_flush(0, bytes(range(64)))  # data and its counter, no log
+    images.append(ctrl.snapshot())
+    ctrl.boundary_hook = lambda label: images.append(ctrl.snapshot())
+    for seq in range(4):
+        ready = [run_transaction(ctrl, TxnDescriptor(
+            seq * cores + core, write_set(2, seed=seq, base=core * 8192 + seq * 128),
+            seq=seq, core=core)) for core in range(cores)]
+        while ready:
+            gen = ready.pop(0)
+            if next(gen, None) is not None:
+                ready.append(gen)
+    ctrl.drain_all()
+    images.append(ctrl.snapshot())
+
+    slots = set()
+    for image in images:
+        filtered = sorted(a for a in image.store if a in headers)
+        assert written_headers(image.store, headers) == filtered
+        gapped = {a: v for a, v in image.store.items() if a not in filtered[::2]}
+        assert written_headers(gapped, headers) == filtered[1::2]
+        slots.update(filtered)
+    assert not written_headers(images[1].store, headers)
+    assert len(slots) == cores * min(log_slots, 4)
