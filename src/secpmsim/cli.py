@@ -60,10 +60,17 @@ def _read_text(flag: str, path: str) -> str:
     raise UsageError(f"{flag} {path}: {reason}")
 
 
+def _reject_empty_paths(args: argparse.Namespace) -> None:
+    """An empty path names no file, so it is bad input, not an absent flag."""
+    for key in ("config", "trace_in", "trace_out", "out"):
+        if getattr(args, key, None) == "":
+            raise UsageError(f"{_flag(key)} needs a path, not ''")
+
+
 def _settings(args: argparse.Namespace) -> dict:
     """The config file's settings with the single-valued flags on top."""
     settings = {}
-    if args.config:
+    if args.config is not None:
         try:
             settings = parse_config(_read_text("--config", args.config))
         except ValueError as exc:
@@ -100,15 +107,16 @@ def _sweep_cells(args: argparse.Namespace, settings: dict) -> list[Config]:
 def cmd_run(args: argparse.Namespace) -> int:
     settings = _settings(args)
     cells = _sweep_cells(args, settings)
-    if args.trace_in:
+    if args.trace_in is not None:
         _reject_unread(args, settings, ("txn_count",), "run --trace-in",
                        "the trace sets the transactions")
     for flag, path in (("--trace-in", args.trace_in),
                        ("--trace-out", args.trace_out)):
-        if path and any(cfg.cores != 1 for cfg in cells):
+        if path is not None and any(cfg.cores != 1 for cfg in cells):
             raise UsageError(f"{flag} supports single-core runs only")
     outputs = [("--out", args.out)]
-    if args.out and any(cfg.mode == Mode.UNSEC_PM.value for cfg in cells):
+    if args.out is not None and any(cfg.mode == Mode.UNSEC_PM.value
+                                    for cfg in cells):
         outputs.append(("--out's normalized report",
                         _normalized_out(args.out)))
     outputs.append(("--trace-out", args.trace_out))
@@ -116,14 +124,14 @@ def cmd_run(args: argparse.Namespace) -> int:
                  outputs)
 
     streams = None
-    if args.trace_in:
+    if args.trace_in is not None:
         footprint = min(cfg.data_bytes for cfg in cells)
         max_lines = min(cfg.txn_size for cfg in cells) // LINE
         trace = io.StringIO(_read_text("--trace-in", args.trace_in))
         streams = [workloads.import_trace(trace, seed=cells[0].seed,
                                           footprint=footprint,
                                           max_lines=max_lines)]
-    if args.trace_out:
+    if args.trace_out is not None:
         if streams is None:
             specs = {workloads.WorkloadSpec.from_config(cfg) for cfg in cells}
             if len(specs) != 1:
@@ -137,7 +145,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     all_stats = [run_experiment(cfg, streams) for cfg in cells]
 
     _write_report(args, emit_report(all_stats))
-    if args.out:
+    if args.out is not None:
         normalized = emit_normalized_report(all_stats)
         if normalized.count("\n") > 1:
             Path(_normalized_out(args.out)).write_text(normalized)
@@ -171,9 +179,9 @@ def _check_paths(inputs: list[tuple[str, str | None]],
     config or trace a report came from, or another output.  Each pair is
     (what names the path, path)."""
     named = {Path(path).resolve(): f"{flag} {path}"
-             for flag, path in inputs if path}
+             for flag, path in inputs if path is not None}
     for flag, path in outputs:
-        if not path:
+        if path is None:
             continue
         _check_out(flag, path)
         name, key = f"{flag} {path}", Path(path).resolve()
@@ -184,7 +192,7 @@ def _check_paths(inputs: list[tuple[str, str | None]],
 
 def _write_report(args: argparse.Namespace, report: str) -> None:
     """Write a report to the ``--out`` file, or to stdout without one."""
-    if args.out:
+    if args.out is not None:
         Path(args.out).write_text(report)
     else:
         sys.stdout.write(report)
@@ -326,6 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _reject_empty_paths(args)
         return args.func(args)
     except (UsageError, ValueError, AddressError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

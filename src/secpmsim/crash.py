@@ -198,7 +198,7 @@ class TxnScenario:
             pass
 
     def stage(self) -> str:
-        return self.txn.stage.value
+        return self.txn.stage
 
     def verify(self, recovered: Controller) -> tuple[Verdict, int | None]:
         return _classify(recovered, self._addrs, self.pre, self.post)

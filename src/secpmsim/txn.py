@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from typing import Iterator
 
 from secpmsim.config import LINE, Config
@@ -34,28 +33,14 @@ MAX_REGIONS = 3
 _HEADER = struct.Struct(">4sIQ6Q")
 
 
-class Stage(Enum):
-    PREPARE = "prepare"
-    MUTATE = "mutate"
-    COMMIT = "commit"
-    DONE = "done"
-
-
-# The members as module globals, as ``write_queue`` keeps ``DATA`` and
-# ``COUNTER``: a global load is cheaper than an Enum class attribute.
-PREPARE = Stage.PREPARE
-MUTATE = Stage.MUTATE
-COMMIT = Stage.COMMIT
-DONE = Stage.DONE
-
-
 @dataclass(slots=True)
 class TxnDescriptor:
     txn_id: int
     write_set: list[tuple[int, bytes]]
     seq: int = 0  # the transaction's position on its core
     core: int = 0
-    stage: Stage = field(default=PREPARE)
+    # The epoch that runs now: "prepare", "mutate" or "commit".
+    stage: str = "prepare"
 
     def regions(self) -> list[tuple[int, int]]:
         """Group the write set into contiguous (base, nlines) runs."""
@@ -118,7 +103,7 @@ def run_transaction(controller: Controller, txn: TxnDescriptor) -> Iterator[str]
     fence = controller.fence
 
     old_values = [controller.handle_read(addr) for addr, _ in write_set]
-    txn.stage = PREPARE
+    txn.stage = "prepare"
     handle_flush(base, build_header(txn.txn_id, regions))
     yield "log_header"
     addr = base
@@ -131,17 +116,16 @@ def run_transaction(controller: Controller, txn: TxnDescriptor) -> Iterator[str]
     yield "log_end"
     fence()
 
-    txn.stage = MUTATE
+    txn.stage = "mutate"
     for addr, line in write_set:
         handle_flush(addr, line)
         yield "data"
     fence()
 
-    txn.stage = COMMIT
+    txn.stage = "commit"
     handle_flush(end_addr, ZERO_LINE)
     yield "invalidate"
     fence()
-    txn.stage = DONE
 
 
 def execute(controller: Controller, txn: TxnDescriptor) -> None:

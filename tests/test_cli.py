@@ -197,6 +197,12 @@ BAD_INPUT = [
      "trace line 4: transaction 0 writes 5 lines, more than the 4 a log slot"
      " holds at --txn-size 256", {"t.txt": "TXN 0 WRITE 0x0 128\n"
       "TXN 1 WRITE 0x8000 64\nTXN 0 WRITE 0x1000 64\nTXN 0 WRITE 0x2000 128"}),
+    # An empty path names no file.
+    *[(commands, f"{args} {flag} ''", f"{flag} needs a path, not ''")
+      for commands, args, flag in [
+          (BOTH, "", "--config"), (BOTH, "", "--out"),
+          (RUN, "--workload array --txn-size 256 --txn-count 3", "--trace-in"),
+          (RUN, "", "--trace-out")]],
     # Output paths and core counts, checked before any trace is read.
     *[(RUN, f"{cores} {flag} t.txt", f"{flag} supports single-core runs only")
       for flag in ("--trace-in", "--trace-out")
@@ -231,7 +237,8 @@ BAD_INPUT = [
 
 
 def _id(argv, files):
-    words = argv + [f"{name}={text!r}" for name, text in files.items()]
+    words = [w or "''" for w in argv] + [f"{name}={text!r}"
+                                         for name, text in files.items()]
     return " ".join(words) or "no arguments"
 
 
@@ -273,7 +280,7 @@ def _assert_rejected(tmp_path, monkeypatch, capsys, argv, files, line):
 @pytest.mark.parametrize("argv, files, line", [
     pytest.param(argv, dict(*files), line, id=_id(argv, dict(*files)))
     for commands, args, line, *files in BAD_INPUT for command in commands
-    for argv in [f"{command} {args}".split()]])
+    for argv in [[w.strip("'") for w in f"{command} {args}".split()]]])
 def test_bad_input(tmp_path, monkeypatch, capsys, argv, files, line):
     _assert_rejected(tmp_path, monkeypatch, capsys, argv, files, line)
 

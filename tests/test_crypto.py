@@ -68,12 +68,12 @@ def test_engines_sharing_a_key_schedule_stay_independent():
         assert pads[1] != pads[0]
 
 
-def pad_on_a_fresh_cipher(addr, ctr):
+def pad_on_a_fresh_cipher(addr, ctr, key=KEY):
     """Block i of the pad is E_K(line index || counter || i), one block per
     call, each on its own unshared AES context."""
     seed = (addr // 64) << 73 | ctr << 2
     return b"".join(
-        Cipher(algorithms.AES(KEY), modes.ECB()).encryptor().update(
+        Cipher(algorithms.AES(key), modes.ECB()).encryptor().update(
             (seed | i).to_bytes(16, "big"))
         for i in range(4))
 
@@ -205,20 +205,6 @@ def test_sealed_lines_compare_by_ciphertext(plain, other, keys, addresses,
     if a == b:
         assert hash(a) == hash(b)
     assert {a: 1}.get(bytes(a)) == 1  # a dict key is found by its bytes
-
-
-@given(values=st.lists(lines, min_size=1, max_size=8))
-@settings(max_examples=20, deadline=None)
-def test_no_durable_line_holds_its_plaintext(values):
-    """Every data line in the durable image is ciphertext, never the
-    plaintext that was flushed (no data remanence on the DIMM)."""
-    ctrl = Controller(Config(mode="secpm", workload="array", txn_size=256))
-    for i, value in enumerate(values):
-        ctrl.handle_flush(i * 64, value)
-    store = ctrl.snapshot().store
-    for i, value in enumerate(values):
-        assert store[i * 64] != value and bytes(store[i * 64]) != value
-        assert ctrl.handle_read(i * 64) == value
 
 
 _BACKEND_PROBE = """

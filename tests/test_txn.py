@@ -6,7 +6,6 @@ from _every_slot_recover import recover_every_slot
 from secpmsim.config import Config
 from secpmsim.controller import Controller
 from secpmsim.txn import (
-    Stage,
     TxnDescriptor,
     build_end_tag,
     build_header,
@@ -104,13 +103,13 @@ def test_transaction_stage_sequence(ws):
     for label in run_transaction(ctrl, txn):
         steps.append((label, txn.stage))
     n = len(ws)
-    assert steps == ([("read", Stage.PREPARE)] * n
-                     + [("log_header", Stage.PREPARE)]
-                     + [("log_old", Stage.PREPARE)] * n
-                     + [("log_end", Stage.PREPARE)]
-                     + [("data", Stage.MUTATE)] * n
-                     + [("invalidate", Stage.COMMIT)])
-    assert txn.stage is Stage.DONE
+    assert steps == ([("read", "prepare")] * n
+                     + [("log_header", "prepare")]
+                     + [("log_old", "prepare")] * n
+                     + [("log_end", "prepare")]
+                     + [("data", "mutate")] * n
+                     + [("invalidate", "commit")])
+    assert txn.stage == "commit"
 
 
 def test_committed_txn_updates_data_and_zeroes_tag():
@@ -211,7 +210,7 @@ def test_flush_and_fence_order(monkeypatch):
 
     def recording_fence(self):
         events.append("fence")
-        stages.append(txn.stage.value)
+        stages.append(txn.stage)
         fence(self)
 
     monkeypatch.setattr(Controller, "handle_flush", recording_flush)
