@@ -1,8 +1,11 @@
 """The controller against ``PaperController``, the reference written from
 the paper's flush sequence, then what that reference does not model:
 timing, rejected inputs, crash-boundary announcements and pad-reuse
-counting."""
+counting.  A few direct checks of the mode flags, of where a flush puts
+its counter and of the read-back's power stay too: each names its fault
+without going through the reference."""
 
+import random
 from collections import Counter
 from types import SimpleNamespace
 
@@ -19,6 +22,7 @@ from secpmsim.controller import Controller, Mode, Rsr, derive_key
 from secpmsim.counters import CounterLine
 from secpmsim.nvm import CrashSnapshot
 from secpmsim.txn import TxnDescriptor, execute
+from secpmsim.write_queue import Origin
 
 # The machine's budget, for each mode x register on its own.
 EXAMPLES, STEPS = 12, 20
@@ -179,6 +183,65 @@ def test_controller_matches_the_paper_model(mode, use_register):
 def make(mode="secpm", **kw):
     cfg = Config(mode=mode, workload="array", txn_size=256, txn_count=10, **kw)
     return Controller(cfg)
+
+
+def counter_is_durable(ctrl, address):
+    cline, _ = ctrl.map.locate(address)
+    in_queue = any(e.address == cline for e in ctrl.queue.entries)
+    return in_queue or cline in ctrl.nvm.store
+
+
+def test_mode_flags():
+    assert not Mode.UNSEC_PM.encrypted
+    assert Mode.SECPM_NO_CWT.encrypted and not Mode.SECPM_NO_CWT.write_through
+    assert Mode.SECPM_NO_CWR.write_through and not Mode.SECPM_NO_CWR.cwr
+    assert Mode.SECPM.write_through and Mode.SECPM.cwr
+
+
+def test_unencrypted_flush_appends_plaintext_only():
+    ctrl = make("unsec-pm")
+    ctrl.handle_flush(0, b"\5" * 64)
+    assert [e.origin for e in ctrl.queue.entries] == [Origin.DATA]
+    assert ctrl.queue.entries[0].payload == b"\5" * 64
+
+
+def test_counter_not_durable_without_write_through():
+    ctrl = make("secpm-no-cwt", queue_len=8)
+    ctrl.handle_flush(0, bytes(64))
+    assert not counter_is_durable(ctrl, 0)
+    assert len(ctrl.cache.dirty_entries()) == 1
+
+
+def test_flush_counter_cache_pushes_dirty_lines():
+    ctrl = make("secpm-no-cwt", queue_len=8)
+    ctrl.handle_flush(0, bytes(64))
+    ctrl.flush_counter_cache()
+    ctrl.drain_all()
+    assert counter_is_durable(ctrl, 0)
+    assert ctrl.cache.dirty_entries() == []
+
+
+def test_read_back_catches_a_line_sealed_under_a_stale_counter(monkeypatch):
+    """A counter-tracking bug that seals one line under ctr - 1 garbles
+    that line on read, from the queue and from NVM; the other lines read
+    back intact.  Sealing keeps the read-back check's power."""
+    target = 3 * 64
+    seal = Controller._seal
+
+    def stale(self, address, ctr, plaintext):
+        return seal(self, address, ctr - (address == target), plaintext)
+
+    monkeypatch.setattr(Controller, "_seal", stale)
+    ctrl = make("secpm")
+    rng = random.Random(3)
+    values = {a * 64: rng.randbytes(64) for a in range(8)}
+    for addr, value in values.items():
+        ctrl.handle_flush(addr, value)
+    for drained in (False, True):
+        if drained:
+            ctrl.drain_all()
+        for addr, value in values.items():
+            assert (ctrl.handle_read(addr) == value) == (addr != target)
 
 
 @pytest.mark.parametrize("use_register", [True, False])

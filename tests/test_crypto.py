@@ -207,6 +207,20 @@ def test_sealed_lines_compare_by_ciphertext(plain, other, keys, addresses,
     assert {a: 1}.get(bytes(a)) == 1  # a dict key is found by its bytes
 
 
+@given(values=st.lists(lines, min_size=1, max_size=8))
+@settings(max_examples=20, deadline=None)
+def test_no_durable_line_holds_its_plaintext(values):
+    """Every data line in the durable image is ciphertext, never the
+    plaintext that was flushed (no data remanence on the DIMM)."""
+    ctrl = Controller(Config(mode="secpm", workload="array", txn_size=256))
+    for i, value in enumerate(values):
+        ctrl.handle_flush(i * 64, value)
+    store = ctrl.snapshot().store
+    for i, value in enumerate(values):
+        assert store[i * 64] != value and bytes(store[i * 64]) != value
+        assert ctrl.handle_read(i * 64) == value
+
+
 _BACKEND_PROBE = """
 import sys
 import secpmsim.cli  # every module of the program

@@ -36,6 +36,13 @@ def test_atomic_pair_requires_two_slots():
     assert len(q) == 1  # neither line went in
 
 
+def test_atomic_pair_appends_counter_then_data():
+    q = WriteQueue(capacity=4)
+    q.atomic_append_pair(1 << 40, b"\1" * 64, 64, b"\2" * 64)
+    assert [(e.address, e.payload, e.origin) for e in q.entries] == [
+        (1 << 40, b"\1" * 64, Origin.COUNTER), (64, b"\2" * 64, Origin.DATA)]
+
+
 def test_drain_blocks_on_busy_bank():
     q = WriteQueue(capacity=8)
     nvm = device()
