@@ -42,6 +42,7 @@ one queue ``append`` and no other layer call.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from typing import Callable, Optional
@@ -72,7 +73,10 @@ from secpmsim.write_queue import (
 )
 
 
+@functools.lru_cache(maxsize=16)
 def derive_key(seed: int) -> bytes:
+    """The 128-bit key of ``seed``, hashed once per seed: a crash pass
+    builds a controller per point, all under one seed."""
     return hashlib.sha256(b"secpmsim-key-%d" % seed).digest()[:16]
 
 
@@ -351,26 +355,32 @@ class Controller:
     def _reencrypt_lines(self, page: int, old: CounterLine) -> None:
         """Move every line not yet done from ``old`` to major + 1, minor 0.
 
-        The cache holds the half-moved line itself from the first step on.
+        The cache holds the half-moved line itself from the first moved
+        line on: it is installed once, then updated in place, as nothing
+        between two lines touches the counter cache.
         """
         cline = self.map.counter_line_address(page)
         hybrid = CounterLine(old.major + 1, lanes=old.lanes)
         new_ctr = hybrid.major << 7
+        queue = self.queue
         rsr = self.rsr
+        installed = False
         for i in range(LINES_PER_PAGE):
-            if rsr.done(i):
+            if rsr.done_bits >> i & 1:  # line i has moved already
                 continue
             address = page * PAGE + i * LINE
             plain = self._open(address, old.counter_value(i),
                                self._read_line_raw(address))
             hybrid.set_minor(i, 0)
             sealed = self._seal(address, new_ctr, plain)
-            self._insert_counter(cline, hybrid)
+            if not installed:
+                self._insert_counter(cline, hybrid)
+                installed = True
             # The queue append and the done-bit update are one controller
             # action: no crash point separates them.
-            self._ensure_space(2)
-            self.queue.atomic_append_pair(cline, hybrid.serialize(), address,
-                                          sealed)
+            if len(queue.entries) + 2 > queue.capacity:
+                self._ensure_space(2)
+            queue.atomic_append_pair(cline, hybrid.serialize(), address, sealed)
             rsr = self.rsr = Rsr(page, rsr.old_major, rsr.done_bits | 1 << i)
             self._boundary("reencrypt_line")
         self.rsr = None

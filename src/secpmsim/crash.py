@@ -18,8 +18,15 @@ snapshotting the durable image at each boundary (``boundary_images``).  A
 boundary that leaves the image as it was (a register store, a drain, a
 fence) keeps the earlier snapshot object, so a pass holds each distinct
 image once and ``inject`` judges it once; every point still recovers its
-own image.  Line images are tuples, drawn once per (seed, count) and
-shared by every scenario of that seed.
+own image.  A kept image is never mutated (recovery copies its store), so
+it sorts its addresses for recovery once, however many points recover it,
+and ``inject`` lets it go after its last point.
+
+Work that depends only on shared inputs is done once, not per point: the
+line images are tuples drawn once per (seed, count), a txn scenario's
+addresses and (address, line) pairs are made once per (seed, n_lines),
+and ``controller.derive_key`` hashes each seed once.  Each scenario still
+builds its own transaction and write-set list, which its run moves.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import functools
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Protocol
+from typing import Callable, Protocol, Sequence
 
 from secpmsim.config import LINE, LINES_PER_PAGE, Config
 from secpmsim.controller import Controller
@@ -132,6 +139,9 @@ def inject(plan: CrashPlan, factory: Callable[[], Scenario]) -> list[Outcome]:
     outcomes, judged, verdict = [], None, None
     for point in plan.points(len(taken) - 1):
         label, stage, image = taken[point + 1]
+        # A plan names each point once, in order: the pass lets an image,
+        # and the addresses it sorted, go after its last point.
+        taken[point + 1] = None
         factory()
         recovered, _ = recover(image, scenario.cfg)
         if image is not judged:
@@ -152,7 +162,18 @@ def _random_lines(seed: int, count: int) -> tuple[bytes, ...]:
     return tuple(rng.randbytes(LINE) for _ in range(count))
 
 
-def _classify(recovered: Controller, addrs: list[int], pre: tuple[bytes, ...],
+@functools.lru_cache(maxsize=16)
+def _txn_lines(seed: int, n_lines: int) -> tuple[tuple, ...]:
+    """A transaction scope's pre- and post-image, the addresses of its
+    lines and the (address, line) pairs of each image, made once per
+    (seed, n_lines) and shared, as tuples, by every scenario of both."""
+    images = _random_lines(seed, 2 * n_lines)
+    pre, post = images[:n_lines], images[n_lines:]
+    addrs = tuple(range(0, n_lines * LINE, LINE))
+    return pre, post, addrs, tuple(zip(addrs, pre)), tuple(zip(addrs, post))
+
+
+def _classify(recovered: Controller, addrs: Sequence[int], pre: tuple[bytes, ...],
               post: tuple[bytes, ...]) -> tuple[Verdict, int | None]:
     """ROLLED_BACK if every line reads its pre-image, COMMITTED if every
     line reads its post-image; otherwise INCONSISTENT, with the first
@@ -179,16 +200,16 @@ class TxnScenario:
     post: tuple[bytes, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        n = self.n_lines
-        images = _random_lines(self.seed, 2 * n)
-        self.pre, self.post = images[:n], images[n:]
-        self._addrs = [i * LINE for i in range(n)]
-        self.txn = TxnDescriptor(1, list(zip(self._addrs, self.post)), seq=1)
+        (self.pre, self.post, self._addrs, self._pre_pairs,
+         post_pairs) = _txn_lines(self.seed, self.n_lines)
+        # The drawn lines are shared; the transaction, whose stage the run
+        # moves, and its write-set list are this scenario's own.
+        self.txn = TxnDescriptor(1, list(post_pairs), seq=1)
 
     def fresh(self) -> Controller:
         """Write the pre-image durably."""
         ctrl = Controller(self.cfg)
-        execute(ctrl, TxnDescriptor(0, list(zip(self._addrs, self.pre))))
+        execute(ctrl, TxnDescriptor(0, list(self._pre_pairs)))
         ctrl.flush_counter_cache()  # leave write-back baselines consistent
         ctrl.drain_all()
         return ctrl

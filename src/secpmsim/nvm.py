@@ -12,6 +12,7 @@ stand for their ciphertext bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from secpmsim.config import LINE
@@ -69,20 +70,25 @@ class Rsr:
     old_major: int
     done_bits: int = 0
 
-    def done(self, i: int) -> bool:
-        return bool(self.done_bits >> i & 1)
-
 
 @dataclass
 class CrashSnapshot:
     """Durable image at a crash: NVM store + ADR-applied queue + RSR.
 
     Holds no CPU-cache, counter-cache, or staging-register state; those
-    are volatile by design.
+    are volatile by design.  A snapshot is never mutated once taken
+    (``Controller.from_snapshot`` copies its store), so its sorted
+    addresses are computed once, on first use, however often it is
+    recovered.
     """
 
     store: dict[int, bytes | Sealed]
     rsr: Rsr | None = None
+
+    @cached_property
+    def addresses(self) -> list[int]:
+        """The stored line addresses in ascending order."""
+        return sorted(self.store)
 
 
 def take_crash_snapshot(device: NvmDevice, queue: "WriteQueue",

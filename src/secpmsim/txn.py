@@ -133,26 +133,26 @@ def execute(controller: Controller, txn: TxnDescriptor) -> None:
         pass
 
 
-def written_headers(store: dict[int, object], headers: range) -> list[int]:
-    """The addresses in ``headers`` that ``store`` holds, in address order.
+def written_headers(addresses: list[int], headers: range) -> list[int]:
+    """The addresses in ``headers`` that the ascending list ``addresses``
+    holds, in address order.
 
-    One sort of the stored addresses, then one bisect per log slot that
-    holds a line: the first stored address at or above a slot's base is
-    its header if the slot has one.  The cost follows the stored lines,
-    never the number of slots."""
-    keys = sorted(store)
+    One bisect per log slot that holds a line: the first stored address at
+    or above a slot's base is its header if the slot has one.  The cost
+    follows the stored lines, never the number of slots, and the sort is
+    the snapshot's, made once per image (``CrashSnapshot.addresses``)."""
     start, stop, step = headers.start, headers.stop, headers.step
     found: list[int] = []
-    i = bisect_left(keys, start)
-    n = len(keys)
+    i = bisect_left(addresses, start)
+    n = len(addresses)
     while i < n:
-        addr = keys[i]
+        addr = addresses[i]
         if addr >= stop:
             break
         base = addr - (addr - start) % step
         if addr == base:
             found.append(addr)
-        i = bisect_left(keys, base + step, i + 1)
+        i = bisect_left(addresses, base + step, i + 1)
     return found
 
 
@@ -162,11 +162,13 @@ def recover(snapshot: CrashSnapshot, cfg: Config) -> tuple[Controller, list[int]
 
     Only slots whose header line the durable image holds are read: a slot
     never written holds no log, so recovery costs the same at any
-    ``log_slots``."""
+    ``log_slots``.  The snapshot is left as it was, so recovering it again
+    gives the same controller and reuses its sorted addresses."""
     ctrl = Controller.from_snapshot(cfg, snapshot)
+    handle_read, handle_flush = ctrl.handle_read, ctrl.handle_flush
     undone: list[int] = []
-    for base in written_headers(snapshot.store, cfg.log_headers):
-        parsed = parse_header(ctrl.handle_read(base))
+    for base in written_headers(snapshot.addresses, cfg.log_headers):
+        parsed = parse_header(handle_read(base))
         if parsed is None:
             continue
         txn_id, regions = parsed
@@ -174,13 +176,13 @@ def recover(snapshot: CrashSnapshot, cfg: Config) -> tuple[Controller, list[int]
         if total > cfg.slot_lines - 2:
             continue
         end_addr = base + (1 + total) * LINE
-        if not end_tag_matches(ctrl.handle_read(end_addr), txn_id):
+        if not end_tag_matches(handle_read(end_addr), txn_id):
             continue  # incomplete log: abandon
         targets = [rb + j * LINE for rb, n in regions for j in range(n)]
         for i, addr in enumerate(targets, 1):
-            ctrl.handle_flush(addr, ctrl.handle_read(base + i * LINE))
+            handle_flush(addr, handle_read(base + i * LINE))
         ctrl.fence()
-        ctrl.handle_flush(end_addr, ZERO_LINE)
+        handle_flush(end_addr, ZERO_LINE)
         ctrl.fence()
         undone.append(txn_id)
     ctrl.drain_all()

@@ -1,5 +1,5 @@
 import collections
-import copy
+import functools
 import itertools
 import random
 import types
@@ -46,6 +46,21 @@ def test_scenario_images_are_tuples_of_the_seeds_draws(make, images,
     for scenario in (make(), make()):
         assert images(scenario) == expected
         assert all(type(image) is tuple for image in images(scenario))
+
+
+def test_scenarios_of_one_seed_share_their_lines_not_their_transaction():
+    """Two txn scenarios built alike share the lines their seed draws, but
+    each runs its own transaction: running one to the end leaves the
+    other's at its first stage, with its own write-set list of the same
+    pairs."""
+    first, second = (TxnScenario(cfg_for(), n_lines=4, seed=5)
+                     for _ in range(2))
+    assert first.pre is second.pre and first.post is second.post
+    first.run(first.fresh())
+    assert first.stage() == "commit" and second.stage() == "prepare"
+    assert second.txn.write_set is not first.txn.write_set
+    assert second.txn.write_set == first.txn.write_set == list(
+        zip(range(0, 256, 64), first.post))
 
 
 def test_plan_unknown_strategy_rejected():
@@ -225,9 +240,36 @@ def test_a_pass_recovers_every_point_and_judges_each_image_once(
     monkeypatch.setattr(crash, "recover", counted("recover", crash.recover))
     kind = type(crash_pass.scenario)
     monkeypatch.setattr(kind, "verify", counted("verify", kind.verify))
+    addresses = functools.cached_property(
+        counted("sort", CrashSnapshot.addresses.func))
+    addresses.__set_name__(CrashSnapshot, "addresses")
+    monkeypatch.setattr(CrashSnapshot, "addresses", addresses)
     outcomes = inject(CrashPlan("exhaustive"), crash_pass.factory)
     changes = sum(label in CHANGE_IMAGE for label, _, _ in crash_pass.run)
-    assert calls == {"recover": len(outcomes), "verify": 1 + changes}
+    assert calls == {"recover": len(outcomes), "verify": 1 + changes,
+                     "sort": 1 + changes}
+
+
+@pytest.mark.parametrize("crash_pass", CASES, indirect=True)
+def test_a_kept_image_recovers_as_a_copy_of_it_does(crash_pass):
+    """A kept image caches its sorted addresses, so recovering it again
+    must not differ from recovering a new snapshot of the same store and
+    register: each distinct image, recovered twice, gives the undone list,
+    store, clock and NVM write count of its copy, and stays as it was."""
+    cfg = crash_pass.cfg
+
+    def recovered(image):
+        ctrl, undone = txn.recover(image, cfg)
+        return undone, ctrl.nvm.store, ctrl.clock, ctrl.nvm.writes
+
+    checked = None
+    for point, (label, _, image) in enumerate(crash_pass.run, -1):
+        if image is checked:
+            continue
+        checked, kept = image, CrashSnapshot(dict(image.store), image.rsr)
+        expected = recovered(CrashSnapshot(dict(image.store), image.rsr))
+        assert recovered(image) == recovered(image) == expected, (point, label)
+        assert image == kept, (point, label)
 
 
 @pytest.mark.parametrize("crash_pass", TXN_CASES, indirect=True)
@@ -253,9 +295,8 @@ def test_reading_the_old_values_is_no_crash_point(crash_pass):
 def test_a_snapshot_keeps_the_register_it_was_taken_with():
     """Snapshots kept from one run through the boundary hook still hold the
     register as it was when each was taken: the k-th reencrypt_line image
-    has done bits 0..k-1, and images outside the re-encryption hold none.
-    Recovering any image twice gives the same store and leaves the image
-    as it was."""
+    has done bits 0..k-1, and images outside the re-encryption hold none;
+    ``test_a_kept_image_recovers_as_a_copy_of_it_does`` recovers them."""
     cfg = cfg_for("secpm", txn_size=64)
     taken = crash.boundary_images(ReencryptScenario(cfg))
     labels = [label for label, _, _ in taken]
@@ -269,13 +310,6 @@ def test_a_snapshot_keeps_the_register_it_was_taken_with():
         else:
             assert snap.rsr is None, (i, label)
     assert moved == 64
-
-    for i, (label, _, snap) in enumerate(taken):
-        kept = CrashSnapshot(dict(snap.store), copy.copy(snap.rsr))
-        first, _ = txn.recover(snap, cfg)
-        second, _ = txn.recover(snap, cfg)
-        assert first.nvm.store == second.nvm.store, (i, label)
-        assert snap == kept, (i, label)
 
 
 def _reordering(order):

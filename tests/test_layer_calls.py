@@ -112,3 +112,39 @@ def test_one_unencrypted_flush_appends_once(calls, monkeypatch, full):
     entry = ctrl.queue.entries[-1]
     assert (entry.address, entry.payload, entry.origin) == (
         64, bytes(range(64)), DATA)
+
+
+def test_a_page_reencryption_installs_its_half_moved_line_once(monkeypatch):
+    """A page re-encryption puts the half-moved counter line into the cache
+    once, at its first moved line, and then moves it in place; so does one
+    resumed from a crash after its tenth line, after loading the durable
+    counter line.  No other line is inserted on the way."""
+    ctrl = make()
+    for value in range(127):  # line 0's minor counter reaches its limit
+        ctrl.handle_flush(0, bytes([value]) * 64)
+    cline = ctrl.map.counter_line_address(0)
+    inserted, moved = [], []
+    insert = CounterCache.insert
+
+    def counted_insert(cache, address, line):
+        inserted.append((address, line))
+        return insert(cache, address, line)
+
+    def hook(label):
+        if label == "reencrypt_line":
+            moved.append(ctrl.snapshot())
+
+    monkeypatch.setattr(CounterCache, "insert", counted_insert)
+    ctrl.boundary_hook = hook
+    ctrl.handle_flush(0, bytes([127]) * 64)  # overflows: moves the page
+    assert len(moved) == 64 and ctrl.reencryptions == 1
+    assert [address for address, _ in inserted] == [cline]
+    assert ctrl.cache.lookup(cline) is inserted[0][1]
+
+    inserted.clear()
+    resumed = Controller.from_snapshot(ctrl.cfg, moved[9])
+    assert resumed.reencryptions == 1 and resumed.rsr is None
+    assert [address for address, _ in inserted] == [cline, cline]
+    durable, half_moved = (line for _, line in inserted)
+    assert durable is not half_moved
+    assert resumed.cache.lookup(cline) is half_moved
