@@ -22,18 +22,16 @@ own image.  A kept image is never mutated (recovery copies its store), so
 it sorts its addresses for recovery once, however many points recover it,
 and ``inject`` lets it go after its last point.
 
-Work that depends only on shared inputs is done once, not per point: the
-line images are tuples drawn once per (seed, count), a txn scenario's
-addresses and (address, line) pairs are made once per (seed, n_lines),
-and ``controller.derive_key`` hashes each seed once.  Each scenario still
-builds its own transaction and write-set list, which its run moves.
+A scenario stores only its arguments when built; ``fresh`` draws its
+line images from its seed and builds the transaction or flush it checks.
+So the pass draws once, the scenario ``inject`` builds at each point
+draws nothing, and ``controller.derive_key`` hashes each seed once.
 """
 
 from __future__ import annotations
 
-import functools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Protocol, Sequence
 
@@ -133,7 +131,8 @@ def inject(plan: CrashPlan, factory: Callable[[], Scenario]) -> list[Outcome]:
     it.  Recovery and verdict depend on the image alone, so an image that
     is the one judged last keeps its verdict.  ``factory`` is called once
     for the run, then once per point before that point's recovery, so a
-    caller can time each point between calls."""
+    caller can time each point between calls; a point's scenario is only
+    built, never set up, so it draws nothing."""
     scenario = factory()
     taken = boundary_images(scenario)
     outcomes, judged, verdict = [], None, None
@@ -153,24 +152,10 @@ def inject(plan: CrashPlan, factory: Callable[[], Scenario]) -> list[Outcome]:
 # ----------------------------------------------------------------------
 # concrete scenarios
 
-@functools.lru_cache(maxsize=16)
 def _random_lines(seed: int, count: int) -> tuple[bytes, ...]:
-    """The first ``count`` lines ``random.Random(seed)`` draws.  Every crash
-    point builds its own scenario, so the draws are made once per (seed,
-    count) and every scenario of that seed shares them."""
+    """The first ``count`` lines ``random.Random(seed)`` draws."""
     rng = random.Random(seed)
     return tuple(rng.randbytes(LINE) for _ in range(count))
-
-
-@functools.lru_cache(maxsize=16)
-def _txn_lines(seed: int, n_lines: int) -> tuple[tuple, ...]:
-    """A transaction scope's pre- and post-image, the addresses of its
-    lines and the (address, line) pairs of each image, made once per
-    (seed, n_lines) and shared, as tuples, by every scenario of both."""
-    images = _random_lines(seed, 2 * n_lines)
-    pre, post = images[:n_lines], images[n_lines:]
-    addrs = tuple(range(0, n_lines * LINE, LINE))
-    return pre, post, addrs, tuple(zip(addrs, pre)), tuple(zip(addrs, post))
 
 
 def _classify(recovered: Controller, addrs: Sequence[int], pre: tuple[bytes, ...],
@@ -195,21 +180,16 @@ class TxnScenario:
     cfg: Config
     n_lines: int = 4
     seed: int = 7
-    txn: TxnDescriptor = field(init=False)
-    pre: tuple[bytes, ...] = field(init=False)
-    post: tuple[bytes, ...] = field(init=False)
-
-    def __post_init__(self) -> None:
-        (self.pre, self.post, self._addrs, self._pre_pairs,
-         post_pairs) = _txn_lines(self.seed, self.n_lines)
-        # The drawn lines are shared; the transaction, whose stage the run
-        # moves, and its write-set list are this scenario's own.
-        self.txn = TxnDescriptor(1, list(post_pairs), seq=1)
 
     def fresh(self) -> Controller:
-        """Write the pre-image durably."""
+        """Draw the pre- and post-image and write the pre-image durably."""
+        n = self.n_lines
+        images = _random_lines(self.seed, 2 * n)
+        self.pre, self.post = images[:n], images[n:]
+        self._addrs = range(0, n * LINE, LINE)
+        self.txn = TxnDescriptor(1, list(zip(self._addrs, self.post)), seq=1)
         ctrl = Controller(self.cfg)
-        execute(ctrl, TxnDescriptor(0, list(self._pre_pairs)))
+        execute(ctrl, TxnDescriptor(0, list(zip(self._addrs, self.pre))))
         ctrl.flush_counter_cache()  # leave write-back baselines consistent
         ctrl.drain_all()
         return ctrl
@@ -241,12 +221,11 @@ class ReencryptScenario:
     writes: int = 127
     lines: int = LINES_PER_PAGE
 
-    def __post_init__(self) -> None:
-        self.values = _random_lines(self.seed, self.writes + 1)
-
     def fresh(self) -> Controller:
-        """Make the earlier writes durable and read the page's other lines
-        back as they are before the checked flush."""
+        """Draw the page's line-0 values, make the earlier writes durable
+        and read the page's other lines back as they are before the
+        checked flush."""
+        self.values = _random_lines(self.seed, self.writes + 1)
         ctrl = Controller(self.cfg)
         for value in self.values[:-1]:
             ctrl.handle_flush(0, value)

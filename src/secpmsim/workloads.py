@@ -229,8 +229,13 @@ def import_trace(fh: TextIO, footprint: int, max_lines: int, seed: int = 0
                 f"trace line {lineno}: transaction {txn_id} writes {nlines}"
                 f" lines, more than the {max_lines} a log slot holds at"
                 f" --txn-size {max_lines * LINE}")
+        # Only a record that does not continue the previous one's end can
+        # add a region, so only such a record re-checks the regions.
+        joins = bool(txn.write_set) and txn.write_set[-1][0] + LINE == addr
         # Payloads are drawn once the whole trace is read.
         txn.write_set.extend((a, b"") for a in range(addr, addr + size, LINE))
+        if joins:
+            continue
         try:
             txn.regions()
         except ValueError as exc:

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import functools
 import itertools
 import random
@@ -31,36 +32,40 @@ def _draws(seed, count):
     return tuple(rng.randbytes(64) for _ in range(count))
 
 
-@pytest.mark.parametrize("make, images, expected", [
+@pytest.mark.parametrize("make, images, expected, stage", [
     (lambda: TxnScenario(cfg_for(), n_lines=4, seed=5),
-     lambda s: [s.pre, s.post], [_draws(5, 8)[:4], _draws(5, 8)[4:]]),
+     lambda s: [s.pre, s.post], [_draws(5, 8)[:4], _draws(5, 8)[4:]],
+     "prepare"),
     (lambda: ReencryptScenario(cfg_for(), seed=5, writes=7),
-     lambda s: [s.values], [_draws(5, 8)]),
+     lambda s: [s.values], [_draws(5, 8)], "reencrypt"),
     (lambda: AtomicWriteScenario(cfg_for()),
-     lambda s: [s.values], [_draws(11, 2)]),
+     lambda s: [s.values], [_draws(11, 2)], "atomic-write"),
 ], ids=["txn", "reencrypt", "atomic-write"])
-def test_scenario_images_are_tuples_of_the_seeds_draws(make, images,
-                                                        expected):
-    """A scenario's line images are the lines its seed draws, as tuples:
-    scenarios of one seed may share them, for no scenario can change them."""
-    for scenario in (make(), make()):
+def test_a_scenario_draws_its_lines_in_fresh(monkeypatch, make, images,
+                                             expected, stage):
+    """A built scenario holds its fields alone.  Each ``fresh`` draws the
+    line images its seed gives, as tuples, and sets up a new run at its
+    first stage: a txn scenario runs a transaction of its own each time.
+    So an exhaustive pass, which builds a scenario at every point but sets
+    one up once, draws once."""
+    scenario = make()
+    assert vars(scenario).keys() == {
+        f.name for f in dataclasses.fields(scenario)}
+    for _ in range(2):
+        ctrl = scenario.fresh()
         assert images(scenario) == expected
         assert all(type(image) is tuple for image in images(scenario))
+        assert scenario.stage() == stage
+        scenario.run(ctrl)
+    if isinstance(scenario, TxnScenario):
+        assert scenario.txn.write_set == list(
+            zip(range(0, 256, 64), scenario.post))
 
-
-def test_scenarios_of_one_seed_share_their_lines_not_their_transaction():
-    """Two txn scenarios built alike share the lines their seed draws, but
-    each runs its own transaction: running one to the end leaves the
-    other's at its first stage, with its own write-set list of the same
-    pairs."""
-    first, second = (TxnScenario(cfg_for(), n_lines=4, seed=5)
-                     for _ in range(2))
-    assert first.pre is second.pre and first.post is second.post
-    first.run(first.fresh())
-    assert first.stage() == "commit" and second.stage() == "prepare"
-    assert second.txn.write_set is not first.txn.write_set
-    assert second.txn.write_set == first.txn.write_set == list(
-        zip(range(0, 256, 64), first.post))
+    draws = []
+    monkeypatch.setattr(crash, "_random_lines",
+                        lambda *args: draws.append(args) or _draws(*args))
+    assert len(inject(CrashPlan("exhaustive"), make)) > 2
+    assert len(draws) == 1
 
 
 def test_plan_unknown_strategy_rejected():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secpmsim.config import LINE, PAGE, TXN_SIZES, WORKLOADS, Config
+from secpmsim.txn import TxnDescriptor
 from secpmsim.workloads import (
     WorkloadSpec,
     export_trace,
@@ -171,6 +172,73 @@ def test_import_trace_counts_regions_and_lines_per_transaction():
     with pytest.raises(ValueError, match="trace line 6: transaction 0: write"
                        " set spans 4 regions"):
         import_trace(io.StringIO(text.replace("0x80", "0x4000")), **BOUNDS)
+
+
+def test_import_trace_checks_regions_only_where_a_record_breaks_a_run(
+        monkeypatch):
+    """A record that continues its transaction's previous record adds no
+    region, so only the first record and each break re-walk the write set:
+    a long contiguous transaction imports in time linear in its records."""
+    calls = []
+    regions = TxnDescriptor.regions
+    monkeypatch.setattr(TxnDescriptor, "regions",
+                        lambda txn: calls.append(txn.txn_id) or regions(txn))
+    text = ("".join(f"TXN 0 WRITE {a:#x} 64\n" for a in range(0, 4096, 64))
+            + "TXN 1 WRITE 0x2000 128\nTXN 1 WRITE 0x2080 64\n"
+            "TXN 0 WRITE 0x1000 64\nTXN 0 WRITE 0x3000 64\n")
+    txns = import_trace(io.StringIO(text), footprint=1 << 30, max_lines=66)
+    assert calls == [0, 1, 0]
+    assert [len(t.write_set) for t in txns] == [66, 3]
+    assert [t.regions() for t in txns] == [[(0, 65), (0x3000, 1)],
+                                           [(0x2000, 3)]]
+
+
+def _records(*records):
+    return "".join(f"TXN {t} WRITE {a:#x} {s}\n" for t, a, s in records)
+
+
+_THREE = [(0, 0x0, 64), (0, 0x1000, 64), (0, 0x2000, 64)]
+
+
+@pytest.mark.parametrize("text, outcome, calls", [
+    (_records((0, 0x0, 128), (0, 0x80, 64), (0, 0xc0, 256)),
+     [[(0, 7)]], 1),
+    (_records(*_THREE, (0, 0x2040, 128)),
+     [[(0, 1), (0x1000, 1), (0x2000, 3)]], 3),
+    (_records(*_THREE, (0, 0x3000, 64)), 4, 4),
+    (_records(*_THREE, (0, 0x2000, 64)), 4, 4),
+    (_records(*_THREE[:2], (0, 0x2040, 64), (0, 0x2000, 64)), 4, 4),
+    (_records(*_THREE[:2], (0, 0x2000, 128), (0, 0x2040, 64)), 4, 4),
+    (_records(*_THREE, (0, 0x40, 64)), 4, 4),
+    (_records(*_THREE, (1, 0x2040, 64), (0, 0x2040, 64)),
+     [[(0, 1), (0x1000, 1), (0x2000, 2)], [(0x2040, 1)]], 4),
+    (_records(*_THREE, (1, 0x3000, 64), (0, 0x3040, 64)), 5, 5),
+], ids=["joins-stay-one-region", "join-at-the-region-limit",
+        "break-past-the-limit", "rewrite-of-the-last-line",
+        "record-ending-where-the-last-began",
+        "record-starting-inside-the-last-record", "join-onto-an-earlier-run",
+        "join-across-another-transactions-record",
+        "record-after-another-transactions-end"])
+def test_import_trace_joins_a_record_only_to_its_transactions_last_line(
+        monkeypatch, text, outcome, calls):
+    """A record joins its transaction's run only where it starts one line
+    past that transaction's last written line; any other record, a rewrite
+    or one that runs on from an earlier run or another transaction's
+    record, is a break that re-checks the regions.  ``outcome`` is each
+    transaction's regions, or the line whose break exceeds the limit."""
+    seen = []
+    regions = TxnDescriptor.regions
+    monkeypatch.setattr(TxnDescriptor, "regions",
+                        lambda txn: seen.append(txn.txn_id) or regions(txn))
+    if isinstance(outcome, int):
+        with pytest.raises(ValueError, match=f"trace line {outcome}:"
+                           " transaction 0: write set spans 4 regions"):
+            import_trace(io.StringIO(text), **BOUNDS)
+        assert len(seen) == calls
+    else:
+        txns = import_trace(io.StringIO(text), **BOUNDS)
+        assert len(seen) == calls
+        assert [t.regions() for t in txns] == outcome
 
 
 def test_import_trace_is_deterministic():
