@@ -1,7 +1,9 @@
 import csv
 import dataclasses
+import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -326,6 +328,8 @@ CONFIG_VALUES = [
     # 2 TiB: data at 1 TiB and up would overwrite the counter lines.
     ("footprint", "2199023255552", "footprint and cores * log_slots log slots"
      " end at 0x20000012000, past the counter region at 0x10000000000"),
+    *[(key, "0", f"{key} must be at least 1")
+      for key in ("cache_ways", "banks", "log_slots")],
     ("use_register", "maybe", f"{LINE1}use_register must be 1/0, true/false,"
      " yes/no or on/off, not 'maybe'"),
     ("banks", "x", f"{LINE1}banks must be an integer, not 'x'"),
@@ -346,14 +350,6 @@ def test_bad_config_setting_is_usage_error(tmp_path, monkeypatch, capsys, key,
         _assert_rejected(tmp_path, monkeypatch, capsys,
                          [command, "--config", "c.cfg"],
                          _cfg(f"{key} = {value}"), line)
-
-
-@pytest.mark.parametrize("key", ["cache_ways", "banks", "log_slots"])
-def test_zero_sized_config_is_usage_error(tmp_path, monkeypatch, capsys, key):
-    for command in BOTH:
-        _assert_rejected(tmp_path, monkeypatch, capsys,
-                         [command, "--config", "c.cfg"], _cfg(f"{key} = 0"),
-                         f"{key} must be at least 1")
 
 
 @pytest.mark.parametrize("command, flag, rest, files", [
@@ -418,7 +414,6 @@ def test_trace_out_writes_the_stream_that_ran(tmp_path):
     assert second.read_text() == written
 
 
-
 @pytest.mark.parametrize("existing", [True, False], ids=["existing", "new"])
 def test_failing_run_leaves_the_report_alone(tmp_path, capsys, monkeypatch,
                                              existing):
@@ -437,7 +432,6 @@ def test_failing_run_leaves_the_report_alone(tmp_path, capsys, monkeypatch,
         assert not out.exists()
 
 
-
 def test_help_still_prints_and_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("crashcheck", "--help")
@@ -445,16 +439,30 @@ def test_help_still_prints_and_exits_zero(capsys):
     assert "--scope" in capsys.readouterr().out
 
 
+def _python_m_secpmsim(args, **env):
+    return subprocess.run([sys.executable, "-m", "secpmsim", *args.split()],
+                          cwd=Path(__file__).resolve().parent.parent / "src",
+                          env={**os.environ, **env}, capture_output=True,
+                          text=True, timeout=120)
+
+
 def test_python_m_secpmsim_runs_the_cli():
     """``python -m secpmsim`` runs the same front end and exits with its
     status."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    out = subprocess.run([sys.executable, "-m", "secpmsim", "crashcheck",
-                          "--scope", "atomic-write", "--mode", "secpm"],
-                         cwd=src, capture_output=True, text=True, timeout=120)
+    out = _python_m_secpmsim("crashcheck --scope atomic-write --mode secpm")
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[0] == (
         "crash_point,event,stage,verdict,failing_address,flag")
+
+
+def test_outputs_do_not_depend_on_the_hash_seed():
+    """A ``run`` sweep over modes and core counts and a ``crashcheck`` print
+    the same bytes and exit alike under ``PYTHONHASHSEED`` 0 and 1."""
+    outputs = [[(out.stdout, out.stderr, out.returncode) for out in (
+        _python_m_secpmsim(args, PYTHONHASHSEED=seed) for args in (
+            f"run {' '.join(FAST)} --mode unsec-pm,secpm --cores 1,2",
+            "crashcheck --scope txn"))] for seed in ("0", "1")]
+    assert outputs[0] == outputs[1]
 
 
 _FLAG_CASES = [
@@ -512,10 +520,7 @@ def test_crashcheck_summary_on_stderr(tmp_path, capsys):
     assert capsys.readouterr().err == captured.err
 
     rows = list(csv.DictReader(captured.out.splitlines()))
-    expected = {}
-    for r in rows:
-        key = (r["stage"], r["event"], r["verdict"])
-        expected[key] = expected.get(key, 0) + 1
+    expected = Counter((r["stage"], r["event"], r["verdict"]) for r in rows)
     summary = {}
     for line in captured.err.splitlines():
         prefix, *fields = line.split()
@@ -550,7 +555,6 @@ def test_crashcheck_honours_queue_len(capsys):
         outputs.append(capsys.readouterr().out)
     # Backpressure drains in a 2-entry queue add crash points.
     assert outputs[0].count("\n") > outputs[1].count("\n")
-
 
 
 def test_crashcheck_output_does_not_depend_on_log_slots(tmp_path, capsys):

@@ -1,29 +1,19 @@
 import collections
+import contextlib
 import dataclasses
 import functools
-import itertools
 import random
 import types
 
 import pytest
-from _crash_cases import cfg_for, scope_cases, torn_stages
+from _crash_cases import cfg_for, crash_configs, scope_cases, torn_stages
 from _every_slot_recover import recover_every_slot
 
 from secpmsim import crash, txn
-from secpmsim.config import LINES_PER_PAGE, MODES, Mode
+from secpmsim.config import LINES_PER_PAGE, Mode
 from secpmsim.controller import Controller
-from secpmsim.crash import (
-    SCOPES,
-    AtomicWriteScenario,
-    CrashPlan,
-    Outcome,
-    PointOutOfRange,
-    ReencryptScenario,
-    TxnScenario,
-    Verdict,
-    count_boundaries,
-    inject,
-)
+from secpmsim.crash import (SCOPES, CrashPlan, Outcome, ReencryptScenario,
+                            TxnScenario, Verdict, inject)
 from secpmsim.nvm import CrashSnapshot
 
 
@@ -38,16 +28,13 @@ def _draws(seed, count):
      "prepare"),
     (lambda: ReencryptScenario(cfg_for(), seed=5, writes=7),
      lambda s: [s.values], [_draws(5, 8)], "reencrypt"),
-    (lambda: AtomicWriteScenario(cfg_for()),
+    (lambda: crash.AtomicWriteScenario(cfg_for()),
      lambda s: [s.values], [_draws(11, 2)], "atomic-write"),
 ], ids=["txn", "reencrypt", "atomic-write"])
-def test_a_scenario_draws_its_lines_in_fresh(monkeypatch, make, images,
-                                             expected, stage):
+def test_a_scenario_draws_its_lines_in_fresh(make, images, expected, stage):
     """A built scenario holds its fields alone.  Each ``fresh`` draws the
     line images its seed gives, as tuples, and sets up a new run at its
-    first stage: a txn scenario runs a transaction of its own each time.
-    So an exhaustive pass, which builds a scenario at every point but sets
-    one up once, draws once."""
+    first stage: a txn scenario runs a transaction of its own each time."""
     scenario = make()
     assert vars(scenario).keys() == {
         f.name for f in dataclasses.fields(scenario)}
@@ -61,12 +48,6 @@ def test_a_scenario_draws_its_lines_in_fresh(monkeypatch, make, images,
         assert scenario.txn.write_set == list(
             zip(range(0, 256, 64), scenario.post))
 
-    draws = []
-    monkeypatch.setattr(crash, "_random_lines",
-                        lambda *args: draws.append(args) or _draws(*args))
-    assert len(inject(CrashPlan("exhaustive"), make)) > 2
-    assert len(draws) == 1
-
 
 def test_plan_unknown_strategy_rejected():
     with pytest.raises(ValueError):
@@ -74,31 +55,28 @@ def test_plan_unknown_strategy_rejected():
 
 
 class CrashNow(Exception):
-    """Raised at the crash point; its one argument is the boundary's label."""
+    """Raised at the crash point."""
 
 
 def _replay(factory, point):
     """The replay oracle: set a new scenario of ``factory`` up, run it until
     boundary ``point`` fails it (-1 fails it before its first event, so
     nothing runs), then recover the image it leaves and judge it."""
-    scenario = factory()
+    scenario, labels = factory(), ["pre"]
     ctrl = scenario.fresh()
-    label, passed = "pre", 0
 
-    def hook(lbl):
-        nonlocal passed
-        if passed == point:
-            raise CrashNow(lbl)
-        passed += 1
+    def hook(label):
+        labels.append(label)
+        if len(labels) == point + 2:
+            raise CrashNow
 
     if point != -1:
         ctrl.boundary_hook = hook
-        try:
+        with contextlib.suppress(CrashNow):
             scenario.run(ctrl)
-        except CrashNow as crash_now:
-            label = crash_now.args[0]
     recovered, _ = txn.recover(ctrl.snapshot(), scenario.cfg)
-    return Outcome(point, label, scenario.stage(), *scenario.verify(recovered))
+    return Outcome(point, labels[-1], scenario.stage(),
+                   *scenario.verify(recovered))
 
 
 # Boundaries after which the durable image (store, rsr) is the one before
@@ -130,28 +108,52 @@ TXN_CASES = [case for case in CASES if case.values[0][0] == "txn"]
 @pytest.fixture(scope="module")
 def crash_pass(request):
     """One set-up and one run of a case's scenario, with the durable image
-    at each of its boundaries, shared by the tests of that case."""
+    at each of its boundaries and a copy of each taken before any recovery;
+    then an exhaustive ``inject`` pass, its outcomes and the calls it made.
+    The run has already set the case up once, so that pass is its second:
+    it counts what a first would, and no set-up outlives its pass."""
     scope, cfg = request.param
     factory = lambda: SCOPES[scope](cfg)
     scenario = factory()
+    run = crash.boundary_images(scenario)
+    copies = {id(image): CrashSnapshot(dict(image.store), image.rsr)
+              for _, _, image in run}
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    with pytest.MonkeyPatch.context() as patch:
+        for owner, attr, name in [
+                (crash, "_random_lines", "draw"), (crash, "recover", "recover"),
+                (Controller, "__init__", "init"),
+                (type(scenario), "verify", "verify")]:
+            patch.setattr(owner, attr, counted(name, vars(owner)[attr]))
+        addresses = functools.cached_property(
+            counted("sort", CrashSnapshot.addresses.func))
+        addresses.__set_name__(CrashSnapshot, "addresses")
+        patch.setattr(CrashSnapshot, "addresses", addresses)
+        outcomes = inject(CrashPlan("exhaustive"), factory)
     return types.SimpleNamespace(scope=scope, cfg=cfg, factory=factory,
-                                 scenario=scenario,
-                                 run=crash.boundary_images(scenario))
+                                 scenario=scenario, run=run, copies=copies,
+                                 outcomes=outcomes, calls=calls)
 
 
 @pytest.mark.parametrize("crash_pass", CASES, indirect=True)
 def test_one_run_states_the_crash_claim(crash_pass):
     """One set-up and one run of the scenario state the crash claim.
 
-    Each image differs from the one before only by newly durable lines,
-    and an image equal to the one before is that same object.  Recovered,
-    each gives the store, undone list and verdict of
-    ``recover_every_slot``, and judged at every point, the outcome list
-    that ``inject`` gives and that the replay oracle gives by setting the
-    scenario up again and running it to each point.  A random plan's
-    points are sorted, distinct, in range and the same each time.  A
-    configuration that promises consistency never recovers torn; any other
-    tears at the stages of ``torn_stages``."""
+    Each image adds only newly durable lines to the one before, and is that
+    same object if equal to it.  Recovered, each gives what
+    ``recover_every_slot`` gives.  Judged at every point, they give the
+    outcomes of the replay oracle, which runs the scenario again to each
+    point, and of ``inject``.  A random plan's points are sorted, distinct,
+    in range and the same each time.  A configuration that promises
+    consistency never recovers torn; any other tears at the stages of
+    ``torn_stages``."""
     scope, cfg, factory = crash_pass.scope, crash_pass.cfg, crash_pass.factory
     scenario, run = crash_pass.scenario, crash_pass.run
     n = len(run) - 1
@@ -185,12 +187,12 @@ def test_one_run_states_the_crash_claim(crash_pass):
     # log lines decrypt after a crash: unencrypted or written through.
     m = Mode(cfg.mode)
     assert undid == (scope == "txn" and (not m.encrypted or m.write_through))
-    assert outcomes == inject(CrashPlan("exhaustive"), factory)
+    assert outcomes == crash_pass.outcomes
     assert outcomes == [_replay(factory, k) for k in range(-1, n)]
-    assert count_boundaries(factory) == n
+    assert crash.count_boundaries(factory) == n
     for k in (-1, 0, n // 2, n - 1):
         assert inject(CrashPlan("at", at=k), factory) == [outcomes[k + 1]]
-    with pytest.raises(PointOutOfRange):
+    with pytest.raises(crash.PointOutOfRange):
         inject(CrashPlan("at", at=n), factory)
     plan = CrashPlan("random", count=3, seed=2)
     points = plan.points(n)
@@ -228,39 +230,26 @@ def test_one_run_states_the_crash_claim(crash_pass):
 
 
 @pytest.mark.parametrize("crash_pass", CASES, indirect=True)
-def test_a_pass_recovers_every_point_and_judges_each_image_once(
-        crash_pass, monkeypatch):
-    """An exhaustive pass recovers the image of every crash point, and
-    judges each distinct image once: the pre-image and the image after
+def test_a_pass_recovers_every_point_and_judges_each_image_once(crash_pass):
+    """An exhaustive pass draws the lines once, builds one controller to
+    run and one per point, recovers the image of every point, and judges
+    and sorts each distinct image once: the pre-image and the image after
     each boundary that changes it.  The matrix judges every point and
     finds the same outcomes, so reusing a verdict loses nothing."""
-    calls = collections.Counter()
-
-    def counted(name, fn):
-        def call(*args):
-            calls[name] += 1
-            return fn(*args)
-        return call
-
-    monkeypatch.setattr(crash, "recover", counted("recover", crash.recover))
-    kind = type(crash_pass.scenario)
-    monkeypatch.setattr(kind, "verify", counted("verify", kind.verify))
-    addresses = functools.cached_property(
-        counted("sort", CrashSnapshot.addresses.func))
-    addresses.__set_name__(CrashSnapshot, "addresses")
-    monkeypatch.setattr(CrashSnapshot, "addresses", addresses)
-    outcomes = inject(CrashPlan("exhaustive"), crash_pass.factory)
+    n = len(crash_pass.run) - 1
     changes = sum(label in CHANGE_IMAGE for label, _, _ in crash_pass.run)
-    assert calls == {"recover": len(outcomes), "verify": 1 + changes,
-                     "sort": 1 + changes}
+    assert len(crash_pass.outcomes) == 1 + n
+    assert crash_pass.calls == {"init": 2 + n, "recover": 1 + n,
+                                "verify": 1 + changes, "sort": 1 + changes,
+                                "draw": 1}
 
 
 @pytest.mark.parametrize("crash_pass", CASES, indirect=True)
 def test_a_kept_image_recovers_as_a_copy_of_it_does(crash_pass):
     """A kept image caches its sorted addresses, so recovering it again
-    must not differ from recovering a new snapshot of the same store and
-    register: each distinct image, recovered twice, gives the undone list,
-    store, clock and NVM write count of its copy, and stays as it was."""
+    must not differ from recovering a copy of it made before any recovery:
+    each distinct image, recovered twice, gives the undone list, store,
+    clock and NVM write count of its copy, and stays as it was."""
     cfg = crash_pass.cfg
 
     def recovered(image):
@@ -271,10 +260,26 @@ def test_a_kept_image_recovers_as_a_copy_of_it_does(crash_pass):
     for point, (label, _, image) in enumerate(crash_pass.run, -1):
         if image is checked:
             continue
-        checked, kept = image, CrashSnapshot(dict(image.store), image.rsr)
-        expected = recovered(CrashSnapshot(dict(image.store), image.rsr))
+        checked, copy = image, crash_pass.copies[id(image)]
+        expected = recovered(copy)
         assert recovered(image) == recovered(image) == expected, (point, label)
-        assert image == kept, (point, label)
+        assert image == copy, (point, label)
+
+
+@pytest.mark.parametrize("crash_pass", CASES, indirect=True)
+def test_a_snapshot_keeps_the_register_it_was_taken_with(crash_pass):
+    """Snapshots kept from one run through the boundary hook still hold the
+    register as it was when each was taken: the k-th reencrypt_line image
+    has done bits 0..k-1, and images outside a re-encryption, the
+    pre-image among them, hold none."""
+    run = crash_pass.run
+    assert run[0][2].rsr is None
+    moved = armed = 0
+    for label, _, image in run[1:]:
+        moved += label == "reencrypt_line"
+        armed = label == "rsr_arm" or armed and label != "rsr_done"
+        rsr = image.rsr and (image.rsr.page_number, image.rsr.done_bits)
+        assert rsr == ((0, (1 << moved) - 1) if armed else None), label
 
 
 @pytest.mark.parametrize("crash_pass", TXN_CASES, indirect=True)
@@ -285,36 +290,33 @@ def test_reading_the_old_values_is_no_crash_point(crash_pass):
     image the pass starts from; the run that then reads them again gives
     the pass's boundaries and images."""
     scenario = crash_pass.factory()
-    ctrl = scenario.fresh()
-    taken = []
+    ctrl, taken = scenario.fresh(), []
     ctrl.boundary_hook = lambda label: taken.append(
         (label, scenario.stage(), ctrl.snapshot()))
     old = tuple(ctrl.handle_read(addr) for addr, _ in scenario.txn.write_set)
-    assert taken == []
-    assert old == scenario.pre
+    assert taken == [] and old == scenario.pre
     assert ctrl.snapshot() == crash_pass.run[0][2]
     scenario.run(ctrl)
     assert taken == crash_pass.run[1:]
 
 
-def test_a_snapshot_keeps_the_register_it_was_taken_with():
-    """Snapshots kept from one run through the boundary hook still hold the
-    register as it was when each was taken: the k-th reencrypt_line image
-    has done bits 0..k-1, and images outside the re-encryption hold none;
-    ``test_a_kept_image_recovers_as_a_copy_of_it_does`` recovers them."""
-    cfg = cfg_for("secpm", txn_size=64)
-    taken = crash.boundary_images(ReencryptScenario(cfg))
-    labels = [label for label, _, _ in taken]
-    arm, done = labels.index("rsr_arm"), labels.index("rsr_done")
-    moved = 0
-    for i, (label, _, snap) in enumerate(taken):
-        moved += label == "reencrypt_line"
-        if arm <= i < done:
-            assert snap.rsr.page_number == 0, (i, label)
-            assert snap.rsr.done_bits == (1 << moved) - 1, (i, label)
-        else:
-            assert snap.rsr is None, (i, label)
-    assert moved == 64
+@pytest.mark.parametrize("scope, cfg", [
+    pytest.param(scope, dataclasses.replace(cfg, use_register=False),
+                 id=case.id.replace("-reg", "-noreg"))
+    for case in scope_cases() for scope, cfg in [case.values]
+    if not Mode(cfg.mode).write_through])
+def test_the_register_setting_changes_nothing_it_does_not_reach(scope, cfg):
+    """The matrix runs a mode that is not written through with
+    ``use_register`` on alone, since only a write-through flush reads it.
+    With it off, such a case gives the boundaries, stages, images and
+    outcomes it gives with it on."""
+    def result(cfg):
+        factory = lambda: SCOPES[scope](cfg)
+        return ([(label, stage, image.store, image.rsr) for label, stage,
+                 image in crash.boundary_images(factory())],
+                inject(CrashPlan("exhaustive"), factory))
+
+    assert result(cfg) == result(dataclasses.replace(cfg, use_register=True))
 
 
 def _reordering(order):
@@ -346,16 +348,13 @@ def _txn_outcomes(cfg):
 def test_flushes_issued_at_the_fence_in_program_order_change_no_outcome(
         monkeypatch):
     """Holding an epoch's flushes until its fence moves no boundary, label,
-    stage or verdict of the txn scope, in any mode, queue_len {2, 32} or
-    use_register case."""
-    for mode, queue_len, use_register in itertools.product(
-            MODES, [2, 32], [True, False]):
+    stage or verdict of the txn scope, in any of ``crash_configs``."""
+    for mode, queue_len, use_register in crash_configs():
         cfg = cfg_for(mode, queue_len=queue_len, use_register=use_register)
         expected = _txn_outcomes(cfg)
         with monkeypatch.context() as patch:
             patch.setattr(crash, "Controller", _reordering(list))
-            assert _txn_outcomes(cfg) == expected, (mode, queue_len,
-                                                    use_register)
+            assert _txn_outcomes(cfg) == expected, cfg
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -369,8 +368,7 @@ def test_an_epoch_issued_last_flush_first_never_tears(monkeypatch):
                         _reordering(lambda held: held[-1:] + held[:-1]))
     torn = {}
     for mode in ("secpm", "secpm-no-cwr", "unsec-pm"):
-        outcomes = _txn_outcomes(cfg_for(mode, queue_len=32,
-                                         use_register=True))
+        outcomes = _txn_outcomes(cfg_for(mode))  # queue_len 32, register on
         torn[mode] = [(o.crash_point, o.stage) for o in outcomes
                       if o.verdict is Verdict.INCONSISTENT]
     assert torn == {"secpm": [], "secpm-no-cwr": [], "unsec-pm": []}
@@ -398,35 +396,13 @@ def test_reencrypt_oracle_catches_a_line_left_under_its_old_ciphertext(
         (Verdict.INCONSISTENT, target)}
 
 
-def test_reencrypt_scope_builds_one_controller_to_run_and_one_per_point(
-        monkeypatch):
-    """A pass builds one controller to set the scenario up and run it, then
-    one recovered controller per point, and none to find the expected
-    page.  A second pass builds as many, so no set-up outlives its pass."""
-    built = []
-    init = Controller.__init__
-
-    def counting_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        built.append(self)
-
-    monkeypatch.setattr(Controller, "__init__", counting_init)
-    for _ in range(2):
-        built.clear()
-        outcomes = inject(
-            CrashPlan("exhaustive"),
-            lambda: ReencryptScenario(cfg_for("secpm", txn_size=64)))
-        assert len(built) == 1 + len(outcomes)
-
-
 @pytest.mark.parametrize("scope", SCOPES)
 def test_outcomes_do_not_depend_on_the_key(scope):
     """Config.seed only picks the encryption key, and no verdict reads a
     ciphertext byte, so two keys give the same outcome list.  That is why a
     change to the pad construction moves no crash verdict."""
     def outcomes(seed):
-        # 256-byte transactions: the txn scope checks 4 lines.
-        cfg = cfg_for("secpm", txn_size=256, seed=seed)
+        cfg = cfg_for("secpm", seed=seed)  # the txn scope checks 4 lines
         return inject(CrashPlan("exhaustive"), lambda: SCOPES[scope](cfg))
 
     assert Controller(cfg_for(seed=0)).otp.generate(0, 0) != (
@@ -434,14 +410,12 @@ def test_outcomes_do_not_depend_on_the_key(scope):
     assert outcomes(0) == outcomes(1)
 
 
-def _nested_recovery_points(monkeypatch, scenario, cfg):
-    """Crash the scenario at every point, then crash its recovery at every
-    boundary the recovery announces, including those of the re-encryption
-    ``Controller.from_snapshot`` resumes, and recover that image again.
-    Asserts that each nested verdict equals its outer one; returns the
-    number of nested points."""
-    nested = []
-    hooking = False
+def _nested_recovery_points(monkeypatch, scenario):
+    """Crash the scenario at every point, then its recovery at every
+    boundary that announces, the steps of a resumed re-encryption too, and
+    recover again: each nested verdict must equal its outer one.  Returns
+    the number of nested points."""
+    nested, hooking = [], False
 
     class Hooked(Controller):
         def __init__(self, *args, **kwargs):
@@ -455,14 +429,14 @@ def _nested_recovery_points(monkeypatch, scenario, cfg):
     for point, (_, _, image) in enumerate(crash.boundary_images(scenario), -1):
         nested.clear()
         hooking = True
-        recovered, _ = txn.recover(image, cfg)
+        recovered, _ = txn.recover(image, scenario.cfg)
         hooking = False
         recovered.boundary_hook = None
         outer = scenario.verify(recovered)
         checked = None
         for inner_point, (label, inner_image) in enumerate(nested):
             if inner_image != checked:  # an equal image recovers alike
-                again, _ = txn.recover(inner_image, cfg)
+                again, _ = txn.recover(inner_image, scenario.cfg)
                 assert scenario.verify(again) == outer, (point, inner_point,
                                                          label)
                 checked = inner_image
@@ -470,28 +444,24 @@ def _nested_recovery_points(monkeypatch, scenario, cfg):
     return count
 
 
-@pytest.mark.parametrize("use_register", [True, False])
-@pytest.mark.parametrize("queue_len", [2, 32])
-@pytest.mark.parametrize("mode", ["secpm", "secpm-no-cwr", "unsec-pm"])
+@pytest.mark.parametrize("mode, queue_len, use_register",
+                         crash_configs(("secpm", "secpm-no-cwr", "unsec-pm")))
 def test_a_crash_during_txn_recovery_recovers_to_the_same_verdict(
         monkeypatch, mode, queue_len, use_register):
     """A second power failure anywhere in the undo pass leaves an image
     whose recovery gives the verdict the first recovery gave."""
     cfg = cfg_for(mode, queue_len=queue_len, use_register=use_register)
-    scenario = SCOPES["txn"](cfg)
-    assert _nested_recovery_points(monkeypatch, scenario, cfg) > 0
+    assert _nested_recovery_points(monkeypatch, SCOPES["txn"](cfg)) > 0
 
 
-@pytest.mark.parametrize("use_register", [True, False])
-@pytest.mark.parametrize("queue_len", [2, 32])
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode, queue_len, use_register", crash_configs())
 def test_atomic_write_recovery_announces_no_boundary(monkeypatch, mode,
                                                      queue_len, use_register):
     """The scope writes no log and overflows no counter, so its recovery
     writes nothing and has no point to crash at."""
     cfg = cfg_for(mode, queue_len=queue_len, use_register=use_register)
-    scenario = SCOPES["atomic-write"](cfg)
-    assert _nested_recovery_points(monkeypatch, scenario, cfg) == 0
+    assert _nested_recovery_points(monkeypatch,
+                                   SCOPES["atomic-write"](cfg)) == 0
 
 
 def test_a_crash_during_resumed_reencryption_recovers_to_the_same_verdict(
@@ -502,5 +472,4 @@ def test_a_crash_during_resumed_reencryption_recovers_to_the_same_verdict(
     the nested points (18,527) and takes 3.3 s on a 2-core VM, against
     1.1 s for 32."""
     cfg = cfg_for("secpm", txn_size=64, queue_len=32)
-    scenario = SCOPES["reencrypt"](cfg)
-    assert _nested_recovery_points(monkeypatch, scenario, cfg) > 0
+    assert _nested_recovery_points(monkeypatch, SCOPES["reencrypt"](cfg)) > 0

@@ -151,6 +151,34 @@ def test_recover_undoes_a_write_set_over_three_regions():
         assert recovered.handle_read(addr) == value
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the undo log "
+                   "does not isolate two open transactions on one write set")
+def test_a_commit_survives_a_transaction_open_on_its_lines():
+    """B (core 1) logs lines 0-3 and stays open while A (core 0) writes and
+    commits them; then B ends.  A crash from A's commit fence on must
+    recover A's or B's post-image, but recovery undoes B's log instead."""
+    lost = {}
+    for mode in ("secpm", "secpm-no-cwr", "unsec-pm"):
+        cfg = make_cfg(mode=mode, cores=2)
+        ctrl = Controller(cfg)
+        for addr, value in write_set(4, seed=0):  # the pre-image
+            ctrl.handle_flush(addr, value)
+        ctrl.drain_all()
+        a, b = (TxnDescriptor(i, write_set(4, seed=1 + i), core=i)
+                for i in (0, 1))
+        b_steps = run_transaction(ctrl, b)
+        for _ in range(6):  # B's prepare epoch: header, 4 old values, end tag
+            next(b_steps)
+        execute(ctrl, a)
+        images = [ctrl.snapshot()]
+        ctrl.boundary_hook = lambda label: images.append(ctrl.snapshot())
+        list(b_steps)  # B runs to its end
+        posts = [tuple(value for _, value in t.write_set) for t in (a, b)]
+        lost[mode] = [k for k, image in enumerate(images) if tuple(map(
+            recover(image, cfg)[0].handle_read, range(0, 256, 64))) not in posts]
+    assert lost == {mode: [] for mode in lost}
+
+
 def test_recovery_reads_do_not_grow_with_log_slots(monkeypatch):
     """Each of two cores crashes with a complete, uncommitted log over a
     committed transaction.  Recovery reads as many lines at log_slots 65,536
