@@ -1,8 +1,13 @@
 """End-to-end acceptance checks.
 
-Each test covers one headline claim and records a single PASS/FAIL line,
-echoed in the terminal summary so a full run reads as a checklist.
-Tolerances are pinned in the asserts; analytic counts are exact.
+Each test covers one headline claim that no other test states and records
+a single PASS/FAIL line, echoed in the terminal summary so a full run reads
+as a checklist.  Tolerances are pinned in the asserts; analytic counts are
+exact.  The other criteria each have one home: the recoverability tables
+(3), the staging register (4) and page re-encryption (9) are cases of the
+crash matrix in ``test_crash.py``, the round trip (10a) is the XOR and pad
+references of ``test_crypto.py``, and determinism (10d) is the pinned
+outputs of ``test_golden.py`` and the determinism tests of ``test_cli.py``.
 """
 
 import functools
@@ -12,17 +17,8 @@ import _acceptance_log
 
 from secpmsim.config import COUNTER_REGION_BASE, Config, TXN_SIZES, WORKLOADS
 from secpmsim.controller import Controller
-from secpmsim.crash import (
-    AtomicWriteScenario,
-    CrashPlan,
-    ReencryptScenario,
-    TxnScenario,
-    Verdict,
-    inject,
-)
-from secpmsim.crypto import OtpEngine, decrypt_line, encrypt_line
 from secpmsim.runner import run_experiment
-from secpmsim.stats import emit_report, reduction_percentage
+from secpmsim.stats import reduction_percentage
 
 SEED = 1
 
@@ -80,45 +76,6 @@ def test_02_write_amplification_is_exactly_double():
     ok = worst[0] == 2.0
     report("2 write amplification", ok,
            f"ratio={worst[0]:.6f} at {worst[1]}/{worst[2]}B (want 2.000000)")
-
-
-def test_03_transaction_recoverability_tables():
-    """Exhaustive crash sweep on a 4-line transaction: the write-back
-    baseline tears state in mutate and commit but never in prepare; the
-    full scheme never tears at all."""
-    def sweep(mode):
-        cfg = Config(mode=mode, workload="array", txn_size=256,
-                     txn_count=1, seed=SEED)
-        return inject(CrashPlan("exhaustive"),
-                      lambda: TxnScenario(cfg, n_lines=4))
-
-    broken = sweep("secpm-no-cwt")
-    bad_stages = {o.stage for o in broken if o.verdict is Verdict.INCONSISTENT}
-    full = sweep("secpm")
-    full_bad = sum(1 for o in full if o.verdict is Verdict.INCONSISTENT)
-    ok = ("mutate" in bad_stages and "commit" in bad_stages
-          and "prepare" not in bad_stages and full_bad == 0)
-    report("3 recoverability tables", ok,
-           f"write-back torn stages={sorted(bad_stages)} "
-           f"(want mutate+commit, not prepare); "
-           f"full-scheme inconsistent={full_bad}/{len(full)} (want 0)")
-
-
-def test_04_staging_register_atomicity():
-    """Logless single-line write: without the two-line register a crash
-    between counter and data appends is undecryptable; with it, never."""
-    def sweep(use_register):
-        cfg = Config(mode="secpm", workload="array", txn_size=64,
-                     txn_count=1, seed=SEED, use_register=use_register)
-        return inject(CrashPlan("exhaustive"),
-                      lambda: AtomicWriteScenario(cfg))
-
-    without = sum(1 for o in sweep(False) if o.verdict is Verdict.INCONSISTENT)
-    with_reg = sum(1 for o in sweep(True) if o.verdict is Verdict.INCONSISTENT)
-    ok = without >= 1 and with_reg == 0
-    report("4 staging-register atomicity", ok,
-           f"torn without register={without} (want >=1), "
-           f"with register={with_reg} (want 0)")
 
 
 def test_05_merge_reduction_grows_with_txn_size():
@@ -187,34 +144,6 @@ def test_08_counter_cache_locality_ordering():
            f"max(array,hashtable,rbtree)={bad:.3f})")
 
 
-def test_09_page_reencryption_crash_consistency():
-    """Exhaustive crash sweep across a full page re-encryption (all 64
-    line boundaries): every line decrypts to its crash-free value."""
-    cfg = Config(mode="secpm", workload="array", txn_size=64,
-                 txn_count=1, seed=SEED)
-    outcomes = inject(CrashPlan("exhaustive"), lambda: ReencryptScenario(cfg))
-    bad = sum(1 for o in outcomes if o.verdict is not Verdict.CONSISTENT)
-    line_points = sum(1 for o in outcomes if o.label == "reencrypt_line")
-    ok = bad == 0 and line_points >= 64
-    report("9 re-encryption consistency", ok,
-           f"inconsistent={bad}/{len(outcomes)} crash points "
-           f"({line_points} per-line boundaries; want 0 inconsistent)")
-
-
-def test_10a_encryption_round_trip_volume():
-    engine = OtpEngine(bytes(range(16)))
-    rng = random.Random(SEED)
-    bad = 0
-    for _ in range(100_000):
-        plain = rng.randbytes(64)
-        pad = engine.generate(rng.randrange(1 << 34) * 64,
-                              rng.randrange(1 << 71))
-        if decrypt_line(encrypt_line(plain, pad), pad) != plain:
-            bad += 1
-    report("10a round-trip volume", bad == 0,
-           f"{bad}/100000 failures (want 0)")
-
-
 def test_10b_otp_tuples_never_repeat():
     """No (address, counter) pad input is ever reused for encryption over
     a full workload run, nor across a counter overflow + re-encryption."""
@@ -257,13 +186,3 @@ def test_10c_merge_oracle_equivalence_bulk():
             mismatches += 1
     report("10c merge-oracle equivalence", mismatches == 0,
            f"{mismatches}/1000 traces diverged (want 0)")
-
-
-def test_10d_seeded_runs_are_byte_identical():
-    cfg = Config(mode="secpm", workload="btree", txn_size=1024,
-                 txn_count=100, seed=SEED)
-    a = emit_report([run_experiment(cfg)])
-    b = emit_report([run_experiment(cfg)])
-    report("10d determinism", a == b,
-           f"report bytes {'identical' if a == b else 'differ'} "
-           f"({len(a)} bytes)")

@@ -341,20 +341,15 @@ def _reordering(order):
     return Reordering
 
 
-def _txn_outcomes(cfg):
-    return inject(CrashPlan("exhaustive"), lambda: SCOPES["txn"](cfg))
-
-
+@pytest.mark.parametrize("crash_pass", [
+    case for case in TXN_CASES if "-slots" not in case.id], indirect=True)
 def test_flushes_issued_at_the_fence_in_program_order_change_no_outcome(
-        monkeypatch):
+        crash_pass, monkeypatch):
     """Holding an epoch's flushes until its fence moves no boundary, label,
-    stage or verdict of the txn scope, in any of ``crash_configs``."""
-    for mode, queue_len, use_register in crash_configs():
-        cfg = cfg_for(mode, queue_len=queue_len, use_register=use_register)
-        expected = _txn_outcomes(cfg)
-        with monkeypatch.context() as patch:
-            patch.setattr(crash, "Controller", _reordering(list))
-            assert _txn_outcomes(cfg) == expected, cfg
+    stage or verdict of the txn scope."""
+    monkeypatch.setattr(crash, "Controller", _reordering(list))
+    assert inject(CrashPlan("exhaustive"),
+                  crash_pass.factory) == crash_pass.outcomes
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -368,7 +363,8 @@ def test_an_epoch_issued_last_flush_first_never_tears(monkeypatch):
                         _reordering(lambda held: held[-1:] + held[:-1]))
     torn = {}
     for mode in ("secpm", "secpm-no-cwr", "unsec-pm"):
-        outcomes = _txn_outcomes(cfg_for(mode))  # queue_len 32, register on
+        cfg = cfg_for(mode)  # queue_len 32, register on
+        outcomes = inject(CrashPlan("exhaustive"), lambda: SCOPES["txn"](cfg))
         torn[mode] = [(o.crash_point, o.stage) for o in outcomes
                       if o.verdict is Verdict.INCONSISTENT]
     assert torn == {"secpm": [], "secpm-no-cwr": [], "unsec-pm": []}
