@@ -45,13 +45,6 @@ class CounterLine:
         self.major = major
         self.lanes = lanes
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CounterLine):
-            return NotImplemented
-        return self.major == other.major and self.lanes == other.lanes
-
-    __hash__ = None  # mutable
-
     def __repr__(self) -> str:
         return f"CounterLine(major={self.major}, lanes={self.lanes:#x})"
 

@@ -12,6 +12,7 @@ from _crash_cases import torn_stages
 from secpmsim import cli
 from secpmsim.cli import main
 from secpmsim.config import Config, parse_config
+from secpmsim.controller import Controller
 
 
 def run_cli(*argv):
@@ -87,6 +88,7 @@ def test_config_round_trip():
 # optionally the files to write first, None making a directory).  A line
 # that ends in "..." is a prefix, before OS or argparse text.
 RUN, CRASH, BOTH = ("run",), ("crashcheck",), ("run", "crashcheck")
+ALL = ("run", "run --trace-out t.txt", "crashcheck")
 TRACE = {"t.txt": "TXN 0 WRITE 0x0 64"}
 MISALIGNED = {"t.txt": "TXN 0 WRITE 0x20 64"}
 PAST_LAST = "at:9999"  # inject rejects it after counting the boundaries
@@ -100,7 +102,15 @@ def _cfg(text):
 
 
 BAD_INPUT = [
-    # Flags and comma lists: see also SWEEP_LISTS.
+    # Flags and comma lists, also on a run that writes a trace.
+    *[(ALL, f"{flag} ,", f"{flag} needs at least one value, not ','") for flag
+      in ("--mode", "--workload", "--txn-size", "--queue-len", "--cache-size")],
+    (ALL, "--cores ,,", "--cores needs at least one value, not ',,'"),
+    *[(ALL, f"{flag} {v}", f"{flag} takes a comma list of integers, not {v!r}")
+      for flag, v in [("--txn-size", "abc"), ("--queue-len", "1.5"),
+                      ("--cores", "1,x")]],
+    *[(ALL, f"{flag} {v}", f"{flag} takes an integer, not {v!r}")
+      for flag in ("--txn-count", "--seed") for v in ("abc", "1.5")],
     (BOTH, "--workload array --cores 0", "cores must be at least 1, not 0"),
     (BOTH, "--workload array --config c.cfg",
      "cores must be at least 1, not 0", _cfg("cores = 0")),
@@ -109,6 +119,11 @@ BAD_INPUT = [
     (BOTH, "--workload array --config c.cfg",
      "txn_count must be non-negative, not -1", _cfg("txn_count = -1")),
     (BOTH, "--mode hyperspace", "unknown mode 'hyperspace'"),
+    (BOTH, "--workload deque", "unknown workload 'deque'"),
+    *[(BOTH, f"--txn-size {n}", "txn_size must be a positive multiple of 64")
+      for n in (100, 0)],
+    (BOTH, "--queue-len 1", "queue_len must be at least 2"),
+    (BOTH, "--cache-size 64", "cache_size too small for one set"),
     (RUN, "--no-such-flag", "unrecognized arguments: --no-such-flag"),
     (CRASH, "--scope page", "argument --scope: invalid choice: ..."),
     (("",), "", "the following arguments are required: command"),
@@ -124,9 +139,37 @@ BAD_INPUT = [
         ("--config c.cfg", "config key 'workload'", _cfg("workload = rbtree")),
         ("--config c.cfg", "config key 'cores'", _cfg("cores = 2")),
         ("--config c.cfg", "config key 'txn_count'", _cfg("txn_count = 9"))]],
-    # Config values: see also CONFIG_VALUES.
-    (BOTH, "--config c.cfg", "banks must be at most 65536, not 65537",
-     _cfg("banks = 65537")),
+    # Config values.
+    *[(BOTH, "--config c.cfg", line, _cfg(f"{key} = {value}"))
+      for key, value, line in [
+          ("cpu_ghz", "0", "cpu_ghz must be positive and finite"),
+          ("cpu_ghz", "nan", "cpu_ghz must be positive and finite"),
+          *[(key, value, f"{key} {FINITE}") for key, value in [
+              ("cache_hit_cycles", "-1"), ("flush_overhead_ns", "inf"),
+              ("txn_gap_ns", "-1"), ("t_rcd_ns", "-48"), ("t_cl_ns", "nan"),
+              ("t_wr_ns", "nan"), ("t_wr_ns", "-300"), ("aes_ns", "inf")]],
+          # Below a page or four transactions, or not page-aligned: array
+          # spun forever at 128, 64 drew from an empty range, 4160 broke
+          # the queue.
+          *[("footprint", n, "footprint must be 0 or a multiple of 4096 of at"
+             f" least 4 * txn_size = 4096, not {n}")
+            for n in ("-4096", "64", "128", "4160", "2048")],
+          # 2 TiB: data at 1 TiB and up would overwrite the counter lines.
+          ("footprint", "2199023255552", "footprint and cores * log_slots log"
+           " slots end at 0x20000012000, past the counter region at"
+           " 0x10000000000"),
+          *[(key, "0", f"{key} must be at least 1")
+            for key in ("cache_ways", "banks", "log_slots")],
+          ("banks", "65537", "banks must be at most 65536, not 65537"),
+          ("use_register", "maybe", f"{LINE1}use_register must be 1/0,"
+           " true/false, yes/no or on/off, not 'maybe'"),
+          ("banks", "x", f"{LINE1}banks must be an integer, not 'x'"),
+          ("cpu_ghz", "abc", f"{LINE1}cpu_ghz must be a number, not 'abc'"),
+          ("txn_size", "1.5", f"{LINE1}txn_size must be an integer, not '1.5'"),
+          # Removed knobs that gated nothing.
+          *[(key, value, f"{LINE1}unknown config key {key!r}")
+            for key, value in [("capacity", "1"), ("t_cwd_ns", "13"),
+                               ("t_faw_ns", "9999"), ("t_wtr_ns", "7.5")]]]],
     *[(BOTH, "--config c.cfg", f"--config c.cfg: {line}", _cfg(text))
       for text, line in [
           ("nonsense", "line 1: expected 'key = value'"),
@@ -155,8 +198,17 @@ BAD_INPUT = [
                                    (RUN, "--trace-in", "t.txt")]
       for files in ({}, {name: b"\xff\xfeTXN"})],  # missing, not UTF-8
     # Trace records.
+    (RUN, "--trace-in t.txt", "trace line 1: malformed record",
+     {"t.txt": "TXN 1 READ 0x0 64\n"}),
     (RUN, "--trace-in t.txt", "trace line 2: address 0x20 is not line-aligned",
      {"t.txt": "TXN 0 WRITE 0x0 64\nTXN 1 WRITE 0x20 64"}),
+    *[(RUN, "--trace-in t.txt", f"trace line 3: {problem}",
+       {"t.txt": f"TXN 0 WRITE 0x0 64\n\n{record}\n"})
+      for record, problem in [
+          ("TXN 1 WRITE 0x20 64", "address 0x20 is not line-aligned"),
+          *[(f"TXN 1 WRITE 0x40 {size}", f"size {size} is not a positive"
+             " multiple of 64") for size in (100, 0, -64)],
+          ("TXN x WRITE 0x40 64", "malformed record")]],
     *[(RUN, "--trace-in t.txt", f"trace line 1: transaction id {txn_id} is"
        " outside 0..2**64 - 1", {"t.txt": f"TXN {txn_id} WRITE 0x0 64"})
       for txn_id in (-1, 1 << 64)],
@@ -191,7 +243,16 @@ BAD_INPUT = [
     *[(RUN, f"{sweep} --trace-out t.txt", "--trace-out writes one stream, but"
        " the sweep runs 2: give one workload and one txn size")
       for sweep in ("--workload array,queue", "--txn-size 256,512")],
-    # Output paths: see also test_bad_out_fails_before_any_work.
+    # Output paths: in a missing directory, or a directory, checked before
+    # a misaligned trace is read.
+    *[(commands, f"{flag} {bad} {rest}", f"{flag} {bad}: {why}",
+       {**files, "d": None})
+      for commands, flag, rest, files in [
+          (RUN, "--out", "--trace-in t.txt --trace-out o.txt", MISALIGNED),
+          (RUN, "--trace-out", "--out r.csv --trace-in t.txt", MISALIGNED),
+          (CRASH, "--out", "", {})]
+      for bad, why in [("missing/x", "directory 'missing' does not exist"),
+                       ("d", "cannot write a report there")]],
     (RUN, "--mode unsec-pm,secpm --out r.csv",
      "--out's normalized report r_normalized.csv: cannot write a report there",
      {"r_normalized.csv": None}),
@@ -241,7 +302,11 @@ def _tree(root):
     return {p: p.is_file() and p.read_bytes() for p in root.rglob("*")}
 
 
-def _assert_rejected(tmp_path, monkeypatch, capsys, argv, files, line):
+@pytest.mark.parametrize("argv, files, line", [
+    pytest.param(argv, dict(*files), line, id=_id(argv, dict(*files)))
+    for commands, args, line, *files in BAD_INPUT for command in commands
+    for argv in [[w.strip("'") for w in f"{command} {args}".split()]]])
+def test_bad_input(tmp_path, monkeypatch, capsys, argv, files, line):
     """Bad input exits 2 before any work runs, with one ``error:`` line and
     no report, and leaves every file as it was: none replaced, none new."""
     monkeypatch.chdir(tmp_path)
@@ -256,95 +321,6 @@ def _assert_rejected(tmp_path, monkeypatch, capsys, argv, files, line):
     assert err == f"error: {line}\n" or (
         line.endswith("...") and err.startswith(f"error: {line[:-3]}"))
     assert _tree(tmp_path) == before
-
-
-@pytest.mark.parametrize("argv, files, line", [
-    pytest.param(argv, dict(*files), line, id=_id(argv, dict(*files)))
-    for commands, args, line, *files in BAD_INPUT for command in commands
-    for argv in [[w.strip("'") for w in f"{command} {args}".split()]]])
-def test_bad_input(tmp_path, monkeypatch, capsys, argv, files, line):
-    _assert_rejected(tmp_path, monkeypatch, capsys, argv, files, line)
-
-
-# Rows that keep their own tests, with the same contract: (flag, value,
-# line), run on run with and without --trace-out and on crashcheck.
-SWEEP_LISTS = [
-    *[(flag, ",", f"{flag} needs at least one value, not ','") for flag in (
-        "--mode", "--workload", "--txn-size", "--queue-len", "--cache-size")],
-    ("--cores", ",,", "--cores needs at least one value, not ',,'"),
-    *[(flag, v, f"{flag} takes a comma list of integers, not {v!r}")
-      for flag, v in [("--txn-size", "abc"), ("--queue-len", "1.5"),
-                      ("--cores", "1,x")]],
-    *[(flag, v, f"{flag} takes an integer, not {v!r}")
-      for flag in ("--txn-count", "--seed") for v in ("abc", "1.5")],
-]
-
-
-@pytest.mark.parametrize("trace_out", [False, True])
-@pytest.mark.parametrize("flag, value, line", [
-    pytest.param(*row, id=f"{row[0]}-{row[1]}") for row in SWEEP_LISTS])
-def test_bad_sweep_list_is_usage_error(tmp_path, monkeypatch, capsys, flag,
-                                       value, line, trace_out):
-    for command in (["run", *["--trace-out", "t.txt"] * trace_out],
-                    ["crashcheck"]):
-        _assert_rejected(tmp_path, monkeypatch, capsys,
-                         [*command, flag, value], {}, line)
-
-
-# (config key, value, line), run on both commands.
-CONFIG_VALUES = [
-    ("cpu_ghz", "0", "cpu_ghz must be positive and finite"),
-    ("cpu_ghz", "nan", "cpu_ghz must be positive and finite"),
-    *[(key, value, f"{key} {FINITE}") for key, value in [
-        ("cache_hit_cycles", "-1"), ("flush_overhead_ns", "inf"),
-        ("txn_gap_ns", "-1"), ("t_rcd_ns", "-48"), ("t_cl_ns", "nan"),
-        ("t_wr_ns", "nan"), ("t_wr_ns", "-300"), ("aes_ns", "inf")]],
-    # Below a page or four transactions, or not page-aligned: array spun
-    # forever at 128, 64 drew from an empty range, 4160 broke the queue.
-    *[("footprint", n, "footprint must be 0 or a multiple of 4096 of at least"
-       f" 4 * txn_size = 4096, not {n}")
-      for n in ("-4096", "64", "128", "4160", "2048")],
-    # 2 TiB: data at 1 TiB and up would overwrite the counter lines.
-    ("footprint", "2199023255552", "footprint and cores * log_slots log slots"
-     " end at 0x20000012000, past the counter region at 0x10000000000"),
-    *[(key, "0", f"{key} must be at least 1")
-      for key in ("cache_ways", "banks", "log_slots")],
-    ("use_register", "maybe", f"{LINE1}use_register must be 1/0, true/false,"
-     " yes/no or on/off, not 'maybe'"),
-    ("banks", "x", f"{LINE1}banks must be an integer, not 'x'"),
-    ("cpu_ghz", "abc", f"{LINE1}cpu_ghz must be a number, not 'abc'"),
-    ("txn_size", "1.5", f"{LINE1}txn_size must be an integer, not '1.5'"),
-    # Removed knobs that gated nothing.
-    *[(key, value, f"{LINE1}unknown config key {key!r}") for key, value in [
-        ("capacity", "1"), ("t_cwd_ns", "13"), ("t_faw_ns", "9999"),
-        ("t_wtr_ns", "7.5")]],
-]
-
-
-@pytest.mark.parametrize("key, value, line", [
-    pytest.param(*row, id=f"{row[0]}-{row[1]}") for row in CONFIG_VALUES])
-def test_bad_config_setting_is_usage_error(tmp_path, monkeypatch, capsys, key,
-                                           value, line):
-    for command in BOTH:
-        _assert_rejected(tmp_path, monkeypatch, capsys,
-                         [command, "--config", "c.cfg"],
-                         _cfg(f"{key} = {value}"), line)
-
-
-@pytest.mark.parametrize("command, flag, rest, files", [
-    ("run", "--out", "--trace-in t.txt --trace-out o.txt", MISALIGNED),
-    ("run", "--trace-out", "--out r.csv --trace-in t.txt", MISALIGNED),
-    ("crashcheck", "--out", "", {})],
-    ids=["run", "run-trace-out", "crashcheck"])
-@pytest.mark.parametrize("bad, why", [
-    ("missing/x", "directory 'missing' does not exist"),
-    ("d", "cannot write a report there")], ids=["missing-dir", "dir"])
-def test_bad_out_fails_before_any_work(tmp_path, monkeypatch, capsys, command,
-                                       flag, rest, files, bad, why):
-    """An output in a missing directory, or that is a directory."""
-    _assert_rejected(tmp_path, monkeypatch, capsys,
-                     f"{command} {flag} {bad} {rest}".split(),
-                     {**files, "d": None}, f"{flag} {bad}: {why}")
 
 
 # Input at the edge of what is valid: (run arguments, input files).
@@ -486,13 +462,38 @@ def test_crashcheck_flags_tears_by_the_table(tmp_path, mode, scope, txn_size,
         scope, Config(mode=mode, use_register=use_register))
 
 
-def test_crashcheck_single_point(tmp_path):
-    out = tmp_path / "verdicts.csv"
-    assert run_cli("crashcheck", "--mode", "secpm",
-                   "--txn-size", "128", "--crash", "at:0",
-                   "--out", str(out)) == 0
-    rows = read_rows(out)
-    assert len(rows) == 1 and rows[0]["crash_point"] == "0"
+def test_crashcheck_exits_1_on_a_violation(monkeypatch, capsys):
+    """A controller that seals line 0 under the counter before the one it
+    records tears every crash point of a mode that promises consistency:
+    each row is a VIOLATION, the summary counts them, and the exit status
+    is 1."""
+    seal = Controller._seal
+    monkeypatch.setattr(Controller, "_seal", lambda self, address, ctr, plain:
+                        seal(self, address, ctr - (address == 0), plain))
+    assert run_cli("crashcheck", "--scope", "atomic-write",
+                   "--mode", "secpm") == 1
+    out, err = capsys.readouterr()
+    rows = out.splitlines()[1:]
+    assert rows and all(r.endswith(",inconsistent,0x0,VIOLATION") for r in rows)
+    summary = err.splitlines()
+    assert all(" verdict=inconsistent " in line for line in summary)
+    assert sum(int(line.rsplit("=", 1)[1]) for line in summary) == len(rows)
+
+
+@pytest.mark.parametrize("plan, count", [("at:0", 1), ("random:5", 5)])
+def test_crashcheck_single_point(capsys, plan, count):
+    """A plan prints its points in order, each once, each with the row the
+    exhaustive check prints for it."""
+    argv = ["crashcheck", "--mode", "secpm", "--txn-size", "128"]
+    assert run_cli(*argv) == 0
+    exhaustive = {r["crash_point"]: r for r in csv.DictReader(
+        capsys.readouterr().out.splitlines())}
+    assert run_cli(*argv, "--crash", plan) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    points = [int(r["crash_point"]) for r in rows]
+    assert len(points) == count and points == sorted(set(points))
+    assert plan != "at:0" or points == [0]
+    assert all(r == exhaustive[r["crash_point"]] for r in rows)
 
 
 def test_crashcheck_summary_on_stderr(tmp_path, capsys):

@@ -9,7 +9,7 @@ import random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, rule, run_state_machine_as_test)
@@ -172,10 +172,13 @@ class ControllerMatchesPaper(RuleBasedStateMachine):
 @pytest.mark.parametrize("use_register", [True, False])
 @pytest.mark.parametrize("mode", MODES)
 def test_controller_matches_the_paper_model(mode, use_register):
+    # No shrink phase: a failing program is at most STEPS long, and
+    # shrinking one took minutes.
     run_state_machine_as_test(
         lambda: ControllerMatchesPaper(mode, use_register),
         settings=settings(max_examples=EXAMPLES, stateful_step_count=STEPS,
-                          deadline=None))
+                          deadline=None, phases=[Phase.explicit, Phase.reuse,
+                                                 Phase.generate]))
 
 
 def make(mode="secpm", **kw):

@@ -222,6 +222,43 @@ def test_recovery_reads_do_not_grow_with_log_slots(monkeypatch):
     assert got[0].snapshot().store == ref[0].snapshot().store
 
 
+def test_recover_skips_a_header_longer_than_its_slot(monkeypatch):
+    """A header whose regions claim more lines than its slot holds is
+    garbage, even with old values in the slot and a matching end tag where
+    such a log would end: recovery undoes nothing, reads no line of the
+    slot after the header and leaves the data as it was, like the
+    every-slot reference."""
+    cfg = make_cfg()
+    ctrl = Controller(cfg)
+    data = write_set(4, seed=1)
+    for addr, value in data:
+        ctrl.handle_flush(addr, value)
+    base, total = cfg.log_slot_base(0, 0), cfg.slot_lines - 1
+    ctrl.handle_flush(base, build_header(9, [(0, total)]))
+    for i, (_, old) in enumerate(write_set(total, seed=2), 1):
+        ctrl.handle_flush(base + i * 64, old)
+    ctrl.handle_flush(base + (1 + total) * 64, build_end_tag(9))
+    ctrl.drain_all()
+    snapshot = ctrl.snapshot()
+
+    reads = []
+    handle_read = Controller.handle_read
+
+    def counting_read(self, address):
+        reads.append(address)
+        return handle_read(self, address)
+
+    monkeypatch.setattr(Controller, "handle_read", counting_read)
+    recovered, undone = recover(snapshot, cfg)
+    assert undone == []
+    assert not set(reads) & set(range(base + 64, base + cfg.slot_lines * 64))
+    for addr, value in data:
+        assert recovered.handle_read(addr) == value
+    ref, ref_undone = recover_every_slot(snapshot, cfg)
+    assert ref_undone == []
+    assert ref.snapshot().store == recovered.snapshot().store
+
+
 def test_flush_and_fence_order(monkeypatch):
     """A transaction flushes the header, old values and end tag, fences,
     flushes the data, fences, zeroes the end tag and fences; recovery of a
