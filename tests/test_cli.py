@@ -519,7 +519,7 @@ def test_crashcheck_summary_on_stderr(tmp_path, capsys):
     assert any(verdict == "inconsistent" for _, _, verdict in summary)
 
 
-CRASH = ["crashcheck", "--mode", "secpm", "--txn-size", "128"]
+SECPM_CRASHCHECK = ["crashcheck", "--mode", "secpm", "--txn-size", "128"]
 
 
 @pytest.mark.parametrize("flag, key, value", [
@@ -529,16 +529,16 @@ CRASH = ["crashcheck", "--mode", "secpm", "--txn-size", "128"]
 def test_crashcheck_flag_matches_config_file(tmp_path, capsys, flag, key, value):
     cfg_file = tmp_path / "crash.cfg"
     cfg_file.write_text(f"{key} = {value}\n")
-    assert run_cli(*CRASH, "--config", str(cfg_file)) == 0
+    assert run_cli(*SECPM_CRASHCHECK, "--config", str(cfg_file)) == 0
     from_file = capsys.readouterr().out
-    assert run_cli(*CRASH, flag, value) == 0
+    assert run_cli(*SECPM_CRASHCHECK, flag, value) == 0
     assert capsys.readouterr().out == from_file
 
 
 def test_crashcheck_honours_queue_len(capsys):
     outputs = []
     for qlen in ("2", "32"):
-        assert run_cli(*CRASH, "--queue-len", qlen) == 0
+        assert run_cli(*SECPM_CRASHCHECK, "--queue-len", qlen) == 0
         outputs.append(capsys.readouterr().out)
     # Backpressure drains in a 2-entry queue add crash points.
     assert outputs[0].count("\n") > outputs[1].count("\n")

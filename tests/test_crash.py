@@ -12,6 +12,7 @@ from _every_slot_recover import recover_every_slot
 from secpmsim import crash, txn
 from secpmsim.config import LINES_PER_PAGE, Mode
 from secpmsim.controller import Controller
+from secpmsim.counters import MINOR_MAX
 from secpmsim.crash import (SCOPES, CrashPlan, Outcome, ReencryptScenario,
                             TxnScenario, Verdict, inject)
 from secpmsim.nvm import CrashSnapshot
@@ -469,3 +470,33 @@ def test_a_crash_during_resumed_reencryption_recovers_to_the_same_verdict(
     1.1 s for 32."""
     cfg = cfg_for("secpm", txn_size=64, queue_len=32)
     assert _nested_recovery_points(monkeypatch, SCOPES["reencrypt"](cfg)) > 0
+
+
+@dataclasses.dataclass
+class HotPageTxnScenario(TxnScenario):
+    """A transaction whose first data flush re-encrypts page 0, which holds
+    its lines: once the pre-image is durable, line 0 is flushed again with
+    its pre-image value until its minor counter is at its limit."""
+
+    def fresh(self):
+        ctrl = super().fresh()
+        for _ in range(MINOR_MAX - 1):  # the pre-image left line 0 at minor 1
+            ctrl.handle_flush(0, self.pre[0])
+        ctrl.flush_counter_cache()
+        ctrl.drain_all()
+        return ctrl
+
+
+@pytest.mark.parametrize("mode, queue_len, use_register", crash_configs())
+def test_a_crash_in_a_reencryption_a_transaction_triggers_tears_no_more(
+        mode, queue_len, use_register):
+    """A crash anywhere in the page re-encryption that a transaction's
+    mutate epoch runs recovers as a crash anywhere else in the transaction
+    does: recovery finishes the page before it undoes the log, so only the
+    configurations and stages of ``torn_stages`` tear."""
+    cfg = cfg_for(mode, queue_len=queue_len, use_register=use_register)
+    outcomes = inject(CrashPlan("exhaustive"), lambda: HotPageTxnScenario(cfg))
+    moved = [o.stage for o in outcomes if o.label == "reencrypt_line"]
+    assert moved == ["mutate"] * LINES_PER_PAGE * Mode(mode).encrypted
+    assert {o.stage for o in outcomes
+            if not o.verdict.ok} == torn_stages("txn", cfg)

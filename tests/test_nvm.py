@@ -39,13 +39,6 @@ def test_write_to_busy_bank_rejected():
     nvm.nvm_write(16 * 64, bytes(64), Config().t_wr_ns)
 
 
-def test_read_waits_for_bank():
-    nvm = device()
-    nvm.nvm_write(0, bytes(64), 0.0)
-    _, done = nvm.nvm_read(0, 10.0)
-    assert done == Config().t_wr_ns + Config().read_ns
-
-
 def test_snapshot_applies_queue_fifo():
     nvm = device()
     nvm.nvm_write(0, b"\0" * 64, 0.0)

@@ -3,8 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secpmsim.config import Config
-from secpmsim.nvm import NvmDevice, take_crash_snapshot
+from secpmsim.nvm import take_crash_snapshot
 from secpmsim.write_queue import Origin, WriteQueue, WriteQueueEntry
+from test_nvm import device
 
 
 BASE = 1 << 40
@@ -12,11 +13,6 @@ BASE = 1 << 40
 
 def entry(addr, origin=Origin.DATA, payload=None):
     return WriteQueueEntry(addr, payload or bytes(64), origin)
-
-
-def device():
-    cfg = Config()
-    return NvmDevice(cfg.banks, cfg.t_wr_ns, cfg.read_ns)
 
 
 def test_data_entries_never_merge():
@@ -60,15 +56,16 @@ def test_drain_blocks_on_busy_bank():
 
 class ScanQueue:
     """Linear-scan reference: merging finds the resident counter entry, and
-    a read the newest entry for an address, by walking the queue."""
+    a read the newest entry for an address, by walking the queue.  It
+    drains into ``nvm``."""
 
-    def __init__(self, capacity, cwr_enabled):
+    def __init__(self, capacity, cwr_enabled, nvm):
         self.capacity = capacity
         self.cwr_enabled = cwr_enabled
         self.entries = []
         self.appended = {Origin.DATA: 0, Origin.COUNTER: 0}
         self.merged = 0
-        self.nvm = device()
+        self.nvm = nvm
 
     def cwr_merge(self, incoming):
         if not self.cwr_enabled:
@@ -130,7 +127,7 @@ ADDRESSES = [base + k * 64 for base in (0, BASE) for k in range(6)]
 def test_indexed_queue_matches_scan_oracle(ops, cwr_enabled):
     q = WriteQueue(capacity=8, cwr_enabled=cwr_enabled)
     nvm = device()
-    oracle = ScanQueue(8, cwr_enabled)
+    oracle = ScanQueue(8, cwr_enabled, device())
     now = 0.0
     for n, (op, k, arg) in enumerate(ops):
         if op == "drain":
